@@ -104,10 +104,12 @@ def brw_sweep(
     floor: float = DEFAULT_POINT_FLOOR,
 ) -> list[GenerationSummary]:
     """Summaries of generations 0..n_max for one replica."""
-    return [
-        summarize_frame(frame, params.gamma, floor)
-        for frame in brw_frames(params, n_max, seed)
-    ]
+    summaries = []
+    for frame in brw_frames(params, n_max, seed):
+        summaries.append(summarize_frame(frame, params.gamma, floor))
+        # drop it now, so brw_frames holds one frame plus its parent at a time
+        del frame
+    return summaries
 
 
 def kmin_kmax_sweep(

@@ -52,7 +52,6 @@ class ExperimentSpec:
     master_seed: int = 0
     floor: float = DEFAULT_POINT_FLOOR
     out: str | None = None
-    suite: str | None = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -108,7 +107,6 @@ _CONFIG_TYPES = {
     "master_seed": int,
     "floor": float,
     "out": str,
-    "suite": str,
 }
 
 

@@ -11,7 +11,7 @@ from .errors import SpecError
 from .experiment import SCHEMA_VERSION, format_csv, read_record_files
 from .params import ModelParams
 from .predictors import largest_depth_window
-from .qseries import qpochhammer_limit
+from .stats import intensity_profile
 
 KINDS = ("staircase", "windows", "intensity")
 
@@ -62,21 +62,20 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     else:  # intensity
         points = meta.get("extras", {}).get("points_final_generation", {})
         q = ModelParams(int(spec["k"]), float(spec["alpha"])).q
-        phi = qpochhammer_limit(q)
         floor = float(spec.get("floor", -5.0))
         edges = np.arange(math.floor(floor), 6.0)
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
         out_rows = []
         if points:
-            replicas = sorted(points, key=int)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                counts = [
-                    sum(1 for x in points[r] if lo <= x < hi) for r in replicas
-                ]
-                expected = (math.exp(-lo) - math.exp(-hi)) / phi
-                out_rows.append(
-                    (float(lo), float(hi), float(np.mean(counts)), expected)
-                )
+            reports = intensity_profile(
+                [points[r] for r in sorted(points, key=int)],
+                list(zip(edges[:-1], edges[1:])),
+                q,
+            )
+            out_rows = [
+                (float(r.interval[0]), float(r.interval[1]), r.mean_count, r.expected)
+                for r in reports
+            ]
 
     Path(out_path).write_text(format_csv(columns, out_rows))
     return len(out_rows)

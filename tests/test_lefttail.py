@@ -10,7 +10,6 @@ from fragsim.lefttail import (
     critical_term_count,
     left_tail_exponent,
     left_tail_sandwich,
-    log_left_tail_upper,
     stirling_exponent,
 )
 from fragsim.params import ModelParams
@@ -148,27 +147,10 @@ class TestStirlingExponent:
                 )
 
     def test_log_gap_bounded_on_grid(self):
-        observed = max(
-            abs(
-                log_left_tail_upper(
-                    0.5, critical_term_count(0.5, math.exp(-j)), math.exp(-j)
-                )
-                + left_tail_exponent(0.5, math.exp(-j))
-            )
-            for j in range(5, 41)
-        )
-        assert observed <= 3.0
+        assert goldens.left_tail_log_gap_max(range(5, 41)) <= 3.0
 
     def test_recorded_grid_maximum(self):
-        observed = max(
-            abs(
-                log_left_tail_upper(
-                    0.5, critical_term_count(0.5, math.exp(-j)), math.exp(-j)
-                )
-                + left_tail_exponent(0.5, math.exp(-j))
-            )
-            for j in range(5, 31, 5)
-        )
+        observed = goldens.left_tail_log_gap_max(range(5, 31, 5))
         assert observed == pytest.approx(goldens.LEFT_TAIL_LOG_GAP_MAX, rel=1e-9)
 
     def test_domain(self):

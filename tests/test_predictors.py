@@ -164,12 +164,7 @@ class TestMinLeafCenter:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_recorded_gap_fit(self):
-        observed = max(
-            abs(solve_min_leaf_center(P21, n) - min_leaf_center(P21, n))
-            * math.sqrt(n)
-            / math.log(n)
-            for n in (100, 1000, 10_000, 100_000)
-        )
+        observed = goldens.center_gap_fit()
         assert observed == pytest.approx(goldens.CENTER_GAP_FIT, rel=1e-6)
 
     def test_bracket(self):

@@ -66,10 +66,13 @@ class TestIntensityProfile:
         assert reports[0].expected > reports[1].expected > reports[2].expected
 
     def test_counts_are_per_replica(self):
+        # bins are half-open [lo, hi), and replicas need not be sorted
         reports = intensity_profile(
-            [[0.1, 0.2, 5.0], [3.0], []], [(0.0, 1.0)], 0.5
+            [[0.1, 0.2, 5.0], [3.0], [], [0.0, 1.0], [5.0, 0.5, -1.0, 0.9]],
+            [(0.0, 1.0)],
+            0.5,
         )
-        assert reports[0].mean_count == pytest.approx((2 + 0 + 0) / 3)
+        assert reports[0].mean_count == pytest.approx((2 + 0 + 0 + 1 + 2) / 5)
 
     def test_poisson_synthetic_dispersion(self):
         rng = np.random.default_rng(8)
