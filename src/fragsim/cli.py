@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 all checks/runs succeed, 1 a verification check failed,
-2 usage or configuration error (including budget violations and I/O
-problems). Flags always win over config-file values.
+Exit codes: 0 all checks/runs succeed, 1 a verification check failed or
+``tails`` could not resolve a row to TAILS_MAX_ABS_ERROR (no file is
+written), 2 usage or configuration error (including budget violations and
+I/O problems). Flags always win over config-file values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .experiment import (
 from .laws import perpetuity_survival
 from .plotdata import KINDS, emit_plotdata
 from .verify import run_suite
+
+# Largest survival abs_error `fragsim tails` writes; a worse row refuses the table.
+TAILS_MAX_ABS_ERROR = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +102,14 @@ def _cmd_tails(args) -> int:
     for t in np.arange(lo, hi + step / 2, step):
         ev = perpetuity_survival(args.q, args.n, float(t))
         rows.append((args.q, args.n, float(t), ev.value, ev.abs_error))
+    worst = max(rows, key=lambda row: row[4])
+    if worst[4] > TAILS_MAX_ABS_ERROR:
+        print(
+            f"fragsim tails: survival unresolved at t={worst[2]!r}: abs_error "
+            f"{worst[4]:.3g} > {TAILS_MAX_ABS_ERROR:g}; no file written",
+            file=sys.stderr,
+        )
+        return 1
     Path(args.out).write_text(format_csv(TAILS_COLUMNS, rows))
     print(f"tails: {len(rows)} rows -> {args.out}")
     return 0

@@ -31,6 +31,11 @@ _UNIFORM_BLOCK = 8192
 # Exact total-rate refresh period; the incremental rate drifts by O(eps) per
 # event, which is harmless but unbounded over millions of events.
 _RATE_REFRESH = 4096
+# Upper estimates of CPython object sizes. Per depth: counts, qpow and
+# weights entries, first_seen/last_seen entries and their census copies. Per
+# record: the times/mins/maxs entries and their array elements.
+_BYTES_PER_DEPTH = 512
+_BYTES_PER_RECORD = 96
 
 
 @dataclass(frozen=True)
@@ -69,12 +74,18 @@ class GillespieTrajectory:
 
 
 def _projected_bytes(params: ModelParams, t_end: float) -> int:
-    # Projection: terminal fragment count is at most k**(deepest depth), and
-    # the deepest depth tracks the smallest-fragment predictor.
-    if t_end <= math.e * 1.01:
-        return 1024
-    depth = max(1, math.ceil(smallest_depth_center(params, t_end)) + 1)
-    return 8 * params.k ** min(depth, 64)
+    # What the run holds: the uniform block (twice while its replacement is
+    # drawn), the per-depth lists and dicts, and one record per change of m
+    # or M, so at most 2*depth + 1 records. The deepest depth tracks the
+    # smallest-fragment predictor.
+    depth = 1
+    if t_end > math.e * 1.01:
+        depth = max(1, math.ceil(smallest_depth_center(params, t_end)) + 1)
+    return (
+        2 * 8 * _UNIFORM_BLOCK
+        + _BYTES_PER_DEPTH * depth
+        + _BYTES_PER_RECORD * (2 * depth + 1)
+    )
 
 
 def gillespie_run(

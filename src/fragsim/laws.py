@@ -9,6 +9,13 @@ explicit bound on the accumulated floating-point error. When the complement
 1 - survival loses more than ``REL_ERR_SWITCH`` relative accuracy to
 cancellation, the CDF is recomputed from the two-sided simplex sandwich and
 the sandwich half-width is reported as the error.
+
+Each series stops at the first term whose exponential ``exp(-q^{-j} t)`` is
+exactly 0.0. For t > 0 the rate q^{-j} only grows with j, so every later
+term is +-0.0 as well. Adding +-0.0 leaves both the compensated sum and the
+sum of |terms| bit-for-bit unchanged, so the stop changes no value and no
+error bound; it only skips work. At q = 0.5 and n = 200 it leaves 6 to 16
+of the 201 terms on t in [0.02, 20].
 """
 
 from __future__ import annotations
@@ -66,17 +73,17 @@ def _neumaier(terms) -> tuple[float, float]:
 def _series_terms(q: float, n: int, t: float, exponent_shift: int):
     """Terms (-1)^j q^{j(j+1)/2 - j*shift} exp(-q^{-j} t) / (phi_j phi_{n-j}).
 
-    shift=0 gives the survival series, shift=1 the density series.
+    shift=0 gives the survival series, shift=1 the density series. Stops at
+    the first zero exponential; every later term would be +-0.0.
     """
     phis = qpochhammer_factors(q, n)
     sign = 1.0
     qpow = 1.0  # q^{j(j+1)/2 - j*shift}
     rate = 1.0  # q^{-j}
     for j in range(n + 1):
-        if math.isinf(rate):
-            ex = 1.0 if t == 0.0 else 0.0
-        else:
-            ex = math.exp(-rate * t)
+        ex = math.exp(-rate * t) if t > 0.0 else 1.0
+        if ex == 0.0:
+            return
         yield sign * qpow * ex / (phis[j] * phis[n - j])
         sign = -sign
         qpow *= q ** (j + 1 - exponent_shift)
@@ -97,6 +104,8 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
     """
     q = as_q(q_or_params)
     _check_nt(n, t)
+    if t == 0.0:
+        return _tail(1.0, 0.0)
     value, absum = _neumaier(_series_terms(q, n, t, exponent_shift=0))
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
@@ -114,13 +123,16 @@ def perpetuity_survival_limit(q_or_params, t: float, tol: float = 1e-14) -> Tail
 
     The series is truncated once q^{j(j+1)/2}/phi_j drops below
     tol * phi_inf(q); the omitted remainder decays super-geometrically and is
-    folded into abs_error. Dominates the finite-n survival for every n.
+    folded into abs_error. Dominates the finite-n survival for every n, and
+    equals 1 at t = 0.
     """
     q = as_q(q_or_params)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a non-negative real, got {t!r}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    if t == 0.0:
+        return _tail(1.0, 0.0)
     phi_inf = qpochhammer_limit(q)
     cutoff = tol * phi_inf
 
@@ -134,9 +146,9 @@ def perpetuity_survival_limit(q_or_params, t: float, tol: float = 1e-14) -> Tail
             bound = qpow / phi_j
             if j > 0 and bound < cutoff:
                 break
-            ex = math.exp(-rate * t) if not math.isinf(rate) else (
-                1.0 if t == 0.0 else 0.0
-            )
+            ex = math.exp(-rate * t)
+            if ex == 0.0:  # t > 0: every later term is +-0.0
+                break
             yield sign * qpow * ex / phi_j
             sign = -sign
             j += 1

@@ -8,11 +8,14 @@ from .errors import DomainError
 from .params import as_q
 
 
-def qpochhammer_factors(q: float, n: int) -> list[float]:
-    """Partial products [(q;q)_0, ..., (q;q)_n], i.e. prod_{j<=i}(1 - q^j).
+@lru_cache(maxsize=256)
+def qpochhammer_factors(q: float, n: int) -> tuple[float, ...]:
+    """Partial products ((q;q)_0, ..., (q;q)_n), i.e. prod_{j<=i}(1 - q^j).
 
     The whole prefix is needed by the alternating survival series, so it is
-    returned in one pass rather than recomputed per index.
+    returned in one pass rather than recomputed per index. Results are
+    cached per (q, n), so a t grid builds the prefix once; the tuple keeps a
+    caller from mutating the cached value.
     """
     q = as_q(q)
     if n < 0:
@@ -24,7 +27,7 @@ def qpochhammer_factors(q: float, n: int) -> list[float]:
         qj *= q
         acc *= 1.0 - qj
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 def qpochhammer(q: float, n: int) -> float:

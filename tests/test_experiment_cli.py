@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fragsim.cli import main
+from fragsim.cli import TAILS_MAX_ABS_ERROR, main
 from fragsim.errors import SpecError
 from fragsim.experiment import (
     SCHEMA_VERSION,
@@ -167,6 +167,29 @@ class TestCliSurface:
         assert header == ["schema_version", "q", "n", "t", "survival", "abs_error"]
         expected = 2 * math.exp(-1) - math.exp(-2)
         assert float(rows[0][4]) == pytest.approx(expected, abs=1e-14)
+
+    def test_tails_resolved_grid_exits_0(self, tmp_path):
+        out = tmp_path / "tails.csv"
+        code = main([
+            "tails", "--q", "0.5", "--n", "40", "--t-grid", "0:20:0.02",
+            "--out", str(out),
+        ])
+        assert code == 0
+        _, rows, _ = read_record_files(out)
+        assert len(rows) == 1001
+        assert max(float(r[5]) for r in rows) <= TAILS_MAX_ABS_ERROR
+
+    def test_tails_refuses_unresolved_rows(self, tmp_path, capsys):
+        # the alternating series cancels catastrophically at q=0.99, n=200
+        out = tmp_path / "tails.csv"
+        code = main([
+            "tails", "--q", "0.99", "--n", "200", "--t-grid", "0:2:1",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "t=1.0" in err and "no file written" in err
 
     def test_bad_grid_exits_2(self, capsys):
         assert main(["tails", "--q", "0.5", "--n", "1", "--t-grid", "oops", "--out", "x.csv"]) == 2

@@ -97,6 +97,15 @@ def test_budget_guard(monkeypatch):
         gillespie_run(P21, math.e**12, SeedSpec(0, 0))
 
 
+def test_budget_charges_held_state(monkeypatch):
+    # the run holds O(depth) state, so 1 MB admits t=e^9; charging
+    # 8 * k^depth bytes (about 4 MB here) refused it
+    monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000000")
+    traj = gillespie_run(P21, math.e**9, SeedSpec(0, 0))
+    assert traj.t_end == math.e**9
+    assert len(traj.times) <= 2 * traj.max_depths[-1] + 1
+
+
 def test_domain():
     with pytest.raises(DomainError):
         gillespie_run(P21, -1.0, SeedSpec(0, 0))

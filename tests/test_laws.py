@@ -8,7 +8,10 @@ from scipy.integrate import quad
 
 from fragsim.errors import DomainError
 from fragsim.laws import (
+    _EPS,
+    _TERM_ULPS,
     TailEval,
+    _neumaier,
     gumbel_limit_cdf,
     perpetuity_cdf,
     perpetuity_density,
@@ -18,7 +21,7 @@ from fragsim.laws import (
     tagged_depth_pmf,
 )
 from fragsim.params import ModelParams
-from fragsim.qseries import qpochhammer_limit
+from fragsim.qseries import qpochhammer_factors, qpochhammer_limit
 
 from oracles import hypoexp_cdf_mp, hypoexp_density_mp, hypoexp_survival_mp
 
@@ -40,10 +43,9 @@ class TestSurvival:
         assert ev.value == pytest.approx(0.600424, abs=1e-6)
 
     def test_survival_at_zero_is_one(self):
-        for q in QS:
-            for n in (0, 1, 7, 25):
-                ev = perpetuity_survival(q, n, 0.0)
-                assert ev.value == pytest.approx(1.0, abs=1e-12)
+        for q in (*QS, 0.95, 0.99):
+            for n in (0, 1, 7, 25, 200):
+                assert perpetuity_survival(q, n, 0.0) == TailEval(1.0, 0.0)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -131,11 +133,68 @@ class TestDensity:
             assert worst <= golden * (1 + 1e-9)
 
 
+def _full_series(q, n, t, shift):
+    # every one of the n+1 terms, with no stop at a zero exponential
+    phis = qpochhammer_factors(q, n)
+    sign, qpow, rate = 1.0, 1.0, 1.0
+    terms = []
+    for j in range(n + 1):
+        ex = math.exp(-rate * t)  # t > 0
+        terms.append(sign * qpow * ex / (phis[j] * phis[n - j]))
+        sign = -sign
+        qpow *= q ** (j + 1 - shift)
+        rate /= q
+    value, absum = _neumaier(terms)
+    return min(max(value, 0.0), 1.0), _TERM_ULPS * _EPS * absum + _EPS
+
+
+def _full_limit(q, t, tol=1e-14):
+    # every term down to the tol cutoff, with no stop at a zero exponential
+    phi_inf = qpochhammer_limit(q)
+    cutoff = tol * phi_inf
+    sign, qpow, rate, phi_j, j = 1.0, 1.0, 1.0, 1.0, 0
+    terms = []
+    while j == 0 or qpow / phi_j >= cutoff:
+        ex = math.exp(-rate * t)  # t > 0
+        terms.append(sign * qpow * ex / phi_j)
+        sign = -sign
+        j += 1
+        qpow *= q**j
+        phi_j *= 1.0 - q**j
+        rate /= q
+    value, absum = _neumaier(terms)
+    err = (_TERM_ULPS * _EPS * absum + cutoff / (1.0 - q)) / phi_inf + _EPS
+    return min(max(value / phi_inf, 0.0), 1.0), err
+
+
+STOP_TS = (5e-324, 1e-300, 0.02, 1.0, 20.0, 700.0, 746.0, 1e300)
+
+
+class TestSeriesStop:
+    """Ending a series at its first zero exponential changes no bit."""
+
+    @staticmethod
+    def _same(ev, ref):
+        # repr tells -0.0 from 0.0
+        assert (repr(ev.value), repr(ev.abs_error)) == tuple(map(repr, ref))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [0, 1, 5, 40, 200])
+    def test_finite_n_matches_full_sum(self, q, n):
+        for t in STOP_TS:
+            self._same(perpetuity_survival(q, n, t), _full_series(q, n, t, 0))
+            self._same(perpetuity_density(q, n, t), _full_series(q, n, t, 1))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
+    def test_limit_matches_full_sum(self, q):
+        for t in STOP_TS:
+            self._same(perpetuity_survival_limit(q, t), _full_limit(q, t))
+
+
 class TestSurvivalLimit:
     def test_equals_one_at_zero(self):
-        for q in QS:
-            ev = perpetuity_survival_limit(q, 0.0)
-            assert abs(ev.value - 1.0) <= ev.abs_error + 1e-12
+        for q in (*QS, 0.95, 0.99):
+            assert perpetuity_survival_limit(q, 0.0) == TailEval(1.0, 0.0)
 
     def test_close_to_deep_finite_sum(self):
         # n=30 finite series oracle; the gap is of order q^31
