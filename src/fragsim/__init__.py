@@ -6,12 +6,14 @@ from .brw import (
     DEFAULT_POINT_FLOOR,
     GenerationFrame,
     GenerationSummary,
+    ReplicaSweep,
     SpinePath,
     brw_frames,
     brw_sweep,
     kmin_kmax_sweep,
     spine_sample,
     spine_sum_samples,
+    sweep_replicas,
     tree_matrices,
 )
 from .errors import (

@@ -1,25 +1,39 @@
 """Generation-frame sampler for the rescaled branching random walk.
 
 One generation is a dense array of k^n leaf values; a child equals q times
-its parent plus a fresh standard exponential. Only the current frame is held
-in memory, so the peak footprint for a sweep to generation n is one frame of
-k^n doubles plus its parent. Extremes over a generation cannot be recovered
-from a subsample, hence full frames rather than thinning.
+its parent plus a fresh standard exponential. Extremes over a generation
+cannot be recovered from a subsample, hence full frames rather than thinning.
+
+Every sweep runs on one kernel that advances a block of R replicas one
+generation at a time, each replica drawing from its own stream. A sweep
+allocates two buffers once: a child buffer of R*k^n_max doubles and a parent
+buffer of R*k^(n_max-1). Generation n is the (R, k^n) view of the first
+R*k^n child slots, so the footprint of a sweep is R frames plus their
+parents however many replicas it runs, and nothing is allocated per frame.
+R is the number of replicas whose frames fit in BLOCK_CAP_BYTES (1 MiB) and
+in the memory budget, and at least one: with k=2 it is 341 at n_max=8, 21
+at n_max=12 and 1 from n_max=16 up, where batching gains nothing.
+tree_matrices runs the same kernel on one block of all its replicas, drawn
+from a single stream, and keeps every generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budget import ensure_within_budget
+from .budget import budget_bytes, ensure_within_budget
 from .errors import DomainError
 from .params import ModelParams
 from .seeds import SeedSpec
 
 DEFAULT_POINT_FLOOR = -5.0
+
+# Bytes of frames one kernel block may hold; beyond this, batching replicas
+# gains nothing over the cost of drawing their frames.
+BLOCK_CAP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,55 +60,148 @@ class GenerationSummary:
 
 
 @dataclass(frozen=True)
+class ReplicaSweep:
+    """Extremes of generations 0..n_max for a run of replicas.
+
+    k_min, k_max and tau are (replicas, n_max + 1) arrays in the order the
+    seeds were given. points maps each requested generation n to one array
+    per replica of the centred values J = value - gamma*n with J >= floor,
+    sorted ascending.
+    """
+
+    k_min: np.ndarray
+    k_max: np.ndarray
+    tau: np.ndarray
+    points: dict[int, list[np.ndarray]] = field(repr=False)
+
+
+@dataclass(frozen=True)
 class SpinePath:
     """Strictly increasing split times of the fragment containing the origin."""
 
     split_times: np.ndarray
 
 
-def _frame_budget_bytes(k: int, n_max: int) -> int:
-    # Peak: child frame of k^n doubles plus its parent of k^(n-1).
-    if n_max <= 0:
-        return 16
-    return 8 * (k**n_max + k ** (n_max - 1))
+def _replica_bytes(k: int, n_max: int) -> int:
+    # one replica's child frame of k^n_max doubles plus its parent
+    return 8 * (k**n_max + k ** max(n_max - 1, 0))
+
+
+def _check_n_max(n_max) -> None:
+    if not (isinstance(n_max, int) and n_max >= 0):
+        raise DomainError(f"n_max must be a non-negative integer, got {n_max!r}")
+
+
+def block_rows(k: int, n_max: int) -> int:
+    """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
+    budget admit, and at least one."""
+    _check_n_max(n_max)
+    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _replica_bytes(k, n_max))
+
+
+def _buffers(
+    k: int, n_max: int, rows: int, what: str, kept_bytes: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's child and parent buffers for blocks of up to ``rows``
+    replicas, charged to the memory budget, with whatever the caller keeps,
+    before they are allocated."""
+    ensure_within_budget(rows * _replica_bytes(k, n_max) + kept_bytes, what)
+    return np.empty(rows * k**n_max), np.empty(rows * k ** max(n_max - 1, 0))
+
+
+def _row_streams(rngs: Sequence[np.random.Generator]) -> Callable[[np.ndarray], None]:
+    """Fill row r of a frame block from rngs[r]."""
+
+    def draw(frames: np.ndarray) -> None:
+        for rng, row in zip(rngs, frames):
+            rng.standard_exponential(out=row)
+
+    return draw
+
+
+def _generations(
+    params: ModelParams,
+    n_max: int,
+    rows: int,
+    draw: Callable[[np.ndarray], None],
+    child: np.ndarray,
+    parent: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, frames) for n = 0..n_max, frames being the (rows, k^n) view
+    of generation n in ``child``; the next generation overwrites it.
+
+    ``draw`` fills a block with standard exponentials, each row in leaf
+    order, so a row's generation-n frame takes k^n draws before its
+    generation n+1 starts.
+    """
+    k, q = params.k, params.q
+    frames = child[:rows].reshape(rows, 1)
+    draw(frames)
+    yield 0, frames
+    for n in range(1, n_max + 1):
+        up = parent[: frames.size].reshape(frames.shape)
+        np.multiply(frames, q, out=up)
+        frames = child[: rows * k**n].reshape(rows, k**n)
+        draw(frames)
+        # children of parent p occupy slots p*k .. p*k+k-1
+        for j in range(k):
+            frames[:, j::k] += up
+        yield n, frames
 
 
 def brw_frames(
     params: ModelParams, n_max: int, seed: SeedSpec
 ) -> Iterator[GenerationFrame]:
-    """Yield generations 0..n_max of one replica, streaming one frame at a time.
+    """Yield generations 0..n_max of one replica, one frame at a time.
 
-    Bit-reproducible: the generation-n frame consumes exactly k^n draws from
-    the replica stream, in leaf order, before generation n+1 starts.
+    Each frame is a copy that the caller may keep; the sampler itself holds
+    one frame plus its parent.
     """
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise DomainError(f"n_max must be a non-negative integer, got {n_max!r}")
-    ensure_within_budget(
-        _frame_budget_bytes(params.k, n_max),
-        f"brw sweep to generation {n_max} (k={params.k})",
+    _check_n_max(n_max)
+    child, parent = _buffers(
+        params.k, n_max, 1, f"brw sweep to generation {n_max} (k={params.k})"
     )
-    rng = seed.rng()
-    k, q = params.k, params.q
-    frame = rng.standard_exponential(1)
-    yield GenerationFrame(0, frame)
-    for n in range(1, n_max + 1):
-        parent = frame * q
-        frame = None  # keeps the streaming peak at one frame plus its parent
-        frame = rng.standard_exponential(k * parent.size)
-        # children of parent p occupy slots p*k .. p*k+k-1
-        for j in range(k):
-            frame[j::k] += parent
-        yield GenerationFrame(n, frame)
+    draw = _row_streams([seed.rng()])
+    for n, frames in _generations(params, n_max, 1, draw, child, parent):
+        yield GenerationFrame(n, frames[0].copy())
 
 
-def summarize_frame(
-    frame: GenerationFrame, gamma: float, floor: float = DEFAULT_POINT_FLOOR
-) -> GenerationSummary:
-    shift = gamma * frame.n
-    k_min = float(frame.values.min())
-    k_max = float(frame.values.max())
-    pts = frame.values[frame.values >= floor + shift] - shift
-    return GenerationSummary(frame.n, k_min, k_max, k_max - shift, np.sort(pts))
+def sweep_replicas(
+    params: ModelParams,
+    n_max: int,
+    seeds: Sequence[SeedSpec],
+    floor: float = DEFAULT_POINT_FLOOR,
+    point_generations: Iterable[int] = (),
+) -> ReplicaSweep:
+    """Extremes of generations 0..n_max for every seed, and the centred points
+    at or above ``floor`` for the generations in ``point_generations`` only.
+
+    Replicas run in blocks of block_rows(k, n_max) through one pair of
+    buffers. Each replica's values are those of a sweep of its seed alone.
+    """
+    k, gamma, count = params.k, params.gamma, len(seeds)
+    rows = max(1, min(count, block_rows(k, n_max)))
+    child, parent = _buffers(
+        k, n_max, rows, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
+    )
+    wanted = set(point_generations)
+    k_min = np.empty((count, n_max + 1))
+    k_max = np.empty((count, n_max + 1))
+    points: dict[int, list[np.ndarray]] = {n: [] for n in sorted(wanted)}
+    for lo in range(0, count, rows):
+        rngs = [s.rng() for s in seeds[lo : lo + rows]]
+        hi = lo + len(rngs)
+        draw = _row_streams(rngs)
+        for n, frames in _generations(params, n_max, len(rngs), draw, child, parent):
+            frames.min(axis=1, out=k_min[lo:hi, n])
+            frames.max(axis=1, out=k_max[lo:hi, n])
+            if n in wanted:
+                shift = gamma * n
+                threshold = floor + shift
+                for row in frames:
+                    points[n].append(np.sort(row[row >= threshold] - shift))
+    tau = k_max - gamma * np.arange(n_max + 1)
+    return ReplicaSweep(k_min, k_max, tau, points)
 
 
 def brw_sweep(
@@ -104,20 +211,20 @@ def brw_sweep(
     floor: float = DEFAULT_POINT_FLOOR,
 ) -> list[GenerationSummary]:
     """Summaries of generations 0..n_max for one replica."""
-    summaries = []
-    for frame in brw_frames(params, n_max, seed):
-        summaries.append(summarize_frame(frame, params.gamma, floor))
-        # drop it now, so brw_frames holds one frame plus its parent at a time
-        del frame
-    return summaries
+    sweep = sweep_replicas(params, n_max, [seed], floor, range(n_max + 1))
+    return [
+        GenerationSummary(n, k_min, k_max, tau, sweep.points[n][0])
+        for n, k_min, k_max, tau in zip(
+            range(n_max + 1),
+            sweep.k_min[0].tolist(),
+            sweep.k_max[0].tolist(),
+            sweep.tau[0].tolist(),
+        )
+    ]
 
 
 def kmin_kmax_sweep(
-    params: ModelParams,
-    n_max: int,
-    replicas: int,
-    master_seed: int,
-    floor: float = DEFAULT_POINT_FLOOR,
+    params: ModelParams, n_max: int, replicas: int, master_seed: int
 ) -> np.ndarray:
     """Per-(replica, generation) extremes as a structured array.
 
@@ -127,16 +234,19 @@ def kmin_kmax_sweep(
     """
     if replicas < 1:
         raise DomainError(f"replicas must be >= 1, got {replicas!r}")
+    sweep = sweep_replicas(
+        params, n_max, [SeedSpec(master_seed, r) for r in range(replicas)]
+    )
     dtype = np.dtype(
         [("replica", "i8"), ("n", "i8"), ("k_min", "f8"), ("k_max", "f8"), ("tau", "f8")]
     )
-    out = np.empty(replicas * (n_max + 1), dtype=dtype)
-    row = 0
-    for r in range(replicas):
-        for s in brw_sweep(params, n_max, SeedSpec(master_seed, r), floor):
-            out[row] = (r, s.n, s.k_min, s.k_max, s.tau)
-            row += 1
-    return out
+    out = np.empty((replicas, n_max + 1), dtype=dtype)
+    out["replica"] = np.arange(replicas)[:, None]
+    out["n"] = np.arange(n_max + 1)
+    out["k_min"] = sweep.k_min
+    out["k_max"] = sweep.k_max
+    out["tau"] = sweep.tau
+    return out.ravel()
 
 
 def tree_matrices(
@@ -148,20 +258,18 @@ def tree_matrices(
     stream; meant for small trees (joint-law and tuple-counting checks) where
     every generation must be retained.
     """
-    ensure_within_budget(
-        16 * replicas * params.k**max(n_max, 1),
-        f"tree matrices to generation {n_max} x {replicas} replicas",
+    _check_n_max(n_max)
+    k = params.k
+    kept = 8 * replicas * sum(k**n for n in range(n_max + 1))
+    child, parent = _buffers(
+        k, n_max, replicas, f"tree matrices to generation {n_max} x {replicas} replicas", kept
     )
     rng = seed.rng()
-    k, q = params.k, params.q
-    gen = rng.standard_exponential((replicas, 1))
-    out = [gen]
-    for n in range(1, n_max + 1):
-        gen = q * np.repeat(gen, k, axis=1) + rng.standard_exponential(
-            (replicas, k**n)
-        )
-        out.append(gen)
-    return out
+
+    def draw(frames: np.ndarray) -> None:
+        rng.standard_exponential(out=frames)
+
+    return [f.copy() for _, f in _generations(params, n_max, replicas, draw, child, parent)]
 
 
 def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> SpinePath:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
-from .brw import DEFAULT_POINT_FLOOR, brw_sweep, spine_sample
+from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
 from .errors import SpecError
 from .gillespie import gillespie_run
 from .params import ModelParams
@@ -169,29 +171,41 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _replica_payload(spec_dict: dict[str, Any], replica: int):
-    """Rows and sidecar extras for one replica; top-level for pickling."""
+def _block_payload(spec_dict: dict[str, Any], lo: int, hi: int):
+    """Rows and sidecar extras for replicas lo..hi-1; top-level for pickling."""
     spec = ExperimentSpec.from_dict(spec_dict)
     params = spec.params()
-    seed = SeedSpec(spec.master_seed, replica)
+    replicas = range(lo, hi)
+    seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
+    rows: list[tuple] = []
     if spec.engine == "brw":
-        rows = []
-        final_points: list[float] = []
-        for s in brw_sweep(params, spec.n_max, seed, spec.floor):
-            rows.append((replica, s.n, s.k_min, s.k_max, s.tau))
-            if s.n == spec.n_max:
-                final_points = [float(x) for x in s.points_above]
-        return rows, {"points_final_generation": final_points}
-    if spec.engine == "gillespie":
-        traj = gillespie_run(params, spec.t_end, seed)
-        rows = [
-            (replica, float(t), int(m), int(big))
-            for t, m, big in zip(traj.times, traj.min_depths, traj.max_depths)
-        ]
-        return rows, {}
-    path = spine_sample(params, spec.n_max, seed)
-    rows = [(replica, i, float(x)) for i, x in enumerate(path.split_times)]
+        n_max = spec.n_max
+        sweep = sweep_replicas(params, n_max, seeds, spec.floor, (n_max,))
+        # .tolist() gives Python floats, whose repr the CSV cells rely on
+        for r, k_min, k_max, tau in zip(
+            replicas, sweep.k_min.tolist(), sweep.k_max.tolist(), sweep.tau.tolist()
+        ):
+            rows.extend(zip(repeat(r), range(n_max + 1), k_min, k_max, tau))
+        points = {str(r): p.tolist() for r, p in zip(replicas, sweep.points[n_max])}
+        return rows, {"points_final_generation": points}
+    for r, seed in zip(replicas, seeds):
+        if spec.engine == "gillespie":
+            traj = gillespie_run(params, spec.t_end, seed)
+            rows.extend(
+                (r, float(t), int(m), int(big))
+                for t, m, big in zip(traj.times, traj.min_depths, traj.max_depths)
+            )
+        else:
+            path = spine_sample(params, spec.n_max, seed)
+            rows.extend((r, i, float(x)) for i, x in enumerate(path.split_times))
     return rows, {}
+
+
+def _blocks(spec: ExperimentSpec) -> list[tuple[int, int]]:
+    """Replica ranges [lo, hi) that one payload call runs: a BRW kernel block
+    each, or one replica for the other engines."""
+    size = block_rows(spec.k, spec.n_max) if spec.engine == "brw" else 1
+    return [(lo, min(lo + size, spec.replicas)) for lo in range(0, spec.replicas, size)]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
@@ -199,26 +213,26 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
 
     Output ordering is by replica index regardless of completion order, and
     workers communicate by value only, so the CSV body is independent of
-    ``jobs``.
+    ``jobs``. At most min(jobs, blocks, CPUs) worker processes start.
     """
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs!r}")
     start = time.monotonic()
     spec_dict = spec.to_dict()
-    replica_ids = list(range(spec.replicas))
-    if jobs == 1 or spec.replicas == 1:
-        payloads = [_replica_payload(spec_dict, r) for r in replica_ids]
+    blocks = _blocks(spec)
+    los, his = zip(*blocks)
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
+        payloads = list(map(_block_payload, repeat(spec_dict), los, his))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = list(
-                pool.map(_replica_payload, [spec_dict] * spec.replicas, replica_ids)
-            )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            payloads = list(pool.map(_block_payload, repeat(spec_dict), los, his))
     rows: list[tuple] = []
     merged_extras: dict[str, Any] = {}
-    for r, (replica_rows, extras) in zip(replica_ids, payloads):
-        rows.extend(replica_rows)
+    for payload_rows, extras in payloads:
+        rows.extend(payload_rows)
         for key, value in extras.items():
-            merged_extras.setdefault(key, {})[str(r)] = value
+            merged_extras.setdefault(key, {}).update(value)
     record = ResultRecord(
         spec=spec,
         columns=_COLUMNS[spec.engine],
@@ -247,7 +261,8 @@ def write_record(record: ResultRecord) -> None:
         "wall_clock_s": record.wall_clock_s,
         "extras": record.extras,
     }
-    sidecar_path(out).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    # one line: without indent, json encodes the points in C
+    sidecar_path(out).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def read_record_files(csv_path: str | Path) -> tuple[list[str], list[list[str]], dict]:

@@ -141,10 +141,9 @@ def min_concentration_sample(master_seed: int) -> tuple[float, np.ndarray]:
     is recorded under master seed 42.
 
     Returns the rate and the sweep's records, so that callers can check
-    more on the same sample. The records hold no points (floor=inf): the
-    statistic reads k_min only.
+    more on the same sample.
     """
-    records = kmin_kmax_sweep(_P21, 20, 200, master_seed, floor=math.inf)
+    records = kmin_kmax_sweep(_P21, 20, 200, master_seed)
     return min_concentration(records, _P21, slack=0.5).rate, records
 
 

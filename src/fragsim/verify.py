@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import goldens
-from .brw import brw_sweep, kmin_kmax_sweep
+from .brw import kmin_kmax_sweep, sweep_replicas
 from .errors import SpecError
 from .laws import (
     perpetuity_cdf,
@@ -135,7 +135,7 @@ def suite_leftail(master_seed: int = 42) -> list[CheckResult]:
 def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
     params = ModelParams(2, 1.0)
     n_max = 12
-    records = kmin_kmax_sweep(params, n_max, 400, master_seed, floor=math.inf)
+    records = kmin_kmax_sweep(params, n_max, 400, master_seed)
     last = records[records["n"] == n_max]
     taus, kmins = last["tau"], last["k_min"]
     out = []
@@ -160,13 +160,10 @@ def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
 def suite_pointprocess(master_seed: int = 42) -> list[CheckResult]:
     params = ModelParams(2, 1.0)
     n_max, replicas = 13, 500
-    pts_12: list[np.ndarray] = []
-    pts_13: list[np.ndarray] = []
-    for r in range(replicas):
-        # every check below counts points at or above 0 only
-        summaries = brw_sweep(params, n_max, SeedSpec(master_seed, r), floor=0.0)
-        pts_12.append(summaries[12].points_above)
-        pts_13.append(summaries[13].points_above)
+    seeds = [SeedSpec(master_seed, r) for r in range(replicas)]
+    # every check below counts points at or above 0 only
+    sweep = sweep_replicas(params, n_max, seeds, floor=0.0, point_generations=(12, 13))
+    pts_12, pts_13 = sweep.points[12], sweep.points[13]
     reports = intensity_profile(pts_12, [(0.0, math.inf)], params.q)
     mean, expected = reports[0].mean_count, reports[0].expected
     out = [

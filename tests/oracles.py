@@ -1,6 +1,9 @@
-"""Independent oracles for the exact-law tests.
+"""Independent oracles for the exact-law and BRW sampler tests.
 
-Two routes that share no code or formula with the package:
+The BRW oracles draw frame by frame, allocating each frame, with the
+recurrence the package's batched kernel must reproduce draw for draw: one
+replica per stream, or all replicas from one stream. For the exact laws, two routes that share no code or formula with the
+package:
 
 * high-precision partial fractions for a sum of independent exponentials
   with distinct rates (mpmath, 60 digits), and
@@ -131,3 +134,42 @@ class ConvolutionSurvival:
 
     def __call__(self, t: float) -> float:
         return self.survival(t)
+
+
+def brw_frames_oracle(k: int, q: float, n_max: int, rng) -> list[np.ndarray]:
+    """Generations 0..n_max of one BRW replica, each a fresh array.
+
+    The generation-n frame takes k^n draws from ``rng`` in leaf order; the
+    children of parent p occupy slots p*k .. p*k+k-1 and equal q times the
+    parent plus their own draw.
+    """
+    frame = rng.standard_exponential(1)
+    frames = [frame]
+    for _ in range(n_max):
+        parent = frame * q
+        frame = rng.standard_exponential(k * parent.size)
+        for j in range(k):
+            frame[j::k] += parent
+        frames.append(frame)
+    return frames
+
+
+def tree_matrices_oracle(k: int, q: float, n_max: int, replicas: int, rng) -> list[np.ndarray]:
+    """Generations 0..n_max of ``replicas`` BRW replicas from one stream: each
+    generation is one (replicas, k^n) draw, added to q times the repeated
+    parents."""
+    gen = rng.standard_exponential((replicas, 1))
+    out = [gen]
+    for n in range(1, n_max + 1):
+        gen = q * np.repeat(gen, k, axis=1) + rng.standard_exponential((replicas, k**n))
+        out.append(gen)
+    return out
+
+
+def brw_summary_oracle(frame: np.ndarray, n: int, gamma: float, floor: float):
+    """(k_min, k_max, tau, points) of one generation-n frame: the centred
+    points J = value - gamma*n with J >= floor, sorted ascending."""
+    shift = gamma * n
+    k_max = float(frame.max())
+    points = np.sort(frame[frame >= floor + shift] - shift)
+    return float(frame.min()), k_max, k_max - shift, points

@@ -1,20 +1,27 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fragsim.brw import (
+    block_rows,
     brw_frames,
     brw_sweep,
     kmin_kmax_sweep,
     spine_sample,
     spine_sum_samples,
+    sweep_replicas,
     tree_matrices,
 )
+from fragsim.cli import main
 from fragsim.errors import BudgetError, DomainError
+from fragsim.experiment import read_record_files
 from fragsim.laws import split_time_survival
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec, stream_seed
+from oracles import brw_frames_oracle, brw_summary_oracle, tree_matrices_oracle
 
 P21 = ModelParams(2, 1.0)
 P31 = ModelParams(3, 0.7)
@@ -63,6 +70,13 @@ class TestBrwSweep:
             inc = child.values - P31.q * np.repeat(parent.values, P31.k)
             assert (inc > 0).all()
 
+    def test_frames_are_independent_copies(self):
+        frames = list(brw_frames(P31, 5, SeedSpec(6, 2)))
+        oracle = brw_frames_oracle(P31.k, P31.q, 5, SeedSpec(6, 2).rng())
+        for i, frame in enumerate(frames):
+            assert np.array_equal(frame.values, oracle[i])
+            assert not any(np.shares_memory(frame.values, f.values) for f in frames[:i])
+
     def test_frame_sizes_and_extremes(self):
         for frame in brw_frames(P21, 6, SeedSpec(5, 1)):
             assert frame.values.size == 2**frame.n
@@ -108,6 +122,80 @@ class TestKminKmaxSweep:
         rec = kmin_kmax_sweep(P21, 2, 4, master_seed=1)
         roots = rec[rec["n"] == 0]
         assert (roots["k_min"] == roots["k_max"]).all()
+
+
+def _replica_bytes(k, n_max):
+    return 8 * (k**n_max + k ** max(n_max - 1, 0))
+
+
+class TestKernelParity:
+    """The replica-batched kernel against the frame-by-frame oracle, across
+    block edges: every value must be equal, not close."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 8, 13])
+    @pytest.mark.parametrize("params", [P21, P31], ids=["k2", "k3"])
+    def test_blocks_match_oracle(self, params, n_max, monkeypatch):
+        if n_max <= 1:
+            # the default block here holds tens of thousands of replicas; a
+            # budget of 7 replicas puts its edges within cheap reach
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(7 * _replica_bytes(params.k, n_max)))
+        rows = block_rows(params.k, n_max)
+        counts = [c for c in (rows - 1, rows, rows + 1) if c > 0]
+        seeds = [SeedSpec(31, r) for r in range(max(counts))]
+        frames = [brw_frames_oracle(params.k, params.q, n_max, s.rng()) for s in seeds]
+        for floor in (-5.0, 0.0, math.inf):
+            expected = [
+                [brw_summary_oracle(f, n, params.gamma, floor) for n, f in enumerate(fs)]
+                for fs in frames
+            ]
+            for count in counts:
+                sweep = sweep_replicas(params, n_max, seeds[:count], floor, range(n_max + 1))
+                assert sweep.k_min.shape == (count, n_max + 1)
+                for r in range(count):
+                    for n, (k_min, k_max, tau, points) in enumerate(expected[r]):
+                        assert sweep.k_min[r, n] == k_min
+                        assert sweep.k_max[r, n] == k_max
+                        assert sweep.tau[r, n] == tau
+                        assert np.array_equal(sweep.points[n][r], points)
+                        assert sweep.points[n][r].dtype == points.dtype
+
+    def test_points_only_where_asked(self):
+        seeds = [SeedSpec(2, r) for r in range(3)]
+        sweep = sweep_replicas(P21, 6, seeds, point_generations=(4, 6))
+        assert sorted(sweep.points) == [4, 6]
+        assert all(len(sweep.points[n]) == 3 for n in (4, 6))
+
+    def test_single_seed_sweep_is_a_row_of_the_block(self):
+        seeds = [SeedSpec(8, r) for r in range(block_rows(2, 8) + 1)]
+        block = sweep_replicas(P21, 8, seeds, point_generations=(8,))
+        last = brw_sweep(P21, 8, seeds[-1])
+        assert [s.tau for s in last] == block.tau[-1].tolist()
+        assert np.array_equal(last[8].points_above, block.points[8][-1])
+
+    def test_block_size(self):
+        assert [block_rows(2, n) for n in (8, 12, 13, 16, 20)] == [341, 21, 10, 1, 1]
+
+    def test_budget_shrinks_the_block(self, monkeypatch):
+        full = kmin_kmax_sweep(P21, 8, 7, master_seed=5)
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(3 * _replica_bytes(2, 8)))
+        assert block_rows(2, 8) == 3
+        shrunk = kmin_kmax_sweep(P21, 8, 7, master_seed=5)
+        assert shrunk.tobytes() == full.tobytes()
+
+    def test_simulate_csv_digest(self, tmp_path, capsys):
+        """Recorded with the frame-by-frame sampler; 200 replicas at n=10
+        cross two block edges."""
+        out = tmp_path / "pin.csv"
+        argv = ["simulate", "brw", "--k", "2", "--alpha", "1.0", "--n-max", "10",
+                "--replicas", "200", "--seed", "42", "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "541f51c7cd277bfe2432b4a1df433fcaaa5bd8caeb9d1db743be27eec8c2a615"
+        )
+        extras = json.dumps(read_record_files(out)[2]["extras"], sort_keys=True)
+        assert hashlib.sha256(extras.encode()).hexdigest() == (
+            "f63d513bcd2d6c4fc36033e8021f671eea82c2e0e8fb5d60f52649d7abc48a3d"
+        )
 
 
 class TestSpine:
@@ -165,6 +253,14 @@ class TestTreeMatrices:
             ana = perpetuity_survival(P21.q, 3, t).value
             se = math.sqrt(emp * (1 - emp) / leaf0.size)
             assert abs(emp - ana) <= 3.5 * se
+
+    @pytest.mark.parametrize("params", [P21, P31], ids=["k2", "k3"])
+    def test_matches_oracle(self, params):
+        gens = tree_matrices(params, 4, 37, SeedSpec(5, 1))
+        oracle = tree_matrices_oracle(params.k, params.q, 4, 37, SeedSpec(5, 1).rng())
+        for g, o in zip(gens, oracle, strict=True):
+            assert np.array_equal(g, o)
+        assert not any(np.shares_memory(a, b) for a, b in zip(gens, gens[1:]))
 
     def test_recursion_structure(self):
         gens = tree_matrices(P31, 2, 10, SeedSpec(4, 0))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fragsim import experiment
 from fragsim.cli import TAILS_MAX_ABS_ERROR, main
 from fragsim.errors import SpecError
 from fragsim.experiment import (
@@ -127,6 +128,46 @@ class TestRunRecord:
         run_experiment(ExperimentSpec(**spec, out=str(a)), jobs=1)
         run_experiment(ExperimentSpec(**spec, out=str(b)), jobs=4)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_bytes_match_in_process(self, tmp_path, monkeypatch):
+        # a budget of two n=6 replicas splits 5 replicas into 3 blocks
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        spec = dict(k=2, alpha=1.0, engine="brw", n_max=6, replicas=5, master_seed=3)
+        run_experiment(ExperimentSpec(**spec, out=str(a)), jobs=1)
+        run_experiment(ExperimentSpec(**spec, out=str(b)), jobs=2)
+        assert a.read_bytes() == b.read_bytes()
+        assert sidecar_path(a).read_text().count("\n") == 1
+
+    def test_jobs_clamped_to_blocks_and_cpus(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """Stands in for ProcessPoolExecutor: records the worker count,
+            starts no process and maps in this one."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2",
+                     "--jobs", "5000", "--out", str(tmp_path / "b.csv")]) == 0
+        assert pools == []  # one block: no pool at all
+        gil = ExperimentSpec(k=2, alpha=1.0, engine="gillespie", t_end=20.0, replicas=3)
+        assert run_experiment(gil, jobs=5000).rows == run_experiment(gil).rows
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        run_experiment(gil, jobs=5000)
+        assert pools == [3, 2]
 
     def test_sidecar_contents(self, tmp_path):
         out = tmp_path / "c.csv"
