@@ -5,7 +5,7 @@ centred generation maximum settle on its limit law and the high points of
 each generation behave like a Poisson process with intensity
 exp(-s)/phi_inf(q).
 
-Run: python demos/gumbel_point_process.py   (about 10 seconds)
+Run: python demos/gumbel_point_process.py   (about a second)
 """
 
 import math
@@ -15,26 +15,22 @@ import numpy as np
 from fragsim import (
     ModelParams,
     SeedSpec,
-    brw_sweep,
     generation_count_correlation,
     gumbel_limit_cdf,
     intensity_profile,
     ks_gumbel,
     qpochhammer_limit,
+    sweep_replicas,
 )
 
 params = ModelParams(k=2, alpha=1.0)
 replicas, n_max = 600, 14
 print(f"sweeping {replicas} replicas to generation {n_max} (k=2, alpha=1) ...")
 
-taus = {8: np.empty(replicas), 11: np.empty(replicas), 14: np.empty(replicas)}
-points_13, points_14 = [], []
-for r in range(replicas):
-    summaries = brw_sweep(params, n_max, SeedSpec(2024, r))
-    for n in taus:
-        taus[n][r] = summaries[n].tau
-    points_13.append(summaries[13].points_above)
-    points_14.append(summaries[14].points_above)
+seeds = [SeedSpec(2024, r) for r in range(replicas)]
+sweep = sweep_replicas(params, n_max, seeds, point_generations=(13, 14))
+taus = {n: sweep.tau[:, n] for n in (8, 11, 14)}
+points_13, points_14 = sweep.points[13], sweep.points[14]
 
 print()
 print("KS distance of the centred maximum to its limit law:")

@@ -4,13 +4,7 @@ random walk."""
 
 from .brw import (
     DEFAULT_POINT_FLOOR,
-    GenerationFrame,
-    GenerationSummary,
     ReplicaSweep,
-    SpinePath,
-    brw_frames,
-    brw_sweep,
-    kmin_kmax_sweep,
     spine_sample,
     spine_sum_samples,
     sweep_replicas,
@@ -67,7 +61,6 @@ from .stats import (
     CoverageReport,
     IntervalCountReport,
     KSReport,
-    factorial_moment_estimate,
     factorial_moment_samples,
     generation_count_correlation,
     intensity_profile,

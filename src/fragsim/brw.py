@@ -4,6 +4,11 @@ One generation is a dense array of k^n leaf values; a child equals q times
 its parent plus a fresh standard exponential. Extremes over a generation
 cannot be recovered from a subsample, hence full frames rather than thinning.
 
+sweep_replicas is the entry point: it runs any list of seeds to generation
+n_max and returns a ReplicaSweep of (replicas, n_max + 1) extremes plus the
+centred points of the generations asked for. A single replica is a list of
+one seed.
+
 Every sweep runs on one kernel that advances a block of R replicas one
 generation at a time, each replica drawing from its own stream. A sweep
 allocates two buffers once: a child buffer of R*k^n_max doubles and a parent
@@ -37,29 +42,6 @@ BLOCK_CAP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class GenerationFrame:
-    """All k^n rescaled positions of one generation, in fixed leaf order."""
-
-    n: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class GenerationSummary:
-    """Per-generation extremes and the centred points above a floor.
-
-    tau is the centred maximum k_max - gamma*n; points_above holds the
-    centred values J = value - gamma*n with J >= floor, sorted ascending.
-    """
-
-    n: int
-    k_min: float
-    k_max: float
-    tau: float
-    points_above: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ReplicaSweep:
     """Extremes of generations 0..n_max for a run of replicas.
 
@@ -75,27 +57,20 @@ class ReplicaSweep:
     points: dict[int, list[np.ndarray]] = field(repr=False)
 
 
-@dataclass(frozen=True)
-class SpinePath:
-    """Strictly increasing split times of the fragment containing the origin."""
-
-    split_times: np.ndarray
-
-
 def _replica_bytes(k: int, n_max: int) -> int:
     # one replica's child frame of k^n_max doubles plus its parent
     return 8 * (k**n_max + k ** max(n_max - 1, 0))
 
 
-def _check_n_max(n_max) -> None:
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise DomainError(f"n_max must be a non-negative integer, got {n_max!r}")
+def _check_size(name: str, value, least: int = 0) -> None:
+    if not (isinstance(value, int) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def block_rows(k: int, n_max: int) -> int:
     """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
     budget admit, and at least one."""
-    _check_n_max(n_max)
+    _check_size("n_max", n_max)
     return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _replica_bytes(k, n_max))
 
 
@@ -149,23 +124,6 @@ def _generations(
         yield n, frames
 
 
-def brw_frames(
-    params: ModelParams, n_max: int, seed: SeedSpec
-) -> Iterator[GenerationFrame]:
-    """Yield generations 0..n_max of one replica, one frame at a time.
-
-    Each frame is a copy that the caller may keep; the sampler itself holds
-    one frame plus its parent.
-    """
-    _check_n_max(n_max)
-    child, parent = _buffers(
-        params.k, n_max, 1, f"brw sweep to generation {n_max} (k={params.k})"
-    )
-    draw = _row_streams([seed.rng()])
-    for n, frames in _generations(params, n_max, 1, draw, child, parent):
-        yield GenerationFrame(n, frames[0].copy())
-
-
 def sweep_replicas(
     params: ModelParams,
     n_max: int,
@@ -180,7 +138,9 @@ def sweep_replicas(
     buffers. Each replica's values are those of a sweep of its seed alone.
     """
     k, gamma, count = params.k, params.gamma, len(seeds)
-    rows = max(1, min(count, block_rows(k, n_max)))
+    if count < 1:
+        raise DomainError("seeds must list at least one replica")
+    rows = min(count, block_rows(k, n_max))
     child, parent = _buffers(
         k, n_max, rows, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
     )
@@ -204,51 +164,6 @@ def sweep_replicas(
     return ReplicaSweep(k_min, k_max, tau, points)
 
 
-def brw_sweep(
-    params: ModelParams,
-    n_max: int,
-    seed: SeedSpec,
-    floor: float = DEFAULT_POINT_FLOOR,
-) -> list[GenerationSummary]:
-    """Summaries of generations 0..n_max for one replica."""
-    sweep = sweep_replicas(params, n_max, [seed], floor, range(n_max + 1))
-    return [
-        GenerationSummary(n, k_min, k_max, tau, sweep.points[n][0])
-        for n, k_min, k_max, tau in zip(
-            range(n_max + 1),
-            sweep.k_min[0].tolist(),
-            sweep.k_max[0].tolist(),
-            sweep.tau[0].tolist(),
-        )
-    ]
-
-
-def kmin_kmax_sweep(
-    params: ModelParams, n_max: int, replicas: int, master_seed: int
-) -> np.ndarray:
-    """Per-(replica, generation) extremes as a structured array.
-
-    Fields: replica, n, k_min, k_max, tau. Replica r uses the stream
-    (master_seed, r); rows are emitted in replica-major order, so the result
-    is independent of any scheduling.
-    """
-    if replicas < 1:
-        raise DomainError(f"replicas must be >= 1, got {replicas!r}")
-    sweep = sweep_replicas(
-        params, n_max, [SeedSpec(master_seed, r) for r in range(replicas)]
-    )
-    dtype = np.dtype(
-        [("replica", "i8"), ("n", "i8"), ("k_min", "f8"), ("k_max", "f8"), ("tau", "f8")]
-    )
-    out = np.empty((replicas, n_max + 1), dtype=dtype)
-    out["replica"] = np.arange(replicas)[:, None]
-    out["n"] = np.arange(n_max + 1)
-    out["k_min"] = sweep.k_min
-    out["k_max"] = sweep.k_max
-    out["tau"] = sweep.tau
-    return out.ravel()
-
-
 def tree_matrices(
     params: ModelParams, n_max: int, replicas: int, seed: SeedSpec
 ) -> list[np.ndarray]:
@@ -258,7 +173,8 @@ def tree_matrices(
     stream; meant for small trees (joint-law and tuple-counting checks) where
     every generation must be retained.
     """
-    _check_n_max(n_max)
+    _check_size("n_max", n_max)
+    _check_size("replicas", replicas, 1)
     k = params.k
     kept = 8 * replicas * sum(k**n for n in range(n_max + 1))
     child, parent = _buffers(
@@ -272,26 +188,25 @@ def tree_matrices(
     return [f.copy() for _, f in _generations(params, n_max, replicas, draw, child, parent)]
 
 
-def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> SpinePath:
-    """Split times S_0 < ... < S_n of the tagged fragment.
+def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:
+    """Strictly increasing split times S_0 < ... < S_n of the tagged fragment.
 
     S_i = sum_{j<=i} q^{-j} W_j with i.i.d. standard exponentials W_j, so
     q^n S_n reproduces the generation-n walk value in law.
     """
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    _check_size("n", n)
     rng = seed.rng()
     w = rng.standard_exponential(n + 1)
     weights = params.q ** (-np.arange(n + 1, dtype=float))
-    return SpinePath(np.cumsum(weights * w))
+    return np.cumsum(weights * w)
 
 
 def spine_sum_samples(
     params: ModelParams, n: int, replicas: int, seed: SeedSpec
 ) -> np.ndarray:
     """replicas spine-derived samples of q^n S_n, one row of draws each."""
-    if replicas < 1:
-        raise DomainError(f"replicas must be >= 1, got {replicas!r}")
+    _check_size("n", n)
+    _check_size("replicas", replicas, 1)
     ensure_within_budget(
         8 * replicas * (n + 1), f"spine samples n={n} x {replicas} replicas"
     )

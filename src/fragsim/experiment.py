@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import time
@@ -78,6 +79,8 @@ class ExperimentSpec:
             raise SpecError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         if not (0 <= int(self.master_seed) < 1 << 64):
             raise SpecError(f"master_seed must be a 64-bit unsigned integer")
+        if not (isinstance(self.floor, (int, float)) and math.isfinite(self.floor)):
+            raise SpecError(f"floor must be a finite number, got {self.floor!r}")
         # Surfaces DomainError on bad k/alpha at spec construction time.
         self.params()
 
@@ -143,26 +146,24 @@ class ResultRecord:
     extras: dict[str, Any]
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def format_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
+    # str of a Python float is its shortest round-trip repr
     lines = ["schema_version," + ",".join(columns)]
     for row in rows:
-        lines.append(f"{SCHEMA_VERSION}," + ",".join(_format_cell(x) for x in row))
+        lines.append(f"{SCHEMA_VERSION}," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
 def _git_describe() -> str:
+    """The git-describe tag of the checkout fragsim is imported from, or
+    "unknown" outside one; the caller's working directory plays no part."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -196,8 +197,8 @@ def _block_payload(spec_dict: dict[str, Any], lo: int, hi: int):
                 for t, m, big in zip(traj.times, traj.min_depths, traj.max_depths)
             )
         else:
-            path = spine_sample(params, spec.n_max, seed)
-            rows.extend((r, i, float(x)) for i, x in enumerate(path.split_times))
+            split_times = spine_sample(params, spec.n_max, seed).tolist()
+            rows.extend((r, i, x) for i, x in enumerate(split_times))
     return rows, {}
 
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .brw import kmin_kmax_sweep
+from .brw import ReplicaSweep, sweep_replicas
 from .gillespie import gillespie_run
 from .laws import perpetuity_density, perpetuity_survival, perpetuity_survival_limit
 from .lefttail import critical_term_count, left_tail_exponent, log_left_tail_upper
@@ -135,16 +135,16 @@ COVERAGE_RATE_FULL: float = 1.0
 COVERAGE_RATE_VERIFY: float = 1.0
 
 
-def min_concentration_sample(master_seed: int) -> tuple[float, np.ndarray]:
+def min_concentration_sample(master_seed: int) -> tuple[float, ReplicaSweep]:
     """min_concentration rate over all generations 2..20 of the sweep,
     k=2 alpha=1, n_max=20, 200 replicas, slack 0.5; MIN_CONCENTRATION_RATE
     is recorded under master seed 42.
 
-    Returns the rate and the sweep's records, so that callers can check
-    more on the same sample.
+    Returns the rate and the sweep, so that callers can check more on the
+    same sample.
     """
-    records = kmin_kmax_sweep(_P21, 20, 200, master_seed)
-    return min_concentration(records, _P21, slack=0.5).rate, records
+    sweep = sweep_replicas(_P21, 20, [SeedSpec(master_seed, r) for r in range(200)])
+    return min_concentration(sweep.k_min, _P21, slack=0.5).rate, sweep
 
 
 MIN_CONCENTRATION_RATE: float = 0.7868421052631579

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .brw import DEFAULT_POINT_FLOOR
 from .errors import SpecError
 from .experiment import SCHEMA_VERSION, format_csv, read_record_files
 from .params import ModelParams
@@ -62,7 +63,7 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     else:  # intensity
         points = meta.get("extras", {}).get("points_final_generation", {})
         q = ModelParams(int(spec["k"]), float(spec["alpha"])).q
-        floor = float(spec.get("floor", -5.0))
+        floor = float(spec.get("floor", DEFAULT_POINT_FLOOR))
         edges = np.arange(math.floor(floor), 6.0)
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
         out_rows = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import goldens
-from .brw import kmin_kmax_sweep, sweep_replicas
+from .brw import sweep_replicas
 from .errors import SpecError
 from .laws import (
     perpetuity_cdf,
@@ -135,9 +135,8 @@ def suite_leftail(master_seed: int = 42) -> list[CheckResult]:
 def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
     params = ModelParams(2, 1.0)
     n_max = 12
-    records = kmin_kmax_sweep(params, n_max, 400, master_seed)
-    last = records[records["n"] == n_max]
-    taus, kmins = last["tau"], last["k_min"]
+    sweep = sweep_replicas(params, n_max, [SeedSpec(master_seed, r) for r in range(400)])
+    taus, kmins = sweep.tau[:, n_max], sweep.k_min[:, n_max]
     out = []
     ks = ks_gumbel(taus, params.q)
     out.append(

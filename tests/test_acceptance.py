@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fragsim import goldens
-from fragsim.brw import brw_sweep, kmin_kmax_sweep, spine_sum_samples, tree_matrices
+from fragsim.brw import spine_sum_samples, sweep_replicas, tree_matrices
 from fragsim.experiment import ExperimentSpec, run_experiment
 from fragsim.gillespie import gillespie_run
 from fragsim.laws import perpetuity_cdf, perpetuity_survival
@@ -58,16 +58,10 @@ def criterion(num: int, name: str):
 @pytest.fixture(scope="module")
 def big_sweep():
     """k=2, alpha=1 sweep to generation 17, 2000 replicas, master seed 42."""
-    taus = {8: np.empty(2000), 12: np.empty(2000), 16: np.empty(2000)}
-    points_16 = []
-    points_17 = []
-    for r in range(2000):
-        summaries = brw_sweep(P21, 17, SeedSpec(SEED_SWEEP, r))
-        for n in taus:
-            taus[n][r] = summaries[n].tau
-        points_16.append(summaries[16].points_above)
-        points_17.append(summaries[17].points_above)
-    return taus, points_16, points_17
+    seeds = [SeedSpec(SEED_SWEEP, r) for r in range(2000)]
+    sweep = sweep_replicas(P21, 17, seeds, point_generations=(16, 17))
+    taus = {n: sweep.tau[:, n] for n in (8, 12, 16)}
+    return taus, sweep.points[16], sweep.points[17]
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +74,9 @@ def trend_taus(big_sweep):
     """
     taus, _, _ = big_sweep
     reused = taus[8].size
-    out = {n: np.empty(TREND_REPLICAS) for n in (8, 16)}
-    for n in out:
-        out[n][:reused] = taus[n]
-    for r in range(reused, TREND_REPLICAS):
-        summaries = brw_sweep(P21, 16, SeedSpec(SEED_SWEEP, r), floor=math.inf)
-        for n in out:
-            out[n][r] = summaries[n].tau
-    return out
+    seeds = [SeedSpec(SEED_SWEEP, r) for r in range(reused, TREND_REPLICAS)]
+    rest = sweep_replicas(P21, 16, seeds).tau
+    return {n: np.concatenate([taus[n], rest[:, n]]) for n in (8, 16)}
 
 
 def test_c01_analytic_matches_convolution_oracle():
@@ -225,8 +214,8 @@ def test_c08_engine_equivalence():
             (n, s): P21.q ** (-n) * (P21.gamma * n + s) for (n, s) in pairs
         }
         t_max = max(t_for.values())
-        records = kmin_kmax_sweep(P21, 8, reps, SEED_EQ_BRW)
-        taus = {n: records[records["n"] == n]["tau"] for n in (6, 8)}
+        sweep = sweep_replicas(P21, 8, [SeedSpec(SEED_EQ_BRW, r) for r in range(reps)])
+        taus = {n: sweep.tau[:, n] for n in (6, 8)}
         m_at = {pair: np.empty(reps, dtype=bool) for pair in pairs}
         for r in range(reps):
             traj = gillespie_run(P21, t_max + 1.0, SeedSpec(SEED_EQ_GIL, r))
@@ -251,10 +240,9 @@ def test_c09_largest_window_coverage():
 
 def test_c10_min_concentration():
     with criterion(10, "minimum leaf value concentrates at the predicted center"):
-        rate, records = goldens.min_concentration_sample(SEED_CONCENTRATION)
+        rate, sweep = goldens.min_concentration_sample(SEED_CONCENTRATION)
         assert abs(rate - goldens.MIN_CONCENTRATION_RATE) <= 0.05, rate
-        rows_20 = records[records["n"] == 20]
-        median = float(np.median(-np.log(rows_20["k_min"])))
+        median = float(np.median(-np.log(sweep.k_min[:, 20])))
         center = min_leaf_center(P21, 20)
         assert abs(median - center) <= 0.75, (median, center)
 

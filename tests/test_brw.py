@@ -7,9 +7,6 @@ import pytest
 
 from fragsim.brw import (
     block_rows,
-    brw_frames,
-    brw_sweep,
-    kmin_kmax_sweep,
     spine_sample,
     spine_sum_samples,
     sweep_replicas,
@@ -47,81 +44,75 @@ class TestSeeding:
 
 
 class TestBrwSweep:
+    """Sweeps of one replica, or a few, through sweep_replicas."""
+
     def test_root_generation(self):
-        summaries = brw_sweep(P21, 0, SeedSpec(42, 0))
-        assert len(summaries) == 1
-        s = summaries[0]
-        assert s.k_min == s.k_max == s.tau
-        assert s.k_min > 0
+        sweep = sweep_replicas(P21, 0, [SeedSpec(42, r) for r in range(4)])
+        assert sweep.k_min.shape == (4, 1)
+        assert (sweep.k_min == sweep.k_max).all() and (sweep.k_max == sweep.tau).all()
+        assert (sweep.k_min > 0).all()
         # the root value is the stream's first standard exponential
         expected = SeedSpec(42, 0).rng().standard_exponential(1)[0]
-        assert s.k_min == expected
+        assert sweep.k_min[0, 0] == expected
 
     def test_deterministic(self):
-        a = brw_sweep(P31, 4, SeedSpec(9, 3))
-        b = brw_sweep(P31, 4, SeedSpec(9, 3))
-        for x, y in zip(a, b):
-            assert x.k_min == y.k_min and x.k_max == y.k_max and x.tau == y.tau
-            assert np.array_equal(x.points_above, y.points_above)
+        a = sweep_replicas(P31, 4, [SeedSpec(9, 3)], point_generations=range(5))
+        b = sweep_replicas(P31, 4, [SeedSpec(9, 3)], point_generations=range(5))
+        for x, y in ((a.k_min, b.k_min), (a.k_max, b.k_max), (a.tau, b.tau)):
+            assert np.array_equal(x, y)
+        for n in range(5):
+            assert np.array_equal(a.points[n][0], b.points[n][0])
 
     def test_child_increments_positive(self):
-        frames = list(brw_frames(P31, 4, SeedSpec(1, 0)))
-        for parent, child in zip(frames, frames[1:]):
-            inc = child.values - P31.q * np.repeat(parent.values, P31.k)
-            assert (inc > 0).all()
+        # each child exceeds q times its parent, so each generation's
+        # extremes exceed q times those of the generation before
+        sweep = sweep_replicas(P31, 4, [SeedSpec(1, r) for r in range(20)])
+        for extreme in (sweep.k_min, sweep.k_max):
+            assert (extreme[:, 1:] > P31.q * extreme[:, :-1]).all()
 
     def test_frames_are_independent_copies(self):
-        frames = list(brw_frames(P31, 5, SeedSpec(6, 2)))
+        # below a floor of -inf the points are a whole frame, centred and
+        # sorted, in arrays of their own rather than views of the kernel
+        sweep = sweep_replicas(P31, 5, [SeedSpec(6, 2)], -math.inf, range(6))
         oracle = brw_frames_oracle(P31.k, P31.q, 5, SeedSpec(6, 2).rng())
-        for i, frame in enumerate(frames):
-            assert np.array_equal(frame.values, oracle[i])
-            assert not any(np.shares_memory(frame.values, f.values) for f in frames[:i])
+        points = [sweep.points[n][0] for n in range(6)]
+        for n, frame in enumerate(oracle):
+            assert np.array_equal(points[n], np.sort(frame - P31.gamma * n))
+            assert not any(np.shares_memory(points[n], p) for p in points[:n])
 
     def test_frame_sizes_and_extremes(self):
-        for frame in brw_frames(P21, 6, SeedSpec(5, 1)):
-            assert frame.values.size == 2**frame.n
-            assert (frame.values > 0).all()
+        sweep = sweep_replicas(P21, 6, [SeedSpec(5, 1)], -math.inf, range(7))
+        for n in range(7):
+            points = sweep.points[n][0]
+            assert points.size == 2**n
+            assert sweep.k_min[0, n] > 0
+            assert points[0] == sweep.k_min[0, n] - P21.gamma * n
+            assert points[-1] == sweep.tau[0, n]
 
     def test_tau_definition(self):
-        for s in brw_sweep(P21, 5, SeedSpec(3, 2)):
-            assert s.tau == s.k_max - P21.gamma * s.n
-            assert s.k_min <= s.k_max
+        sweep = sweep_replicas(P21, 5, [SeedSpec(3, 2)])
+        for n in range(6):
+            assert sweep.tau[0, n] == sweep.k_max[0, n] - P21.gamma * n
+            assert sweep.k_min[0, n] <= sweep.k_max[0, n]
 
     def test_points_floor(self):
-        for s in brw_sweep(P21, 8, SeedSpec(4, 0), floor=-2.0):
-            assert (s.points_above >= -2.0).all()
-            assert (np.diff(s.points_above) >= 0).all()
+        sweep = sweep_replicas(P21, 8, [SeedSpec(4, 0)], -2.0, range(9))
+        for n in range(9):
+            points = sweep.points[n][0]
+            assert (points >= -2.0).all()
+            assert (np.diff(points) >= 0).all()
 
     def test_budget_guard_before_allocation(self, monkeypatch):
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
         with pytest.raises(BudgetError) as err:
-            brw_sweep(P21, 24, SeedSpec(0, 0))
+            sweep_replicas(P21, 24, [SeedSpec(0, 0)])
         assert err.value.required_bytes == 8 * (2**24 + 2**23)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            brw_sweep(P21, -1, SeedSpec(0, 0))
-
-
-class TestKminKmaxSweep:
-    def test_shape_and_order(self):
-        rec = kmin_kmax_sweep(P21, 3, 5, master_seed=7)
-        assert rec.shape == (5 * 4,)
-        assert list(rec["replica"][:4]) == [0, 0, 0, 0]
-        assert list(rec["n"][:4]) == [0, 1, 2, 3]
-
-    def test_matches_single_sweeps(self):
-        rec = kmin_kmax_sweep(P21, 3, 2, master_seed=11)
-        direct = brw_sweep(P21, 3, SeedSpec(11, 1))
-        rows = rec[rec["replica"] == 1]
-        for row, s in zip(rows, direct):
-            assert row["k_min"] == s.k_min
-            assert row["tau"] == s.tau
-
-    def test_root_has_equal_extremes(self):
-        rec = kmin_kmax_sweep(P21, 2, 4, master_seed=1)
-        roots = rec[rec["n"] == 0]
-        assert (roots["k_min"] == roots["k_max"]).all()
+            sweep_replicas(P21, -1, [SeedSpec(0, 0)])
+        with pytest.raises(DomainError):
+            sweep_replicas(P21, 3, [])
 
 
 def _replica_bytes(k, n_max):
@@ -168,19 +159,31 @@ class TestKernelParity:
     def test_single_seed_sweep_is_a_row_of_the_block(self):
         seeds = [SeedSpec(8, r) for r in range(block_rows(2, 8) + 1)]
         block = sweep_replicas(P21, 8, seeds, point_generations=(8,))
-        last = brw_sweep(P21, 8, seeds[-1])
-        assert [s.tau for s in last] == block.tau[-1].tolist()
-        assert np.array_equal(last[8].points_above, block.points[8][-1])
+        last = sweep_replicas(P21, 8, seeds[-1:], point_generations=(8,))
+        assert last.tau[0].tolist() == block.tau[-1].tolist()
+        assert np.array_equal(last.points[8][0], block.points[8][-1])
+
+    def test_rows_follow_seed_order(self):
+        seeds = [SeedSpec(7, r) for r in (3, 0, 2)]
+        sweep = sweep_replicas(P21, 3, seeds)
+        for row, seed in enumerate(seeds):
+            alone = sweep_replicas(P21, 3, [seed])
+            assert np.array_equal(sweep.k_min[row], alone.k_min[0])
+            assert np.array_equal(sweep.tau[row], alone.tau[0])
 
     def test_block_size(self):
         assert [block_rows(2, n) for n in (8, 12, 13, 16, 20)] == [341, 21, 10, 1, 1]
 
     def test_budget_shrinks_the_block(self, monkeypatch):
-        full = kmin_kmax_sweep(P21, 8, 7, master_seed=5)
+        seeds = [SeedSpec(5, r) for r in range(7)]
+        full = sweep_replicas(P21, 8, seeds, point_generations=(8,))
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(3 * _replica_bytes(2, 8)))
         assert block_rows(2, 8) == 3
-        shrunk = kmin_kmax_sweep(P21, 8, 7, master_seed=5)
-        assert shrunk.tobytes() == full.tobytes()
+        shrunk = sweep_replicas(P21, 8, seeds, point_generations=(8,))
+        for a, b in ((shrunk.k_min, full.k_min), (shrunk.k_max, full.k_max), (shrunk.tau, full.tau)):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(shrunk.points[8], full.points[8], strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_simulate_csv_digest(self, tmp_path, capsys):
         """Recorded with the frame-by-frame sampler; 200 replicas at n=10
@@ -200,13 +203,18 @@ class TestKernelParity:
 
 class TestSpine:
     def test_single_split_is_exponential_draw(self):
-        path = spine_sample(P21, 0, SeedSpec(42, 0))
-        assert path.split_times.shape == (1,)
-        assert path.split_times[0] == SeedSpec(42, 0).rng().standard_exponential(1)[0]
+        split_times = spine_sample(P21, 0, SeedSpec(42, 0))
+        assert split_times.shape == (1,)
+        assert split_times[0] == SeedSpec(42, 0).rng().standard_exponential(1)[0]
 
     def test_strictly_increasing(self):
-        path = spine_sample(P21, 20, SeedSpec(8, 0))
-        assert (np.diff(path.split_times) > 0).all()
+        split_times = spine_sample(P21, 20, SeedSpec(8, 0))
+        assert (np.diff(split_times) > 0).all()
+
+    @pytest.mark.parametrize("n, replicas", [(-1, 5), (-3, 5), (3, 0)])
+    def test_sum_samples_reject_bad_sizes(self, n, replicas):
+        with pytest.raises(DomainError):
+            spine_sum_samples(P21, n, replicas, SeedSpec(0, 0))
 
     def test_mean_matches_linearity(self):
         # E S_n = sum q^{-i}; 1e5 replicas, 3 standard errors
@@ -231,9 +239,7 @@ def test_deep_sweep_mean_tracks_limit_law():
     within 0.15 of the limit-law mean (location plus Euler-Mascheroni)."""
     from fragsim.qseries import qpochhammer_limit
 
-    taus = np.empty(2000)
-    for r in range(2000):
-        taus[r] = brw_sweep(P21, 18, SeedSpec(202, r), floor=1e18)[18].tau
+    taus = sweep_replicas(P21, 18, [SeedSpec(202, r) for r in range(2000)]).tau[:, 18]
     limit_mean = -math.log(qpochhammer_limit(P21.q)) + 0.5772156649015329
     assert abs(taus.mean() - limit_mean) <= 0.15
 
@@ -261,6 +267,11 @@ class TestTreeMatrices:
         for g, o in zip(gens, oracle, strict=True):
             assert np.array_equal(g, o)
         assert not any(np.shares_memory(a, b) for a, b in zip(gens, gens[1:]))
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_rejects_replicas_below_one(self, replicas):
+        with pytest.raises(DomainError):
+            tree_matrices(P21, 3, replicas, SeedSpec(0, 0))
 
     def test_recursion_structure(self):
         gens = tree_matrices(P31, 2, 10, SeedSpec(4, 0))

@@ -37,6 +37,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="alpha"):
             ExperimentSpec(k=2, alpha=-1.0, engine="brw", n_max=1)
 
+    @pytest.mark.parametrize("floor", [math.inf, -math.inf, math.nan, "0"])
+    def test_floor_must_be_finite(self, floor):
+        with pytest.raises(SpecError, match="floor"):
+            ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=3, floor=floor)
+
     def test_round_trip(self):
         spec = ExperimentSpec(
             k=3, alpha=0.5, engine="brw", n_max=4, replicas=2, master_seed=9
@@ -110,6 +115,16 @@ class TestRunRecord:
         for row, original in zip(rows, record.rows):
             assert float(row[3]) == original[2]
             assert float(row[5]) == original[4]
+
+    def test_format_csv_matches_repr_join(self):
+        row = (0.1 + 0.2, 5e-324, 1e16, -0.0, math.inf, math.nan, 123456789012345678)
+        body = format_csv(("a", "b", "c", "d", "e", "f", "g"), [row])
+        assert body.split("\n")[1] == f"{SCHEMA_VERSION}," + ",".join(map(repr, row))
+
+    def test_git_describe_ignores_working_directory(self, tmp_path, monkeypatch):
+        here = experiment._git_describe()
+        monkeypatch.chdir(tmp_path)
+        assert experiment._git_describe() == here
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -278,6 +293,18 @@ class TestCliSurface:
         out = tmp_path / "stairs.csv"
         assert main(["plotdata", "--in", str(csv), "--kind", "staircase", "--out", str(out)]) == 0
         assert out.read_text().strip() == "schema_version,replica,t,value"
+
+    @pytest.mark.parametrize("floor", ["inf", "nan"])
+    def test_non_finite_floor_exits_2(self, tmp_path, capsys, floor):
+        out = tmp_path / "b.csv"
+        argv = ["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv + ["--floor", floor]) == 2
+        config = tmp_path / "run.ini"
+        config.write_text(f"[experiment]\nfloor = {floor}\n")
+        assert main(argv + ["--config", str(config)]) == 2
+        assert not out.exists()
+        assert "floor must be a finite number" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

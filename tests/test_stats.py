@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fragsim.brw import kmin_kmax_sweep
+from fragsim.brw import sweep_replicas
 from fragsim.errors import DomainError
 from fragsim.gillespie import GillespieTrajectory, DepthCensus
 from fragsim.laws import perpetuity_survival
@@ -11,13 +11,13 @@ from fragsim.params import ModelParams
 from fragsim.predictors import (
     ceil_strict,
     largest_depth_center,
+    min_leaf_center,
     smallest_depth_center,
 )
 from fragsim.qseries import qpochhammer_limit
 from fragsim.seeds import SeedSpec
 from fragsim.stats import (
     CoverageReport,
-    factorial_moment_estimate,
     factorial_moment_samples,
     generation_count_correlation,
     intensity_profile,
@@ -87,16 +87,16 @@ class TestIntensityProfile:
 
 class TestFactorialMoment:
     def test_empty_product_is_one(self):
-        value = factorial_moment_estimate(P21, 3, [[]], 50, SeedSpec(1, 0))
-        assert value == 1.0
+        samples = factorial_moment_samples(P21, 3, [[]], 50, SeedSpec(1, 0))
+        assert samples.mean() == 1.0
 
     def test_infinite_threshold_gives_zero(self):
-        value = factorial_moment_estimate(P21, 3, [[1e9]], 50, SeedSpec(1, 0))
-        assert value == 0.0
+        samples = factorial_moment_samples(P21, 3, [[1e9]], 50, SeedSpec(1, 0))
+        assert samples.mean() == 0.0
 
     def test_size_guard(self):
         with pytest.raises(DomainError):
-            factorial_moment_estimate(P21, 11, [[0.0], [0.0]], 10, SeedSpec(1, 0))
+            factorial_moment_samples(P21, 11, [[0.0], [0.0]], 10, SeedSpec(1, 0))
 
     def test_first_moment_identity(self):
         # E N_3([t, inf)) = k^3 P(walk value > t + 3 gamma), exact identity
@@ -156,14 +156,28 @@ class TestCoverage:
 
 class TestMinConcentration:
     def test_excludes_small_generations(self):
-        records = kmin_kmax_sweep(P21, 1, 3, master_seed=2)
-        report = min_concentration(records, P21)
+        sweep = sweep_replicas(P21, 1, [SeedSpec(2, r) for r in range(3)])
+        report = min_concentration(sweep.k_min, P21)
         assert report.probes == 0
 
+    def test_matches_entry_loop(self):
+        # one (replica, generation) entry at a time, as the counts are defined
+        k_min = sweep_replicas(P21, 12, [SeedSpec(4, r) for r in range(30)]).k_min
+        probes = hits = 0
+        for row in k_min:
+            for n, value in enumerate(row):
+                if n >= 2:
+                    probes += 1
+                    half = n ** (-1.0 / 3.0) + 0.5
+                    hits += abs(-math.log(value) - min_leaf_center(P21, n)) <= half
+        report = min_concentration(k_min, P21, slack=0.5)
+        assert (report.probes, report.hits) == (probes, hits)
+        assert probes == 30 * 11 and 0 < hits < probes
+
     def test_rate_monotone_in_slack(self):
-        records = kmin_kmax_sweep(P21, 12, 50, master_seed=3)
+        k_min = sweep_replicas(P21, 12, [SeedSpec(3, r) for r in range(50)]).k_min
         rates = [
-            min_concentration(records, P21, slack=s).rate for s in (0.1, 0.5, 1.0, 3.0)
+            min_concentration(k_min, P21, slack=s).rate for s in (0.1, 0.5, 1.0, 3.0)
         ]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         assert rates[-1] == 1.0
