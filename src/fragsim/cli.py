@@ -9,13 +9,16 @@ I/O problems). Flags always win over config-file values.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .budget import ensure_within_budget
 from .errors import FragsimError
 from .experiment import (
+    ENGINES,
     TAILS_COLUMNS,
     ExperimentSpec,
     format_csv,
@@ -28,6 +31,8 @@ from .verify import run_suite
 
 # Largest survival abs_error `fragsim tails` writes; a worse row refuses the table.
 TAILS_MAX_ABS_ERROR = 1e-9
+# Memory per `fragsim tails` row, grid point to CSV line (tracemalloc peak).
+TAILS_ROW_BYTES = 400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a seeded replica sweep")
-    sim.add_argument("engine", choices=("brw", "gillespie", "spine"))
+    sim.add_argument("engine", choices=ENGINES)
     sim.add_argument("--config", help="key=value config file; flags override it")
     sim.add_argument("--k", type=int)
     sim.add_argument("--alpha", type=float)
@@ -96,8 +101,11 @@ def _cmd_tails(args) -> int:
         lo, hi, step = (float(x) for x in args.t_grid.split(":"))
     except ValueError:
         raise FragsimError(f"--t-grid must be LO:HI:STEP, got {args.t_grid!r}")
-    if step <= 0 or hi < lo:
+    # np.arange's own length formula, so the charge is its row count
+    count = (hi + step / 2 - lo) / step if step > 0 else math.nan
+    if not (math.isfinite(count) and hi >= lo):
         raise FragsimError(f"bad t grid {args.t_grid!r}")
+    ensure_within_budget(math.ceil(count) * TAILS_ROW_BYTES, f"--t-grid {args.t_grid}")
     rows = []
     for t in np.arange(lo, hi + step / 2, step):
         ev = perpetuity_survival(args.q, args.n, float(t))

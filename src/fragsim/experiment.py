@@ -18,7 +18,7 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Any
@@ -73,14 +73,18 @@ class ExperimentSpec:
                     f"engine 'gillespie' takes t_end and not n_max "
                     f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
                 )
-            if not self.t_end > 0:
-                raise SpecError(f"t_end must be positive, got {self.t_end!r}")
+            if not (isinstance(self.t_end, (int, float)) and self.t_end > 0):
+                raise SpecError(f"t_end must be a positive number, got {self.t_end!r}")
         if not (isinstance(self.replicas, int) and self.replicas >= 1):
             raise SpecError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if not (0 <= int(self.master_seed) < 1 << 64):
+        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 1 << 64):
             raise SpecError(f"master_seed must be a 64-bit unsigned integer")
         if not (isinstance(self.floor, (int, float)) and math.isfinite(self.floor)):
             raise SpecError(f"floor must be a finite number, got {self.floor!r}")
+        if not isinstance(self.alpha, (int, float)):
+            raise SpecError(f"alpha must be a number, got {self.alpha!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise SpecError(f"out must be a path string, got {self.out!r}")
         # Surfaces DomainError on bad k/alpha at spec construction time.
         self.params()
 
@@ -95,10 +99,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """Unknown, missing and ill-typed fields raise SpecError."""
+        fields = dataclasses.fields(cls)
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise SpecError(f"unknown spec fields: {sorted(unknown)}")
+        missing = [f.name for f in fields if f.default is MISSING and f.name not in data]
+        if missing:
+            raise SpecError(f"missing spec fields: {missing}")
         return cls(**data)
 
 
@@ -172,9 +180,8 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _block_payload(spec_dict: dict[str, Any], lo: int, hi: int):
+def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
     """Rows and sidecar extras for replicas lo..hi-1; top-level for pickling."""
-    spec = ExperimentSpec.from_dict(spec_dict)
     params = spec.params()
     replicas = range(lo, hi)
     seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
@@ -219,15 +226,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs!r}")
     start = time.monotonic()
-    spec_dict = spec.to_dict()
     blocks = _blocks(spec)
     los, his = zip(*blocks)
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
     if workers == 1:
-        payloads = list(map(_block_payload, repeat(spec_dict), los, his))
+        payloads = list(map(_block_payload, repeat(spec), los, his))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_block_payload, repeat(spec_dict), los, his))
+            payloads = list(pool.map(_block_payload, repeat(spec), los, his))
     rows: list[tuple] = []
     merged_extras: dict[str, Any] = {}
     for payload_rows, extras in payloads:

@@ -144,7 +144,7 @@ def min_concentration_sample(master_seed: int) -> tuple[float, ReplicaSweep]:
     same sample.
     """
     sweep = sweep_replicas(_P21, 20, [SeedSpec(master_seed, r) for r in range(200)])
-    return min_concentration(sweep.k_min, _P21, slack=0.5).rate, sweep
+    return min_concentration(sweep.k_min, _P21).rate, sweep
 
 
 MIN_CONCENTRATION_RATE: float = 0.7868421052631579

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .lefttail import left_tail_sandwich
+from .lefttail import left_tail_sandwich, log_simplex_upper
 from .params import as_q
 from .qseries import qpochhammer_factors, qpochhammer_limit
 
@@ -34,6 +34,8 @@ _TERM_ULPS = 8.0
 # Relative-accuracy threshold of the complement below which the CDF switches
 # to the simplex sandwich.
 REL_ERR_SWITCH = 1e-8
+# Truncation tolerance of the full-perpetuity series, relative to phi_inf(q).
+LIMIT_SERIES_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,21 @@ def perpetuity_density(q_or_params, n: int, t: float) -> TailEval:
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 
-def perpetuity_survival_limit(q_or_params, t: float, tol: float = 1e-14) -> TailEval:
+def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
     """P(sum_{i>=0} q^i W_i > t) for the full perpetuity.
 
     The series is truncated once q^{j(j+1)/2}/phi_j drops below
-    tol * phi_inf(q); the omitted remainder decays super-geometrically and is
-    folded into abs_error. Dominates the finite-n survival for every n, and
-    equals 1 at t = 0.
+    LIMIT_SERIES_TOL * phi_inf(q); the omitted remainder decays
+    super-geometrically and is folded into abs_error. Dominates the finite-n
+    survival for every n, and equals 1 at t = 0.
     """
     q = as_q(q_or_params)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a non-negative real, got {t!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     if t == 0.0:
         return _tail(1.0, 0.0)
     phi_inf = qpochhammer_limit(q)
-    cutoff = tol * phi_inf
+    cutoff = LIMIT_SERIES_TOL * phi_inf
 
     def terms():
         sign = 1.0
@@ -202,8 +202,7 @@ def split_time_survival(q_or_params, n: int, t: float) -> TailEval:
     x = (q**n) * t
     if x > 0.0:
         return perpetuity_survival(q, n, x)
-    log_x = n * math.log(q) + math.log(t)
-    log_up = (n + 1) * log_x - 0.5 * (n + 1) * n * math.log(q) - math.lgamma(n + 2)
+    log_up = log_simplex_upper(q, n + 1, n * math.log(q) + math.log(t))
     return _tail(1.0, math.exp(log_up) if log_up < 0.0 else 1.0)
 
 
@@ -224,7 +223,7 @@ def tagged_depth_pmf(q_or_params, n: int, t: float) -> TailEval:
 
 def gumbel_limit_cdf(q_or_params, s: float) -> float:
     """Limit law exp(-exp(-s)/phi_inf(q)) of the centred generation maximum."""
-    q = as_q(q_or_params)
+    phi_inf = qpochhammer_limit(as_q(q_or_params))
     if s < -700.0:
         return 0.0
-    return math.exp(-math.exp(-s) / qpochhammer_limit(q))
+    return math.exp(-math.exp(-s) / phi_inf)

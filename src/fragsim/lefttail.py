@@ -67,9 +67,7 @@ def left_tail_sandwich(q: float, m: int, s: float) -> tuple[float, float]:
         raise DomainError(f"s must be non-negative, got {s!r}")
     if s == 0.0:
         return (0.0, 0.0)
-    log_upper = (
-        m * math.log(s) - 0.5 * m * (m - 1) * math.log(q) - math.lgamma(m + 1)
-    )
+    log_upper = log_simplex_upper(q, m, math.log(s))
     # s * q^{-m} may overflow for large m; compute the penalty in log space too.
     log_penalty = math.log(s) - m * math.log(q) - math.log((1.0 / q - 1.0) * m)
     penalty = math.exp(log_penalty) if log_penalty < 700.0 else math.inf
@@ -85,7 +83,13 @@ def log_left_tail_upper(q: float, m: int, s: float) -> float:
         raise DomainError(f"m must be a positive integer, got {m!r}")
     if not s > 0:
         raise DomainError(f"s must be positive, got {s!r}")
-    return m * math.log(s) - 0.5 * m * (m - 1) * math.log(q) - math.lgamma(m + 1)
+    return log_simplex_upper(q, m, math.log(s))
+
+
+def log_simplex_upper(q: float, m: int, log_s: float) -> float:
+    """Unchecked log of the simplex upper bound s^m q^{-m(m-1)/2} / m!, from
+    log s so that s itself may underflow."""
+    return m * log_s - 0.5 * m * (m - 1) * math.log(q) - math.lgamma(m + 1)
 
 
 def stirling_exponent(x: float, y: float, kappa: float) -> float:

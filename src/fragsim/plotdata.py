@@ -7,10 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .brw import DEFAULT_POINT_FLOOR
 from .errors import SpecError
-from .experiment import SCHEMA_VERSION, format_csv, read_record_files
-from .params import ModelParams
+from .experiment import SCHEMA_VERSION, ExperimentSpec, format_csv, read_record_files
 from .predictors import largest_depth_window
 from .stats import intensity_profile
 
@@ -32,11 +30,10 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}, got {kind!r}")
     header, rows, meta = read_record_files(in_path)
-    spec = meta.get("spec", {})
-    engine = spec.get("engine")
-    if engine != _KIND_ENGINE[kind]:
+    spec = ExperimentSpec.from_dict(meta.get("spec", {}))
+    if spec.engine != _KIND_ENGINE[kind]:
         raise SpecError(
-            f"kind {kind!r} needs a {_KIND_ENGINE[kind]!r} record, got {engine!r}"
+            f"kind {kind!r} needs a {_KIND_ENGINE[kind]!r} record, got {spec.engine!r}"
         )
 
     if kind == "staircase":
@@ -45,8 +42,8 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
             (int(r[1]), float(r[2]), int(r[3])) for r in rows
         ]
     elif kind == "windows":
-        params = ModelParams(int(spec["k"]), float(spec["alpha"]))
-        t_end = float(spec["t_end"])
+        params = spec.params()
+        t_end = spec.t_end
         columns = ("replica", "t", "m_t", "lo_int", "hi_int")
         out_rows = []
         for replica, stairs in sorted(_replica_staircases(rows).items()):
@@ -62,16 +59,14 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
                 t *= 1.05
     else:  # intensity
         points = meta.get("extras", {}).get("points_final_generation", {})
-        q = ModelParams(int(spec["k"]), float(spec["alpha"])).q
-        floor = float(spec.get("floor", DEFAULT_POINT_FLOOR))
-        edges = np.arange(math.floor(floor), 6.0)
+        edges = np.arange(math.floor(spec.floor), 6.0)
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
         out_rows = []
         if points:
             reports = intensity_profile(
                 [points[r] for r in sorted(points, key=int)],
                 list(zip(edges[:-1], edges[1:])),
-                q,
+                spec.params().q,
             )
             out_rows = [
                 (float(r.interval[0]), float(r.interval[1]), r.mean_count, r.expected)

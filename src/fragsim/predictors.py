@@ -3,9 +3,9 @@
 Two families of functions. The depth predictors map a time t to the real
 center around which the depth of the largest (resp. smallest) fragment
 concentrates, with a shrinking window; windows use the strict ceiling
-(least integer strictly greater) throughout. The envelope inverses recover
-a depth from a time by monotone bisection of the explicit envelope
-functions; asymptotic expansions are deliberately not used for inversion,
+(least integer strictly greater) throughout. The envelope inverses, and
+the exact min-leaf center z_n, solve their monotone equations by one
+bisection; asymptotic expansions are deliberately not used for inversion,
 only as test oracles, because their error terms have no computable form.
 """
 
@@ -139,76 +139,54 @@ def min_leaf_center(params: ModelParams, n: int) -> float:
     )
 
 
-def solve_min_leaf_center(params: ModelParams, n: int, tol: float = 1e-12) -> float:
+def solve_min_leaf_center(params: ModelParams, n: int) -> float:
     """Exact center z_n: the unique root of
     z + log z + 1/(2 kappa) + log kappa - 1 = sqrt(2 gamma n / kappa).
 
-    Safeguarded Newton from the square-root initial guess, falling back to
-    bisection whenever an iterate leaves (0, 2 * initial guess); the left
-    side is strictly increasing on z > 0 so the root is unique.
+    The left side is strictly increasing on z > 0, so the root is found by
+    the same bisection as the envelope inverses. With c the right side minus
+    the constant, z = exp(c - z) >= exp(min(c, 1) - 1) starts the bracket.
     """
     _check_generation(n)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     kappa, gamma = params.kappa, params.gamma
-    rhs = math.sqrt(2.0 * gamma * n / kappa)
     shift = 1.0 / (2.0 * kappa) + math.log(kappa) - 1.0
-
-    def residual(z: float) -> float:
-        return z + math.log(z) + shift - rhs
-
-    z0 = rhs
-    lo, hi = 1e-300, 2.0 * z0
-    while residual(hi) < 0.0:
-        hi *= 2.0
-    z = z0
-    for _ in range(100):
-        r = residual(z)
-        if abs(r) < tol:
-            return z
-        if r > 0.0:
-            hi = min(hi, z)
-        else:
-            lo = max(lo, z)
-        step = r / (1.0 + 1.0 / z)
-        z_new = z - step
-        if not (lo < z_new < hi) or not (0.0 < z_new < 2.0 * z0):
-            z_new = 0.5 * (lo + hi)
-        z = z_new
-    raise ConvergenceError(f"no root to tolerance {tol} within 100 iterations")
+    rhs = math.sqrt(2.0 * gamma * n / kappa)
+    z_lo = math.exp(min(rhs - shift, 1.0) - 1.0)
+    if z_lo == 0.0:
+        raise DomainError(f"z_n underflows at n={n}, k={params.k}, alpha={params.alpha}")
+    return _bisect_log_increasing(lambda z: z + math.log(z) + shift, z_lo, rhs)
 
 
-def min_leaf_bracket(
-    params: ModelParams, n: int, tol: float = 1e-12
-) -> tuple[float, float]:
+def min_leaf_bracket(params: ModelParams, n: int) -> tuple[float, float]:
     """Values (s_minus, s_plus) bracketing the min leaf value at generation n:
     exp(-z -/+ log(z)^2 / z) around the exact center z."""
-    z = solve_min_leaf_center(params, n, tol)
+    z = solve_min_leaf_center(params, n)
     spread = math.log(z) ** 2 / z
     return math.exp(-z - spread), math.exp(-z + spread)
 
 
 def _bisect_log_increasing(log_f, x_lo: float, log_t: float) -> float:
-    """Invert a strictly increasing x -> log_f(x) at log_t, x >= x_lo."""
+    """Invert a strictly increasing x -> log_f(x) at log_t, x >= x_lo,
+    bisecting until the midpoint rounds to an end of the bracket."""
     if log_t < log_f(x_lo):
         raise DomainError(
             f"t below the monotone regime of the envelope (needs log t >= "
             f"{log_f(x_lo):.6g} at x={x_lo:.6g})"
         )
-    hi = max(2.0 * x_lo, 1.0)
+    hi = 2.0 * x_lo
     while log_f(hi) < log_t:
         hi *= 2.0
         if hi > 1e12:
-            raise ConvergenceError("no bracket found for envelope inversion")
+            raise ConvergenceError("no bracket found below x = 1e12")
     lo = x_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if log_f(mid) < log_t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
     return 0.5 * (lo + hi)
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 from .errors import DomainError
 from .params import as_q
+
+# Relative truncation error of qpochhammer_limit.
+LIMIT_TOL = 1e-14
 
 
 @lru_cache(maxsize=256)
@@ -36,23 +40,22 @@ def qpochhammer(q: float, n: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def qpochhammer_limit(q: float, tol: float = 1e-14) -> float:
+def qpochhammer_limit(q: float) -> float:
     """Euler's infinite product prod_{i>=1}(1 - q^i).
 
-    Truncated once the remaining factors multiply to within ``tol`` of 1,
+    Truncated once the remaining factors multiply to within LIMIT_TOL of 1,
     using 1 - prod_{i>n}(1 - q^i) <= q^(n+1)/(1-q). The remainder lower
     bound is applied to the result, so the returned value never exceeds the
     true product (and hence no finite partial product), at the price of a
-    one-sided error below tol.
+    one-sided error below LIMIT_TOL. Raises DomainError when the product
+    drops below the smallest normal float, for q above about 0.9977.
     """
     q = as_q(q)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     acc = 1.0
     qj = q
-    while qj / (1.0 - q) >= tol:
+    while qj / (1.0 - q) >= LIMIT_TOL:
         acc *= 1.0 - qj
         qj *= q
-        if qj == 0.0:
-            break
+        if acc < sys.float_info.min:
+            raise DomainError(f"(q;q)_inf underflows at q={q!r}")
     return acc * (1.0 - qj / (1.0 - q))

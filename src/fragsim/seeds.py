@@ -35,10 +35,10 @@ class SeedSpec:
     replica_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 1 << 64):
+        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 1 << 64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer")
-        if int(self.replica_index) < 0:
-            raise DomainError(f"replica_index must be >= 0")
+        if not (isinstance(self.replica_index, int) and self.replica_index >= 0):
+            raise DomainError(f"replica_index must be an integer >= 0")
 
     @property
     def stream(self) -> int:

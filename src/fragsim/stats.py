@@ -28,6 +28,11 @@ from .predictors import (
 from .qseries import qpochhammer_limit
 from .seeds import SeedSpec
 
+# Coverage probes t_end/10 * 1.05^i up to t_end; the first tenth is burn-in.
+BURN_IN_FRACTION = 0.1
+PROBE_RATIO = 1.05
+CONCENTRATION_SLACK = 0.5
+
 
 @dataclass(frozen=True)
 class KSReport:
@@ -176,55 +181,35 @@ def factorial_moment_samples(
     return out
 
 
-def _geometric_probes(t_end: float, burn_in_fraction: float, ratio: float) -> np.ndarray:
-    if not 0.0 < burn_in_fraction < 1.0:
-        raise DomainError(f"burn_in_fraction must be in (0,1), got {burn_in_fraction!r}")
-    if not ratio > 1.0:
-        raise DomainError(f"ratio must exceed 1, got {ratio!r}")
-    t0 = burn_in_fraction * t_end
-    if t0 <= math.e:
-        raise DomainError(
-            f"burn-in start {t0!r} must exceed e for the windows to be defined"
-        )
-    count = int(math.floor(math.log(t_end / t0) / math.log(ratio))) + 1
-    return t0 * ratio ** np.arange(count)
-
-
 def largest_window_coverage(
-    trajectory: GillespieTrajectory,
-    params: ModelParams,
-    burn_in_fraction: float = 0.1,
-    ratio: float = 1.05,
+    trajectory: GillespieTrajectory, params: ModelParams
 ) -> CoverageReport:
     """Fraction of geometric probe times whose largest-fragment depth lies in
     the predictor window [lo_int, hi_int]."""
-    return _window_coverage(
-        trajectory, params, burn_in_fraction, ratio, largest_depth_window, 0
-    )
+    return _window_coverage(trajectory, params, largest_depth_window, 0)
 
 
 def smallest_window_coverage(
-    trajectory: GillespieTrajectory,
-    params: ModelParams,
-    burn_in_fraction: float = 0.1,
-    ratio: float = 1.05,
+    trajectory: GillespieTrajectory, params: ModelParams
 ) -> CoverageReport:
-    return _window_coverage(
-        trajectory, params, burn_in_fraction, ratio, smallest_depth_window, 1
-    )
+    return _window_coverage(trajectory, params, smallest_depth_window, 1)
 
 
 def _window_coverage(
     trajectory: GillespieTrajectory,
     params: ModelParams,
-    burn_in_fraction: float,
-    ratio: float,
     window: Callable[[ModelParams, float], PredictorWindow],
     index: int,
 ) -> CoverageReport:
     """Probe loop shared by the two coverages; index picks m_t (0) or M_t (1)
     out of the trajectory's (m_t, M_t) value."""
-    probes = _geometric_probes(trajectory.t_end, burn_in_fraction, ratio)
+    t0 = BURN_IN_FRACTION * trajectory.t_end
+    if t0 <= math.e:
+        raise DomainError(
+            f"burn-in start {t0!r} must exceed e for the windows to be defined"
+        )
+    count = int(math.floor(math.log(trajectory.t_end / t0) / math.log(PROBE_RATIO))) + 1
+    probes = t0 * PROBE_RATIO ** np.arange(count)
     hits = 0
     for t in probes:
         depth = trajectory.value_at(float(t))[index]
@@ -233,14 +218,12 @@ def _window_coverage(
     return CoverageReport(probes=probes.size, hits=hits)
 
 
-def min_concentration(
-    k_min: np.ndarray, params: ModelParams, slack: float = 0.5
-) -> CoverageReport:
+def min_concentration(k_min: np.ndarray, params: ModelParams) -> CoverageReport:
     """Fraction of (replica, n >= 2) entries of the (replicas, n_max + 1)
-    array ``k_min`` with -log(k_min) within n^(-1/3) + slack of the
-    concentration center.
+    array ``k_min`` with -log(k_min) within n^(-1/3) + CONCENTRATION_SLACK
+    of the concentration center.
 
-    n = 0, 1 are excluded as pre-asymptotic. The default slack absorbs the
+    n = 0, 1 are excluded as pre-asymptotic. The slack absorbs the
     O(log n / sqrt n) gap between the expansion center and the exact one at
     desk-scale n. The logs and powers are Python's, not numpy's: the two
     differ in the last bit on some inputs, which can move a hit.
@@ -249,24 +232,22 @@ def min_concentration(
     hits = 0
     for n in range(2, generations):
         center = min_leaf_center(params, n)
-        half = n ** (-1.0 / 3.0) + slack
+        half = n ** (-1.0 / 3.0) + CONCENTRATION_SLACK
         hits += sum(abs(-math.log(x) - center) <= half for x in k_min[:, n].tolist())
     return CoverageReport(probes=replicas * max(generations - 2, 0), hits=hits)
 
 
 def generation_count_correlation(
-    points_a: Sequence[Sequence[float]],
-    points_b: Sequence[Sequence[float]],
-    threshold: float = 0.0,
+    points_a: Sequence[Sequence[float]], points_b: Sequence[Sequence[float]]
 ) -> CorrelationReport:
-    """Empirical correlation across replicas between the counts of points at
-    or above ``threshold`` in two generations."""
+    """Empirical correlation across replicas between the counts of
+    non-negative points in two generations."""
     if len(points_a) != len(points_b):
         raise DomainError("replica lists must have equal length")
     if len(points_a) < 2:
         raise DomainError("need at least 2 replicas for a correlation")
     counts_a, counts_b = (
-        np.array([np.count_nonzero(np.asarray(p, dtype=float) >= threshold) for p in pts])
+        np.array([np.count_nonzero(np.asarray(p, dtype=float) >= 0.0) for p in pts])
         for pts in (points_a, points_b)
     )
     r = len(points_a)

@@ -5,7 +5,7 @@ import pytest
 
 from fragsim import experiment
 from fragsim.cli import TAILS_MAX_ABS_ERROR, main
-from fragsim.errors import SpecError
+from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
     SCHEMA_VERSION,
     ExperimentSpec,
@@ -51,6 +51,24 @@ class TestSpecValidation:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(SpecError, match="unknown"):
             ExperimentSpec.from_dict({"k": 2, "alpha": 1.0, "engine": "brw", "n_max": 1, "bogus": 1})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"alpha": 1.0, "engine": "brw", "n_max": 1}, "k"),
+        ({"k": 2, "engine": "brw", "n_max": 1}, "alpha"),
+        ({"k": 2, "alpha": "1.0", "engine": "brw", "n_max": 1}, "alpha"),
+        ({"k": 2, "alpha": 1.0, "engine": "gillespie", "t_end": "9"}, "t_end"),
+        ({"k": 2, "alpha": 1.0, "engine": "brw", "n_max": 1, "out": 3}, "out"),
+    ])
+    def test_from_dict_rejects_missing_and_ill_typed(self, data, field):
+        with pytest.raises(SpecError, match=field):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, 1 << 64])
+    def test_master_seed_must_be_an_integer(self, seed):
+        with pytest.raises(SpecError, match="master_seed"):
+            ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1, master_seed=seed)
+        with pytest.raises(DomainError, match="master_seed"):
+            SeedSpec(seed)
 
 
 class TestConfig:
@@ -248,7 +266,17 @@ class TestCliSurface:
         assert "t=1.0" in err and "no file written" in err
 
     def test_bad_grid_exits_2(self, capsys):
-        assert main(["tails", "--q", "0.5", "--n", "1", "--t-grid", "oops", "--out", "x.csv"]) == 2
+        for grid in ("oops", "0:nan:1", "0:inf:1", "0:1:0", "2:1:1"):
+            assert main(["tails", "--q", "0.5", "--n", "1", "--t-grid", grid, "--out", "x.csv"]) == 2
+
+    def test_tails_grid_charged_to_budget(self, tmp_path, monkeypatch, capsys):
+        # 10,001 rows fit any real budget; 1000 bytes must refuse them unbuilt
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
+        out = tmp_path / "tails.csv"
+        argv = ["tails", "--q", "0.5", "--n", "1", "--t-grid", "0:10:0.001", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "exceeding the budget of 1000 bytes" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "bogus"]) == 2
@@ -305,6 +333,16 @@ class TestCliSurface:
         assert main(argv + ["--config", str(config)]) == 2
         assert not out.exists()
         assert "floor must be a finite number" in capsys.readouterr().err
+
+    def test_plotdata_non_finite_sidecar_floor_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        meta.write_text(meta.read_text().replace('"floor": -5.0', '"floor": Infinity'))
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(tmp_path / "i.csv")]) == 2
+        assert "floor must be a finite number, got inf" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -145,7 +145,7 @@ class TestMinLeafCenter:
     def test_root_residual(self):
         for p in PARAM_GRID:
             for n in (1, 10, 1000):
-                z = solve_min_leaf_center(p, n, tol=1e-12)
+                z = solve_min_leaf_center(p, n)
                 residual = (
                     z
                     + math.log(z)
@@ -155,6 +155,15 @@ class TestMinLeafCenter:
                     - math.sqrt(2 * p.gamma * n / p.kappa)
                 )
                 assert abs(residual) < 1e-12
+
+    def test_tiny_centers(self):
+        # alpha = 1000 puts z_1 near 1e-134; the bracket starts at exp(c - 1)
+        p = ModelParams(2, 1000.0)
+        z = solve_min_leaf_center(p, 1)
+        c = math.sqrt(2 * p.gamma / p.kappa) - 1 / (2 * p.kappa) - math.log(p.kappa) + 1
+        assert z == pytest.approx(math.exp(c - z), rel=1e-12)
+        with pytest.raises(DomainError, match="underflows"):
+            solve_min_leaf_center(ModelParams(2, 3000.0), 1)
 
     def test_expansion_approaches_exact_center(self):
         gaps = [

@@ -3,7 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fragsim.errors import DomainError
+from fragsim.laws import gumbel_limit_cdf, perpetuity_survival_limit
 from fragsim.qseries import qpochhammer, qpochhammer_factors, qpochhammer_limit
+from fragsim.stats import intensity_profile, ks_gumbel
 
 
 def test_empty_product_is_one():
@@ -63,3 +65,20 @@ def test_domain_rejects_bad_q(q):
 def test_rejects_negative_n():
     with pytest.raises(DomainError):
         qpochhammer(0.5, -1)
+
+
+def test_limit_underflow_is_a_domain_error():
+    # (q;q)_inf is below the smallest normal float for q above about 0.9977,
+    # so no caller may divide by it
+    q = 0.999
+    with pytest.raises(DomainError, match="q=0.999"):
+        qpochhammer_limit(q)
+    with pytest.raises(DomainError):
+        perpetuity_survival_limit(q, 1.0)
+    for s in (0.0, -800.0):
+        with pytest.raises(DomainError):
+            gumbel_limit_cdf(q, s)
+    with pytest.raises(DomainError):
+        intensity_profile([[0.5, 1.5]], [(0.0, 1.0)], q)
+    with pytest.raises(DomainError):
+        ks_gumbel([0.01 * i for i in range(100)], q)
