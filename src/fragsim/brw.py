@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import budget_bytes, ensure_within_budget
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .params import ModelParams
 from .seeds import SeedSpec
 
@@ -62,15 +62,10 @@ def _replica_bytes(k: int, n_max: int) -> int:
     return 8 * (k**n_max + k ** max(n_max - 1, 0))
 
 
-def _check_size(name: str, value, least: int = 0) -> None:
-    if not (isinstance(value, int) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def block_rows(k: int, n_max: int) -> int:
     """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
     budget admit, and at least one."""
-    _check_size("n_max", n_max)
+    check_int("n_max", n_max)
     return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _replica_bytes(k, n_max))
 
 
@@ -173,8 +168,8 @@ def tree_matrices(
     stream; meant for small trees (joint-law and tuple-counting checks) where
     every generation must be retained.
     """
-    _check_size("n_max", n_max)
-    _check_size("replicas", replicas, 1)
+    check_int("n_max", n_max)
+    check_int("replicas", replicas, 1)
     k = params.k
     kept = 8 * replicas * sum(k**n for n in range(n_max + 1))
     child, parent = _buffers(
@@ -194,7 +189,7 @@ def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:
     S_i = sum_{j<=i} q^{-j} W_j with i.i.d. standard exponentials W_j, so
     q^n S_n reproduces the generation-n walk value in law.
     """
-    _check_size("n", n)
+    check_int("n", n)
     rng = seed.rng()
     w = rng.standard_exponential(n + 1)
     weights = params.q ** (-np.arange(n + 1, dtype=float))
@@ -205,8 +200,8 @@ def spine_sum_samples(
     params: ModelParams, n: int, replicas: int, seed: SeedSpec
 ) -> np.ndarray:
     """replicas spine-derived samples of q^n S_n, one row of draws each."""
-    _check_size("n", n)
-    _check_size("replicas", replicas, 1)
+    check_int("n", n)
+    check_int("replicas", replicas, 1)
     ensure_within_budget(
         8 * replicas * (n + 1), f"spine samples n={n} x {replicas} replicas"
     )

@@ -1,5 +1,7 @@
 """Semantic exception hierarchy; public functions never raise bare ValueError."""
 
+import math
+
 
 class FragsimError(Exception):
     """Base error for this package."""
@@ -27,3 +29,13 @@ class ConvergenceError(FragsimError):
 
 class SpecError(FragsimError, ValueError):
     """An experiment spec is invalid; the message names the offending field."""
+
+
+def check_int(
+    name: str, value, least: int = 0, below: float = math.inf, error: type = DomainError
+) -> None:
+    """Raise ``error`` unless ``value`` is an int in [least, below). A bool is
+    refused, although Python counts it as an int."""
+    if isinstance(value, bool) or not (isinstance(value, int) and least <= value < below):
+        span = f">= {least}" if below == math.inf else f"in [{least}, {below})"
+        raise error(f"{name} must be an integer {span}, got {value!r}")

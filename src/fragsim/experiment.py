@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
-from .errors import SpecError
+from .errors import SpecError, check_int
 from .gillespie import gillespie_run
 from .params import ModelParams
 from .seeds import SeedSpec
@@ -65,8 +65,7 @@ class ExperimentSpec:
                     f"engine {self.engine!r} takes n_max and not t_end "
                     f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
                 )
-            if not (isinstance(self.n_max, int) and self.n_max >= 0):
-                raise SpecError(f"n_max must be a non-negative integer")
+            check_int("n_max", self.n_max, error=SpecError)
         else:
             if self.t_end is None or self.n_max is not None:
                 raise SpecError(
@@ -75,10 +74,8 @@ class ExperimentSpec:
                 )
             if not (isinstance(self.t_end, (int, float)) and self.t_end > 0):
                 raise SpecError(f"t_end must be a positive number, got {self.t_end!r}")
-        if not (isinstance(self.replicas, int) and self.replicas >= 1):
-            raise SpecError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 1 << 64):
-            raise SpecError(f"master_seed must be a 64-bit unsigned integer")
+        check_int("replicas", self.replicas, 1, error=SpecError)
+        check_int("master_seed", self.master_seed, below=1 << 64, error=SpecError)
         if not (isinstance(self.floor, (int, float)) and math.isfinite(self.floor)):
             raise SpecError(f"floor must be a finite number, got {self.floor!r}")
         if not isinstance(self.alpha, (int, float)):

@@ -32,24 +32,24 @@ _UNIFORM_BLOCK = 8192
 # event, which is harmless but unbounded over millions of events.
 _RATE_REFRESH = 4096
 # Upper estimates of CPython object sizes. Per depth: counts, qpow and
-# weights entries, first_seen/last_seen entries and their census copies. Per
-# record: the times/mins/maxs entries and their array elements.
+# weights entries and the census copy. Per record: the times/mins/maxs
+# entries and their array elements.
 _BYTES_PER_DEPTH = 512
 _BYTES_PER_RECORD = 96
 
 
 @dataclass(frozen=True)
 class DepthCensus:
-    """Final per-depth counts with first/last existence times per depth.
+    """Per-depth fragment counts at the horizon, occupied depths only.
 
-    last_seen holds only depths that went extinct before the horizon; a depth
-    still occupied at the end has no entry.
+    The times at which depths appear and vanish are in the trajectory's
+    records: M rises by one at each new depth and m by one at each emptied
+    depth, so depth d is first reached at the first record with
+    max_depths == d, and depth n < m(t_end) last exists until the first
+    record with min_depths > n.
     """
 
-    time: float
     counts: dict[int, int]
-    first_seen: dict[int, float]
-    last_seen: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,6 @@ def gillespie_run(
     times = [0.0]
     mins = [0]
     maxs = [0]
-    first_seen = {0: 0.0}
-    last_seen: dict[int, float] = {}
 
     block = rng.random(_UNIFORM_BLOCK)
     pos = 0
@@ -152,8 +150,6 @@ def gillespie_run(
             counts.append(0)
             qpow.append(qpow[d] * q)
             weights.append(0.0)
-        if counts[child] == 0:
-            first_seen[child] = t
         counts[child] += k
         weights[child] = counts[child] * qpow[child]
         total_rate += k * qpow[child] - qpow[d]
@@ -162,12 +158,10 @@ def gillespie_run(
         if child > max_cur:
             max_cur = child
             changed = True
-        if counts[d] == 0:
-            last_seen[d] = t
-            if d == m_cur:
-                while counts[m_cur] == 0:
-                    m_cur += 1
-                changed = True
+        if counts[d] == 0 and d == m_cur:
+            while counts[m_cur] == 0:
+                m_cur += 1
+            changed = True
         if changed:
             times.append(t)
             mins.append(m_cur)
@@ -180,12 +174,7 @@ def gillespie_run(
         if events % _RATE_REFRESH == 0:
             total_rate = math.fsum(weights[m_cur : max_cur + 1])
 
-    census = DepthCensus(
-        time=t_end,
-        counts={d: c for d, c in enumerate(counts) if c > 0},
-        first_seen=dict(first_seen),
-        last_seen=dict(last_seen),
-    )
+    census = DepthCensus(counts={d: c for d, c in enumerate(counts) if c > 0})
     return GillespieTrajectory(
         t_end=t_end,
         times=np.asarray(times, dtype=float),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .lefttail import left_tail_sandwich, log_simplex_upper
 from .params import as_q
 from .qseries import qpochhammer_factors, qpochhammer_limit
@@ -93,8 +93,7 @@ def _series_terms(q: float, n: int, t: float, exponent_shift: int):
 
 
 def _check_nt(n: int, t: float) -> None:
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    check_int("n", n)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a non-negative real, got {t!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .params import as_kappa, as_q
 
 # log log(1/s) must be positive, hence the hard domain cut at 1/e^2.
@@ -61,8 +61,7 @@ def left_tail_sandwich(q: float, m: int, s: float) -> tuple[float, float]:
     largest density value; it is not clamped to [0, 1].
     """
     q = as_q(q)
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    check_int("m", m, 1)
     if s < 0:
         raise DomainError(f"s must be non-negative, got {s!r}")
     if s == 0.0:
@@ -79,8 +78,7 @@ def left_tail_sandwich(q: float, m: int, s: float) -> tuple[float, float]:
 def log_left_tail_upper(q: float, m: int, s: float) -> float:
     """log of the simplex upper bound, usable when the bound itself underflows."""
     q = as_q(q)
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    check_int("m", m, 1)
     if not s > 0:
         raise DomainError(f"s must be positive, got {s!r}")
     return log_simplex_upper(q, m, math.log(s))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,16 @@ class ModelParams:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise DomainError(f"k must be an integer >= 2, got {self.k!r}")
+        check_int("k", self.k, 2)
         alpha = float(self.alpha)
         if not math.isfinite(alpha) or alpha <= 0:
             raise DomainError(f"alpha must be a positive real, got {self.alpha!r}")
+        q = self.k ** (-alpha)
+        if not 0.0 < q < 1.0:
+            raise DomainError(f"alpha={alpha!r} gives q={q!r}, outside (0, 1) in floating point")
         gamma = math.log(self.k)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "q", self.k ** (-alpha))
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "kappa", 1.0 / (gamma * alpha))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_int
 from .params import ModelParams
 
 
@@ -118,16 +118,11 @@ def smallest_depth_window(params: ModelParams, t: float) -> PredictorWindow:
     )
 
 
-def _check_generation(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-
-
 def min_leaf_center(params: ModelParams, n: int) -> float:
     """Expansion of the concentration center of -log(min leaf value) at
     generation n: sqrt(2 gamma n / kappa) - log(n)/2 - 1/(2 kappa)
     - log(kappa)/2 + 1 - log(2 gamma)/2."""
-    _check_generation(n)
+    check_int("n", n, 1)
     kappa, gamma = params.kappa, params.gamma
     return (
         math.sqrt(2.0 * gamma * n / kappa)
@@ -146,23 +141,29 @@ def solve_min_leaf_center(params: ModelParams, n: int) -> float:
     The left side is strictly increasing on z > 0, so the root is found by
     the same bisection as the envelope inverses. With c the right side minus
     the constant, z = exp(c - z) >= exp(min(c, 1) - 1) starts the bracket.
+    That start is above 1e-160 for every ModelParams: q strictly between 0
+    and 1 needs 1e-16 < 1/kappa < 746, where c > 1 + log(1/kappa) -
+    1/(2 kappa) > -365.
     """
-    _check_generation(n)
+    check_int("n", n, 1)
     kappa, gamma = params.kappa, params.gamma
     shift = 1.0 / (2.0 * kappa) + math.log(kappa) - 1.0
     rhs = math.sqrt(2.0 * gamma * n / kappa)
     z_lo = math.exp(min(rhs - shift, 1.0) - 1.0)
-    if z_lo == 0.0:
-        raise DomainError(f"z_n underflows at n={n}, k={params.k}, alpha={params.alpha}")
     return _bisect_log_increasing(lambda z: z + math.log(z) + shift, z_lo, rhs)
 
 
 def min_leaf_bracket(params: ModelParams, n: int) -> tuple[float, float]:
     """Values (s_minus, s_plus) bracketing the min leaf value at generation n:
-    exp(-z -/+ log(z)^2 / z) around the exact center z."""
+    exp(-z -/+ log(z)^2 / z) around the exact center z. s_plus is inf where
+    it exceeds the float range, which happens for small z."""
     z = solve_min_leaf_center(params, n)
     spread = math.log(z) ** 2 / z
-    return math.exp(-z - spread), math.exp(-z + spread)
+    try:
+        upper = math.exp(-z + spread)
+    except OverflowError:
+        upper = math.inf
+    return math.exp(-z - spread), upper
 
 
 def _bisect_log_increasing(log_f, x_lo: float, log_t: float) -> float:

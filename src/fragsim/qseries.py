@@ -5,25 +5,25 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .params import as_q
 
 # Relative truncation error of qpochhammer_limit.
 LIMIT_TOL = 1e-14
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def qpochhammer_factors(q: float, n: int) -> tuple[float, ...]:
     """Partial products ((q;q)_0, ..., (q;q)_n), i.e. prod_{j<=i}(1 - q^j).
 
     The whole prefix is needed by the alternating survival series, so it is
     returned in one pass rather than recomputed per index. Results are
     cached per (q, n), so a t grid builds the prefix once; the tuple keeps a
-    caller from mutating the cached value.
+    caller from mutating the cached value. The cache is typed, so that its
+    entry for n=1 does not answer n=True before the check below refuses it.
     """
     q = as_q(q)
-    if n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    check_int("n", n)
     out = [1.0]
     acc = 1.0
     qj = 1.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_int
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,10 +35,8 @@ class SeedSpec:
     replica_index: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 1 << 64):
-            raise DomainError(f"master_seed must be a 64-bit unsigned integer")
-        if not (isinstance(self.replica_index, int) and self.replica_index >= 0):
-            raise DomainError(f"replica_index must be an integer >= 0")
+        check_int("master_seed", self.master_seed, below=1 << 64)
+        check_int("replica_index", self.replica_index)
 
     @property
     def stream(self) -> int:

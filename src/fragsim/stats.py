@@ -40,7 +40,6 @@ class KSReport:
 
     statistic: float
     sample_size: int
-    reference: str
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class CoverageReport:
 class CorrelationReport:
     correlation: float
     stderr: float
-    replicas: int
 
 
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -87,13 +85,8 @@ def ks_gumbel(tau_samples: Sequence[float], q: float) -> KSReport:
     samples = np.sort(np.asarray(tau_samples, dtype=float))
     if samples.size < 100:
         raise DomainError(f"need at least 100 samples, got {samples.size}")
-    phi = qpochhammer_limit(q)
-    ref = np.exp(-np.exp(-samples) / phi)
-    return KSReport(
-        statistic=ks_statistic(samples, ref),
-        sample_size=int(samples.size),
-        reference=f"exp(-exp(-s)/{phi:.12g})",
-    )
+    ref = np.exp(-np.exp(-samples) / qpochhammer_limit(q))
+    return KSReport(statistic=ks_statistic(samples, ref), sample_size=int(samples.size))
 
 
 def intensity_profile(
@@ -250,11 +243,8 @@ def generation_count_correlation(
         np.array([np.count_nonzero(np.asarray(p, dtype=float) >= 0.0) for p in pts])
         for pts in (points_a, points_b)
     )
-    r = len(points_a)
     if counts_a.std() == 0.0 or counts_b.std() == 0.0:
         corr = 0.0 if not np.array_equal(counts_a, counts_b) else 1.0
     else:
         corr = float(np.corrcoef(counts_a, counts_b)[0, 1])
-    return CorrelationReport(
-        correlation=corr, stderr=1.0 / math.sqrt(r - 1), replicas=r
-    )
+    return CorrelationReport(correlation=corr, stderr=1.0 / math.sqrt(len(points_a) - 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,104 +33,100 @@ from .qseries import qpochhammer_limit
 from .seeds import SeedSpec
 from .stats import generation_count_correlation, intensity_profile, ks_gumbel
 
-EULER_GAMMA = 0.5772156649015329
+
+def _text(x: float, digits: int) -> str:
+    """``x`` to ``digits`` significant digits, exponent unpadded: 1e-6, not 1e-06."""
+    mantissa, _, exponent = f"{x:.{digits}g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check, which passes when ``lo <= observed <= hi``.
+
+    Either bound may be infinite. ``relative`` marks a two-sided bound that
+    was set as a fraction of its center; ``expected`` prints it in percent.
+    """
+
     name: str
-    passed: bool
     observed: float
-    expected: str
+    lo: float = -math.inf
+    hi: float = math.inf
+    relative: bool = False
+
+    @classmethod
+    def near(
+        cls, name: str, observed: float, center: float, tol: float, relative: bool = False
+    ) -> CheckResult:
+        """Bound ``center +- tol``, or ``center +- tol * |center|`` if relative."""
+        half = tol * abs(center) if relative else tol
+        return cls(name, observed, center - half, center + half, relative)
+
+    @property
+    def passed(self) -> bool:
+        return self.lo <= self.observed <= self.hi
+
+    @property
+    def expected(self) -> str:
+        if self.lo == -math.inf:
+            return f"<= {_text(self.hi, 9)}"
+        if self.hi == math.inf:
+            return f">= {_text(self.lo, 9)}"
+        center, half = (self.lo + self.hi) / 2, (self.hi - self.lo) / 2
+        tol = f"{_text(100 * half / abs(center), 6)}%" if self.relative else _text(half, 6)
+        return f"{_text(center, 9)} +- {tol}"
+
+
+def _limit_gap(q: float, n: int, t: float) -> float:
+    """How far the finite-n survival exceeds its perpetuity limit beyond both error bounds."""
+    lim, fin = perpetuity_survival_limit(q, t), perpetuity_survival(q, n, t)
+    return fin.value - lim.value - fin.abs_error - lim.abs_error
+
+
+def _density_error(q: float, n: int, t: float) -> float:
+    """|density + d/dt survival|, the derivative by central differences."""
+    h = 1e-4
+    fd = (perpetuity_survival(q, n, t - h).value - perpetuity_survival(q, n, t + h).value) / (2 * h)
+    return abs(fd - perpetuity_density(q, n, t).value)
+
+
+def _sandwich_violation(q: float, m: int, s: float) -> float:
+    """How far the exact CDF of m terms lies outside the left-tail sandwich."""
+    lower, upper = left_tail_sandwich(q, m, s)
+    cdf = perpetuity_cdf(q, m - 1, s)
+    return max(lower - cdf.value - cdf.abs_error, cdf.value - upper - cdf.abs_error)
 
 
 def suite_tails(master_seed: int = 42) -> list[CheckResult]:
-    out = []
-    for (q, n), golden in goldens.ENVELOPE_MAX.items():
-        observed = goldens.envelope_max(q, n)
-        out.append(
-            CheckResult(
-                f"envelope max q={q} n={'inf' if n is None else n}",
-                abs(observed - golden) <= 0.01 * golden,
-                observed,
-                f"{golden:.9g} +- 1%",
-            )
-        )
-    # density equals -d/dt survival by central differences
-    worst = 0.0
-    h = 1e-4
-    for q in (0.3, 0.5, 0.8):
-        for n in (1, 5):
-            for t in (0.5, 1.0, 2.0, 5.0):
-                fd = (
-                    perpetuity_survival(q, n, t - h).value
-                    - perpetuity_survival(q, n, t + h).value
-                ) / (2 * h)
-                worst = max(worst, abs(fd - perpetuity_density(q, n, t).value))
-    out.append(
-        CheckResult("density vs -d/dt survival", worst <= 1e-6, worst, "<= 1e-6")
-    )
-    # the perpetuity limit dominates every finite-n survival
-    worst = -1.0
-    for q in (0.3, 0.5, 0.8):
-        for n in (0, 1, 5, 20):
-            for t in (0.1, 1.0, 5.0, 15.0):
-                lim = perpetuity_survival_limit(q, t)
-                fin = perpetuity_survival(q, n, t)
-                gap = fin.value - lim.value - fin.abs_error - lim.abs_error
-                worst = max(worst, gap)
-    out.append(
-        CheckResult("limit dominates finite n", worst <= 0.0, worst, "<= 0")
-    )
+    out = [
+        CheckResult.near(f"envelope max q={q} n={'inf' if n is None else n}",
+                         goldens.envelope_max(q, n), golden, 0.01, relative=True)
+        for (q, n), golden in goldens.ENVELOPE_MAX.items()
+    ]
+    qs = (0.3, 0.5, 0.8)
+    density = max(_density_error(*a) for a in product(qs, (1, 5), (0.5, 1.0, 2.0, 5.0)))
+    limit = max(_limit_gap(*a) for a in product(qs, (0, 1, 5, 20), (0.1, 1.0, 5.0, 15.0)))
     total = sum(tagged_depth_pmf(0.5, n, 3.0).value for n in range(41))
-    out.append(
-        CheckResult(
-            "depth pmf total mass", abs(total - 1.0) <= 1e-8, total, "1 +- 1e-8"
-        )
-    )
-    return out
+    return out + [
+        CheckResult("density vs -d/dt survival", density, hi=1e-6),
+        CheckResult("limit dominates finite n", limit, hi=0.0),
+        CheckResult.near("depth pmf total mass", total, 1.0, 1e-8),
+    ]
 
 
 def suite_leftail(master_seed: int = 42) -> list[CheckResult]:
-    out = []
-    worst_violation = 0.0
-    for q in (0.3, 0.5, 0.8):
-        for m in (1, 2, 3, 4):
-            for s in (0.05, 0.1, 0.2):
-                lower, upper = left_tail_sandwich(q, m, s)
-                cdf = perpetuity_cdf(q, m - 1, s)
-                violation = max(
-                    lower - cdf.value - cdf.abs_error,
-                    cdf.value - upper - cdf.abs_error,
-                )
-                worst_violation = max(worst_violation, violation)
-    out.append(
-        CheckResult(
-            "sandwich brackets exact CDF (m<=4)",
-            worst_violation <= 0.0,
-            worst_violation,
-            "<= 0",
-        )
-    )
-    gap = goldens.left_tail_log_gap_max(range(5, 31, 5))
-    out.append(
-        CheckResult(
-            "log upper bound + rate exponent bounded",
-            gap <= 3.0
-            and abs(gap - goldens.LEFT_TAIL_LOG_GAP_MAX)
-            <= 0.01 * goldens.LEFT_TAIL_LOG_GAP_MAX,
-            gap,
-            f"<= 3 and {goldens.LEFT_TAIL_LOG_GAP_MAX:.9g} +- 1%",
-        )
-    )
+    grid = product((0.3, 0.5, 0.8), (1, 2, 3, 4), (0.05, 0.1, 0.2))
+    violation = max(0.0, *(_sandwich_violation(*a) for a in grid))
+    golden = goldens.LEFT_TAIL_LOG_GAP_MAX
     counts = [critical_term_count(0.5, math.exp(-j)) for j in range(3, 40)]
     monotone = all(b >= a for a, b in zip(counts, counts[1:]))
-    out.append(
-        CheckResult(
-            "critical term count non-decreasing", monotone, float(monotone), "True"
-        )
-    )
-    return out
+    return [
+        CheckResult("sandwich brackets exact CDF (m<=4)", violation, hi=0.0),
+        CheckResult("log upper bound + rate exponent bounded",
+                    goldens.left_tail_log_gap_max(range(5, 31, 5)),
+                    golden - 0.01 * golden, min(3.0, golden + 0.01 * golden), relative=True),
+        CheckResult("critical term count non-decreasing", float(monotone), lo=1.0),
+    ]
 
 
 def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
@@ -137,81 +134,43 @@ def suite_extremes(master_seed: int = 42) -> list[CheckResult]:
     n_max = 12
     sweep = sweep_replicas(params, n_max, [SeedSpec(master_seed, r) for r in range(400)])
     taus, kmins = sweep.tau[:, n_max], sweep.k_min[:, n_max]
-    out = []
-    ks = ks_gumbel(taus, params.q)
-    out.append(
-        CheckResult("KS vs limit law (n=12)", ks.statistic <= 0.12, ks.statistic, "<= 0.12")
-    )
-    limit_mean = -math.log(qpochhammer_limit(params.q)) + EULER_GAMMA
-    gap = abs(float(taus.mean()) - limit_mean)
-    out.append(
-        CheckResult(
-            "centred maximum mean vs limit", gap <= 0.15, gap, f"|mean - {limit_mean:.4f}| <= 0.15"
-        )
-    )
-    med_gap = abs(float(np.median(-np.log(kmins))) - min_leaf_center(params, n_max))
-    out.append(
-        CheckResult("min leaf median vs center (n=12)", med_gap <= 0.9, med_gap, "<= 0.9")
-    )
-    return out
+    limit_mean = -math.log(qpochhammer_limit(params.q)) + np.euler_gamma
+    median = float(np.median(-np.log(kmins)))
+    return [
+        CheckResult("KS vs limit law (n=12)", ks_gumbel(taus, params.q).statistic, hi=0.12),
+        CheckResult.near("centred maximum mean vs limit", float(taus.mean()), limit_mean, 0.15),
+        CheckResult.near("min leaf median vs center (n=12)", median,
+                         min_leaf_center(params, n_max), 0.9),
+    ]
 
 
 def suite_pointprocess(master_seed: int = 42) -> list[CheckResult]:
     params = ModelParams(2, 1.0)
-    n_max, replicas = 13, 500
-    seeds = [SeedSpec(master_seed, r) for r in range(replicas)]
+    seeds = [SeedSpec(master_seed, r) for r in range(500)]
     # every check below counts points at or above 0 only
-    sweep = sweep_replicas(params, n_max, seeds, floor=0.0, point_generations=(12, 13))
+    sweep = sweep_replicas(params, 13, seeds, floor=0.0, point_generations=(12, 13))
     pts_12, pts_13 = sweep.points[12], sweep.points[13]
-    reports = intensity_profile(pts_12, [(0.0, math.inf)], params.q)
-    mean, expected = reports[0].mean_count, reports[0].expected
-    out = [
-        CheckResult(
-            "mean count above 0 vs intensity",
-            abs(mean - expected) <= 0.1 * expected,
-            mean,
-            f"{expected:.4f} +- 10%",
-        ),
-        CheckResult(
-            "count dispersion near Poisson",
-            0.7 <= reports[0].dispersion <= 1.3,
-            reports[0].dispersion,
-            "[0.7, 1.3]",
-        ),
+    report = intensity_profile(pts_12, [(0.0, math.inf)], params.q)[0]
+    corr = generation_count_correlation(pts_12, pts_13).correlation
+    return [
+        CheckResult.near("mean count above 0 vs intensity", report.mean_count,
+                         report.expected, 0.1, relative=True),
+        CheckResult("count dispersion near Poisson", report.dispersion, 0.7, 1.3),
+        CheckResult.near("cross-generation count correlation", corr, 0.0, 0.15),
     ]
-    corr = generation_count_correlation(pts_12, pts_13)
-    out.append(
-        CheckResult(
-            "cross-generation count correlation",
-            abs(corr.correlation) <= 0.15,
-            corr.correlation,
-            "|corr| <= 0.15",
-        )
-    )
-    return out
 
 
 def suite_coverage(master_seed: int = 42) -> list[CheckResult]:
     rate = goldens.largest_coverage_rate(math.e**9, 30, master_seed)
-    checks = [CheckResult("largest window coverage", rate >= 0.85, rate, ">= 0.85")]
+    checks = [CheckResult("largest window coverage", rate, lo=0.85)]
     if master_seed == 42:
-        checks.append(
-            CheckResult(
-                "coverage matches recorded golden",
-                abs(rate - goldens.COVERAGE_RATE_VERIFY) <= 0.05,
-                rate,
-                f"{goldens.COVERAGE_RATE_VERIFY:.9g} +- 0.05",
-            )
-        )
         conc, _ = goldens.min_concentration_sample(master_seed)
-        checks.append(
-            CheckResult(
-                "min concentration matches recorded golden",
-                abs(conc - goldens.MIN_CONCENTRATION_RATE) <= 0.05,
-                conc,
-                f"{goldens.MIN_CONCENTRATION_RATE:.9g} +- 0.05",
-            )
-        )
+        checks += [
+            CheckResult.near("coverage matches recorded golden", rate,
+                             goldens.COVERAGE_RATE_VERIFY, 0.05),
+            CheckResult.near("min concentration matches recorded golden", conc,
+                             goldens.MIN_CONCENTRATION_RATE, 0.05),
+        ]
     return checks
 
 

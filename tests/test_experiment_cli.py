@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fragsim import experiment
+from fragsim import experiment, verify
 from fragsim.cli import TAILS_MAX_ABS_ERROR, main
 from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
@@ -287,6 +287,15 @@ class TestCliSurface:
         assert "[PASS]" in captured.out
         assert "FAIL" not in captured.out
 
+    def test_verify_failed_check_exits_1(self, monkeypatch, capsys):
+        failing = lambda seed: [verify.CheckResult("off bound", 2.0, hi=1.0)]
+        monkeypatch.setitem(verify._SUITE_FUNCS, "tails", failing)
+        assert main(["verify", "--suite", "tails"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] off bound: observed 2, expected <= 1" in out
+        assert "0/1 checks passed" in out
+
+
     def test_plotdata_kind_engine_mismatch(self, tmp_path):
         out = tmp_path / "g.csv"
         main([
@@ -348,3 +357,24 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestCheckResult:
+    def test_passed_includes_its_bounds(self):
+        inside = lambda x, lo=-math.inf, hi=math.inf: verify.CheckResult("c", x, lo, hi).passed
+        assert inside(0.7, 0.7, 1.3) and inside(1.3, 0.7, 1.3)
+        assert not inside(math.nextafter(0.7, 0.0), 0.7, 1.3)
+        assert not inside(math.nextafter(1.3, 2.0), 0.7, 1.3)
+        assert inside(1e-6, hi=1e-6) and not inside(math.nextafter(1e-6, 1.0), hi=1e-6)
+        assert inside(0.85, lo=0.85) and not inside(math.nextafter(0.85, 0.0), lo=0.85)
+
+    @pytest.mark.parametrize("check, text", [
+        (verify.CheckResult("c", 0.0, hi=1e-6), "<= 1e-6"),
+        (verify.CheckResult("c", 0.0, lo=0.85), ">= 0.85"),
+        (verify.CheckResult.near("c", 0.0, 1.0, 1e-8), "1 +- 1e-8"),
+        (verify.CheckResult.near("c", 0.0, 0.786842105263, 0.05), "0.786842105 +- 0.05"),
+        (verify.CheckResult.near("c", 0.0, 3.4627466, 0.1, relative=True), "3.4627466 +- 10%"),
+        (verify.CheckResult("c", 0.0, 0.7, 1.3), "1 +- 0.3"),
+    ])
+    def test_expected_prints_the_bound_as_written(self, check, text):
+        assert check.expected == text

@@ -162,8 +162,8 @@ class TestMinLeafCenter:
         z = solve_min_leaf_center(p, 1)
         c = math.sqrt(2 * p.gamma / p.kappa) - 1 / (2 * p.kappa) - math.log(p.kappa) + 1
         assert z == pytest.approx(math.exp(c - z), rel=1e-12)
-        with pytest.raises(DomainError, match="underflows"):
-            solve_min_leaf_center(ModelParams(2, 3000.0), 1)
+        # the largest alpha whose q is positive still leaves z_1 far from 0
+        assert solve_min_leaf_center(ModelParams(2, 1074.0), 1) > 1e-160
 
     def test_expansion_approaches_exact_center(self):
         gaps = [
@@ -184,6 +184,11 @@ class TestMinLeafCenter:
         assert s_minus == pytest.approx(math.exp(-8.548), abs=2e-4)
         big = [min_leaf_bracket(P21, n)[1] for n in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(big, big[1:]))
+
+    def test_upper_end_beyond_float_range_is_inf(self):
+        # z_1 = 0.0203 at alpha = 0.01, so -z + log(z)^2 / z is about 749
+        s_minus, s_plus = min_leaf_bracket(ModelParams(2, 0.01), 1)
+        assert s_plus == math.inf and 0.0 <= s_minus < 1.0
 
 
 class TestEnvelopeInverses:

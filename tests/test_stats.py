@@ -125,7 +125,7 @@ def _staircase_from_center(center_fn, params, t_end, n_levels=200):
             values.append(v)
     arr_t = np.asarray(times)
     arr_v = np.asarray(values, dtype=np.int64)
-    census = DepthCensus(time=t_end, counts={}, first_seen={}, last_seen={})
+    census = DepthCensus(counts={})
     return GillespieTrajectory(
         t_end=t_end, times=arr_t, min_depths=arr_v, max_depths=arr_v, census=census
     )
