@@ -1,6 +1,7 @@
 """Semantic exception hierarchy; public functions never raise bare ValueError."""
 
 import math
+import sys
 
 
 class FragsimError(Exception):
@@ -39,3 +40,18 @@ def check_int(
     if isinstance(value, bool) or not (isinstance(value, int) and least <= value < below):
         span = f">= {least}" if below == math.inf else f"in [{least}, {below})"
         raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_real(
+    name: str, value, positive: bool = False, error: type = DomainError
+) -> None:
+    """Raise ``error`` unless ``value`` is a finite int or float, and > 0 when
+    ``positive``. A bool is refused, although Python counts it as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float))
+        # false for inf and nan, and for an int no float can hold
+        and abs(value) <= sys.float_info.max
+        and (value > 0 or not positive)
+    ):
+        kind = "a positive finite" if positive else "a finite"
+        raise error(f"{name} must be {kind} number, got {value!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import time
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
-from .errors import SpecError, check_int
+from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
 from .params import ModelParams
 from .seeds import SeedSpec
@@ -72,14 +71,11 @@ class ExperimentSpec:
                     f"engine 'gillespie' takes t_end and not n_max "
                     f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
                 )
-            if not (isinstance(self.t_end, (int, float)) and self.t_end > 0):
-                raise SpecError(f"t_end must be a positive number, got {self.t_end!r}")
+            check_real("t_end", self.t_end, positive=True, error=SpecError)
         check_int("replicas", self.replicas, 1, error=SpecError)
         check_int("master_seed", self.master_seed, below=1 << 64, error=SpecError)
-        if not (isinstance(self.floor, (int, float)) and math.isfinite(self.floor)):
-            raise SpecError(f"floor must be a finite number, got {self.floor!r}")
-        if not isinstance(self.alpha, (int, float)):
-            raise SpecError(f"alpha must be a number, got {self.alpha!r}")
+        check_real("floor", self.floor, error=SpecError)
+        check_real("alpha", self.alpha, positive=True, error=SpecError)
         if not (self.out is None or isinstance(self.out, str)):
             raise SpecError(f"out must be a path string, got {self.out!r}")
         # Surfaces DomainError on bad k/alpha at spec construction time.

@@ -8,10 +8,12 @@ at depth d removes one fragment there and adds k at depth d+1, which
 conserves total mass exactly (counts[d] * k^-d sums to 1 in integer
 arithmetic over the common denominator k^max_depth).
 
-Sampling contract: one uniform for the inverse-CDF waiting time and one for
-the depth choice per event, consumed in that order from the replica stream,
-so runs are bit-reproducible given a SeedSpec. Continuous event times make
-ties measure-zero; if equal floats ever occur, events keep draw order.
+Sampling contract: each event consumes two uniforms from the replica stream,
+the inverse-CDF waiting time's and then the depth choice's. They come in
+blocks of 4096 events, and the incrementally updated total rate is re-summed
+exactly at the end of every full block, so runs are bit-reproducible given a
+SeedSpec. Continuous event times make ties measure-zero; if equal floats
+ever occur, events keep draw order.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from .params import ModelParams
 from .predictors import smallest_depth_center
 from .seeds import SeedSpec
 
-_UNIFORM_BLOCK = 8192
-# Exact total-rate refresh period; the incremental rate drifts by O(eps) per
-# event, which is harmless but unbounded over millions of events.
+# Events per exact total-rate refresh; the incremental rate drifts by O(eps)
+# per event, which is harmless but unbounded over millions of events. An event
+# takes two uniforms, so one uniform block is one refresh period.
 _RATE_REFRESH = 4096
-# Upper estimates of CPython object sizes. Per depth: counts, qpow and
-# weights entries and the census copy. Per record: the times/mins/maxs
-# entries and their array elements.
+_UNIFORM_BLOCK = 2 * _RATE_REFRESH
+# Upper estimates of CPython object sizes. Per listed uniform: its list slot
+# and a float object (24 B, 32 B after pymalloc's rounding). Per depth:
+# counts, qpow and weights entries and the census copy. Per record: the
+# times/mins/maxs entries and their array elements.
+_BYTES_PER_LISTED_UNIFORM = 40
 _BYTES_PER_DEPTH = 512
 _BYTES_PER_RECORD = 96
 
@@ -74,15 +79,16 @@ class GillespieTrajectory:
 
 
 def _projected_bytes(params: ModelParams, t_end: float) -> int:
-    # What the run holds: the uniform block (twice while its replacement is
-    # drawn), the per-depth lists and dicts, and one record per change of m
-    # or M, so at most 2*depth + 1 records. The deepest depth tracks the
-    # smallest-fragment predictor.
+    # What the run holds: the uniform block as a list of Python floats (while
+    # its replacement is drawn, the old list, the new list and the float64
+    # array it came from), the per-depth lists and dicts, and one record per
+    # change of m or M, so at most 2*depth + 1 records. The deepest depth
+    # tracks the smallest-fragment predictor.
     depth = 1
     if t_end > math.e * 1.01:
         depth = max(1, math.ceil(smallest_depth_center(params, t_end)) + 1)
     return (
-        2 * 8 * _UNIFORM_BLOCK
+        (2 * _BYTES_PER_LISTED_UNIFORM + 8) * _UNIFORM_BLOCK
         + _BYTES_PER_DEPTH * depth
         + _BYTES_PER_RECORD * (2 * depth + 1)
     )
@@ -116,63 +122,57 @@ def gillespie_run(
     mins = [0]
     maxs = [0]
 
-    block = rng.random(_UNIFORM_BLOCK)
-    pos = 0
-    events = 0
     log = math.log
 
     while True:
-        if pos + 2 > _UNIFORM_BLOCK:
-            block = rng.random(_UNIFORM_BLOCK)
-            pos = 0
-        u_time = block[pos]
-        u_depth = block[pos + 1]
-        pos += 2
+        # Python floats: the same IEEE arithmetic as float64 scalars, cheaper
+        it = iter(rng.random(_UNIFORM_BLOCK).tolist())
+        for u_time, u_depth in zip(it, it):
+            dt = -log(1.0 - u_time) / total_rate
+            t_next = t + dt
+            if t_next > t_end:
+                break
+            t = t_next
 
-        dt = -log(1.0 - u_time) / total_rate
-        t_next = t + dt
-        if t_next > t_end:
-            break
-        t = t_next
+            # Depth choice proportional to counts[d] * q^d, scanned from the top.
+            x = u_depth * total_rate
+            d = m_cur
+            acc = weights[d]
+            while acc < x and d < max_cur:
+                d += 1
+                acc += weights[d]
 
-        # Depth choice proportional to counts[d] * q^d, scanned from the top.
-        x = u_depth * total_rate
-        d = m_cur
-        acc = weights[d]
-        while acc < x and d < max_cur:
-            d += 1
-            acc += weights[d]
+            counts[d] -= 1
+            weights[d] = counts[d] * qpow[d]
+            child = d + 1
+            if child > max_cur:
+                q_child = qpow[d] * q
+                counts.append(k)
+                qpow.append(q_child)
+                weights.append(k * q_child)
+                max_cur = child
+                changed = True
+            else:
+                counts[child] += k
+                weights[child] = counts[child] * qpow[child]
+                changed = False
+            total_rate += k * qpow[child] - qpow[d]
 
-        counts[d] -= 1
-        weights[d] = counts[d] * qpow[d]
-        child = d + 1
-        if child > max_cur:
-            counts.append(0)
-            qpow.append(qpow[d] * q)
-            weights.append(0.0)
-        counts[child] += k
-        weights[child] = counts[child] * qpow[child]
-        total_rate += k * qpow[child] - qpow[d]
+            if counts[d] == 0 and d == m_cur:
+                while counts[m_cur] == 0:
+                    m_cur += 1
+                changed = True
+            if changed:
+                times.append(t)
+                mins.append(m_cur)
+                maxs.append(max_cur)
 
-        changed = False
-        if child > max_cur:
-            max_cur = child
-            changed = True
-        if counts[d] == 0 and d == m_cur:
-            while counts[m_cur] == 0:
-                m_cur += 1
-            changed = True
-        if changed:
-            times.append(t)
-            mins.append(m_cur)
-            maxs.append(max_cur)
-
-        if on_event is not None:
-            on_event(t, counts)
-
-        events += 1
-        if events % _RATE_REFRESH == 0:
+            if on_event is not None:
+                on_event(t, counts)
+        else:  # a full block: _RATE_REFRESH events
             total_rate = math.fsum(weights[m_cur : max_cur + 1])
+            continue
+        break
 
     census = DepthCensus(counts={d: c for d, c in enumerate(counts) if c > 0})
     return GillespieTrajectory(

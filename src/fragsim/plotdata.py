@@ -46,13 +46,16 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
         t_end = spec.t_end
         columns = ("replica", "t", "m_t", "lo_int", "hi_int")
         out_rows = []
+        windows = {}  # every replica probes the same grid of t
         for replica, stairs in sorted(_replica_staircases(rows).items()):
             times = np.array([t for t, _ in stairs])
             values = np.array([v for _, v in stairs])
             t = max(math.e * 1.05, times[0] if times.size else math.e * 1.05)
             while t <= t_end:
                 i = int(np.searchsorted(times, t, side="right")) - 1
-                window = largest_depth_window(params, t)
+                window = windows.get(t)
+                if window is None:
+                    window = windows[t] = largest_depth_window(params, t)
                 out_rows.append(
                     (replica, t, int(values[max(i, 0)]), window.lo_int, window.hi_int)
                 )

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fragsim import experiment, verify
+from fragsim import experiment, plotdata, verify
 from fragsim.cli import TAILS_MAX_ABS_ERROR, main
 from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
@@ -15,6 +15,7 @@ from fragsim.experiment import (
     run_experiment,
     sidecar_path,
 )
+from fragsim.predictors import largest_depth_window
 from fragsim.seeds import SeedSpec
 
 
@@ -37,10 +38,29 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="alpha"):
             ExperimentSpec(k=2, alpha=-1.0, engine="brw", n_max=1)
 
-    @pytest.mark.parametrize("floor", [math.inf, -math.inf, math.nan, "0"])
+    @pytest.mark.parametrize("floor", [math.inf, -math.inf, math.nan, "0", False])
     def test_floor_must_be_finite(self, floor):
         with pytest.raises(SpecError, match="floor"):
             ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=3, floor=floor)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", True), ("alpha", math.inf), ("alpha", math.nan),
+        ("t_end", True), ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
+        pytest.param("t_end", 10**400, id="t_end-int-beyond-float"),
+    ])
+    def test_reals_refuse_bool_and_non_finite(self, field, value):
+        fields = {"k": 2, "alpha": 1.0, "engine": "gillespie", "t_end": 10.0, field: value}
+        with pytest.raises(SpecError, match=field):
+            ExperimentSpec(**fields)
+
+    def test_from_dict_refuses_bool_alpha(self, tmp_path):
+        out = tmp_path / "g.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="gillespie", t_end=5.0, out=str(out))
+        run_experiment(spec)
+        meta = json.loads(sidecar_path(out).read_text())
+        meta["spec"]["alpha"] = True
+        with pytest.raises(SpecError, match="alpha must be a positive finite number, got True"):
+            ExperimentSpec.from_dict(meta["spec"])
 
     def test_round_trip(self):
         spec = ExperimentSpec(
@@ -319,6 +339,22 @@ class TestCliSurface:
         for r in rows:
             assert int(r[4]) <= int(r[5])
 
+    def test_plotdata_windows_computed_once_per_probe(self, tmp_path, monkeypatch):
+        out = tmp_path / "g.csv"
+        main([
+            "simulate", "gillespie", "--k", "2", "--alpha", "1", "--t-end", "200",
+            "--replicas", "3", "--seed", "4", "--out", str(out),
+        ])
+        probes = []
+
+        def counted(params, t):
+            probes.append(t)
+            return largest_depth_window(params, t)
+
+        monkeypatch.setattr(plotdata, "largest_depth_window", counted)
+        rows = plotdata.emit_plotdata(out, "windows", tmp_path / "w.csv")
+        assert len(probes) == len(set(probes)) and rows == 3 * len(probes)
+
     def test_plotdata_empty_record_header_only(self, tmp_path):
         csv = tmp_path / "empty.csv"
         csv.write_text(format_csv(("replica", "event_time", "m_t", "M_t"), []))
@@ -342,6 +378,14 @@ class TestCliSurface:
         assert main(argv + ["--config", str(config)]) == 2
         assert not out.exists()
         assert "floor must be a finite number" in capsys.readouterr().err
+
+    def test_config_non_finite_t_end_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[experiment]\nt_end = inf\n")
+        out = tmp_path / "g.csv"
+        assert main(["simulate", "gillespie", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "t_end must be a positive finite number, got inf" in capsys.readouterr().err
 
     def test_plotdata_non_finite_sidecar_floor_exits_2(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fragsim.errors import BudgetError, DomainError
-from fragsim.gillespie import gillespie_run
+from fragsim.gillespie import _UNIFORM_BLOCK, _projected_bytes, gillespie_run
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec
 
@@ -36,6 +38,48 @@ def test_determinism():
     assert np.array_equal(a.min_depths, b.min_depths)
     assert np.array_equal(a.max_depths, b.max_depths)
     assert a.census.counts == b.census.counts
+
+
+def _trajectory_digest(traj) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(traj.times, dtype="<f8").tobytes())
+    h.update(np.asarray(traj.min_depths, dtype="<i8").tobytes())
+    h.update(np.asarray(traj.max_depths, dtype="<i8").tobytes())
+    h.update(repr(sorted(traj.census.counts.items())).encode())
+    return h.hexdigest()
+
+
+# Recorded before the event loop moved to Python floats; any change to how the
+# engine consumes or combines its uniforms changes these digests.
+@pytest.mark.parametrize("params,t_end,seed,digest", [
+    (P21, math.e**9, SeedSpec(0, 0),
+     "e4311067486530441a47ea65ab5ac07ad1ace0025cad5a6ff74a9930e4492bbd"),
+    # 59,831 events in 15 uniform blocks; with q = 1/2 every weight is dyadic,
+    # so the incremental rate is exact and its refreshes change nothing
+    (P21, math.e**11, SeedSpec(42, 0),
+     "9219dda4105771befbbb6095e6234b4c1808334a438b3dcbacc61e595428ad7f"),
+    (P32, 50.0, SeedSpec(5, 7),
+     "c24f08da4dfeb2291aa94fefc8384e12c1857f45d64d8abb1b8eea0d40233394"),
+    # 55,496 events: 13 refreshes, each of which moves the rate's last bits
+    (P32, 1000.0, SeedSpec(1, 0),
+     "3a852471a59b04d5e8b3e2482a682f4cee8f4bb87498949e4d05476b54332061"),
+    (ModelParams(3, 0.5), math.e**4, SeedSpec(3, 1),
+     "c47d5f28f52cc761b61da156cd42bd936221531bba0a7ba95971e3098567ecc6"),
+], ids=["P21-e9", "P21-e11", "P32-50", "P32-1000", "P305-e4"])
+def test_draws_pinned(params, t_end, seed, digest):
+    assert _trajectory_digest(gillespie_run(params, t_end, seed)) == digest
+
+
+def test_on_event_sequence_pinned():
+    # 7,464 events, so one rate refresh and one block redraw
+    seen = []
+    gillespie_run(
+        P32, 300.0, SeedSpec(1, 0), on_event=lambda t, c: seen.append((float(t), tuple(c)))
+    )
+    assert len(seen) == 7464
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "75d981e23aaacb6e7848ab278b47321633474fc93d44dff282f120130720758a"
+    )
 
 
 @pytest.mark.parametrize("params,seed", [(P21, 3), (P32, 4)])
@@ -103,6 +147,15 @@ def test_budget_charges_held_state(monkeypatch):
     traj = gillespie_run(P21, math.e**9, SeedSpec(0, 0))
     assert traj.t_end == math.e**9
     assert len(traj.times) <= 2 * traj.max_depths[-1] + 1
+
+
+def test_budget_charges_listed_uniform_blocks():
+    # while a block is replaced the run can hold the old and the new list of
+    # Python floats and the float64 array the new one came from
+    block = SeedSpec(0, 0).rng().random(_UNIFORM_BLOCK)
+    listed = block.tolist()
+    held = 2 * (sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))) + block.nbytes
+    assert _projected_bytes(P21, 0.5) >= held
 
 
 def test_domain():
