@@ -10,34 +10,49 @@ centred points of the generations asked for. A single replica is a list of
 one seed.
 
 Every sweep runs on one kernel that advances a block of R replicas one
-generation at a time, each replica drawing from its own stream. A sweep
-allocates two buffers once: a child buffer of R*k^n_max doubles and a parent
-buffer of R*k^(n_max-1). Generation n is the (R, k^n) view of the first
-R*k^n child slots, so the footprint of a sweep is R frames plus their
-parents however many replicas it runs, and nothing is allocated per frame.
-R is the number of replicas whose frames fit in BLOCK_CAP_BYTES (1 MiB) and
-in the memory budget, and at least one: with k=2 it is 341 at n_max=8, 21
-at n_max=12 and 1 from n_max=16 up, where batching gains nothing.
+generation at a time, each replica drawing from its own stream, and a
+generation one chunk of leaves at a time. A chunk is R rows of at most
+BLOCK_CAP_BYTES (1 MiB) of leaves, a multiple of k wide, and goes through
+all of its steps while it is in cache: draw, add q times its parents (scaled
+in place), reduce to extremes, take its points. Generations before the last
+alternate between two buffers; the last is drawn a chunk at a time into the
+second buffer, which by then is free, and never held whole. A block thus
+holds R*k^(n_max-1) doubles plus the larger of R*k^(n_max-2) and one chunk.
+R is the number of replicas whose buffers fit in BLOCK_CAP_BYTES and in the
+memory budget, and at least one: with k=2 it is 341 at n_max=8, 21 at
+n_max=12 and 1 from n_max=16 up. When R > 1 a chunk is a whole generation,
+so the buffers hold R*(k^n_max + k^(n_max-1)) doubles, a frame and its
+parents; once generation n_max-2 fills a chunk, they hold 1/k of that.
+
+Where the last generation spans more than one chunk, blocks run on a pool
+of threads (the draws and the ufuncs release the GIL), each thread with its
+own buffers and its own rows of the result; below that size threads cost
+more than they gain. Every stream makes the same draws in the same order
+whatever the chunk and thread count, so results are byte-identical.
 tree_matrices runs the same kernel on one block of all its replicas, drawn
-from a single stream, and keeps every generation.
+from a single stream in one chunk per generation, and keeps every
+generation.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budget import budget_bytes, ensure_within_budget
+from .budget import budget_bytes, ensure_within_budget, usable_cpus
 from .errors import DomainError, check_int
 from .params import ModelParams
 from .seeds import SeedSpec
 
 DEFAULT_POINT_FLOOR = -5.0
 
-# Bytes of frames one kernel block may hold; beyond this, batching replicas
-# gains nothing over the cost of drawing their frames.
+# Bytes of buffers a batched kernel block may hold, and of leaves in one
+# chunk; beyond this, batching replicas gains nothing over the cost of
+# drawing their frames, and a chunk no longer stays in cache.
 BLOCK_CAP_BYTES = 1 << 20
 
 
@@ -57,66 +72,124 @@ class ReplicaSweep:
     points: dict[int, list[np.ndarray]] = field(repr=False)
 
 
-def _replica_bytes(k: int, n_max: int) -> int:
-    # one replica's child frame of k^n_max doubles plus its parent
-    return 8 * (k**n_max + k ** max(n_max - 1, 0))
+def _chunk_width(k: int, rows: int) -> int:
+    """Leaves per row in one chunk: as many as BLOCK_CAP_BYTES holds for
+    ``rows`` rows, rounded down to a multiple of k, and at least k."""
+    return max(k, BLOCK_CAP_BYTES // (8 * rows) // k * k)
+
+
+def _block_doubles(k: int, n_max: int, rows: int, width: int) -> tuple[int, int]:
+    """Sizes of a block's two buffers: the first holds generation n_max-1,
+    the second generation n_max-2 and then one chunk of generation n_max."""
+    held = rows * k ** (n_max - 1) if n_max else 0
+    return held, rows * max(k ** max(n_max - 2, 0), min(k**n_max, width))
+
+
+def _worker_bytes(k: int, n_max: int, rows: int) -> int:
+    return 8 * sum(_block_doubles(k, n_max, rows, _chunk_width(k, rows)))
 
 
 def block_rows(k: int, n_max: int) -> int:
     """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
-    budget admit, and at least one."""
+    budget admit the buffers of, and at least one."""
     check_int("n_max", n_max)
-    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _replica_bytes(k, n_max))
-
-
-def _buffers(
-    k: int, n_max: int, rows: int, what: str, kept_bytes: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's child and parent buffers for blocks of up to ``rows``
-    replicas, charged to the memory budget, with whatever the caller keeps,
-    before they are allocated."""
-    ensure_within_budget(rows * _replica_bytes(k, n_max) + kept_bytes, what)
-    return np.empty(rows * k**n_max), np.empty(rows * k ** max(n_max - 1, 0))
-
-
-def _row_streams(rngs: Sequence[np.random.Generator]) -> Callable[[np.ndarray], None]:
-    """Fill row r of a frame block from rngs[r]."""
-
-    def draw(frames: np.ndarray) -> None:
-        for rng, row in zip(rngs, frames):
-            rng.standard_exponential(out=row)
-
-    return draw
+    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _worker_bytes(k, n_max, 1))
 
 
 def _generations(
     params: ModelParams,
     n_max: int,
     rows: int,
+    width: int,
     draw: Callable[[np.ndarray], None],
-    child: np.ndarray,
-    parent: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, frames) for n = 0..n_max, frames being the (rows, k^n) view
-    of generation n in ``child``; the next generation overwrites it.
+    held: np.ndarray,
+    scratch: np.ndarray,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (n, a, chunk) for generations n = 0..n_max in turn, chunk being
+    the (rows, w) view of leaves a..a+w-1 of generation n, w <= ``width``.
+    The kernel reuses a chunk's memory once the next one is asked for.
 
-    ``draw`` fills a block with standard exponentials, each row in leaf
-    order, so a row's generation-n frame takes k^n draws before its
-    generation n+1 starts.
+    ``draw`` fills a chunk with standard exponentials, each row in leaf
+    order, so a row's generation-n frame takes k^n draws, chunk after chunk,
+    before its generation n+1 starts.
     """
     k, q = params.k, params.q
-    frames = child[:rows].reshape(rows, 1)
-    draw(frames)
-    yield 0, frames
-    for n in range(1, n_max + 1):
-        up = parent[: frames.size].reshape(frames.shape)
-        np.multiply(frames, q, out=up)
-        frames = child[: rows * k**n].reshape(rows, k**n)
-        draw(frames)
-        # children of parent p occupy slots p*k .. p*k+k-1
-        for j in range(k):
-            frames[:, j::k] += up
-        yield n, frames
+    parents = None
+    for n in range(n_max + 1):
+        size = k**n
+        # generation n_max-1 lands in ``held`` and n_max-2 in ``scratch``
+        frame = None
+        if n < n_max:
+            buffer = held if (n_max - 1 - n) % 2 == 0 else scratch
+            frame = buffer[: rows * size].reshape(rows, size)
+        for a in range(0, size, width):
+            w = min(width, size - a)
+            chunk = scratch[: rows * w].reshape(rows, w) if frame is None else frame[:, a : a + w]
+            draw(chunk)
+            if parents is not None:
+                # children of parent p occupy slots p*k .. p*k+k-1
+                up = parents[:, a // k : (a + w) // k]
+                up *= q
+                for j in range(k):
+                    chunk[:, j::k] += up
+            yield n, a, chunk
+        parents = frame
+
+
+def _sweep_block(
+    params: ModelParams,
+    n_max: int,
+    width: int,
+    rngs: Sequence[np.random.Generator],
+    buffers: tuple[np.ndarray, np.ndarray],
+    k_min: np.ndarray,
+    k_max: np.ndarray,
+    floor: float,
+    wanted: Sequence[int],
+) -> dict[int, list[np.ndarray]]:
+    """Run one block, one replica per stream in ``rngs``: write its extremes
+    into the rows ``k_min`` and ``k_max`` and return its points."""
+
+    def draw(chunk: np.ndarray) -> None:
+        for rng, row in zip(rngs, chunk):
+            rng.standard_exponential(out=row)
+
+    parts: dict[int, list[list[np.ndarray]]] = {n: [[] for _ in rngs] for n in wanted}
+    for n, a, chunk in _generations(params, n_max, len(rngs), width, draw, *buffers):
+        if a == 0:
+            chunk.min(axis=1, out=k_min[:, n])
+            chunk.max(axis=1, out=k_max[:, n])
+        else:
+            np.minimum(k_min[:, n], chunk.min(axis=1), out=k_min[:, n])
+            np.maximum(k_max[:, n], chunk.max(axis=1), out=k_max[:, n])
+        if n in parts:
+            shift = params.gamma * n
+            threshold = floor + shift
+            for row_parts, row in zip(parts[n], chunk):
+                row_parts.append(row[row >= threshold] - shift)
+    return {n: [np.sort(np.concatenate(p)) for p in per_row] for n, per_row in parts.items()}
+
+
+def _on_threads(run: Callable, jobs: Iterator[tuple], workers: int, buffers: Callable) -> None:
+    """Call run(*job, own) for every job, on ``workers`` threads that each
+    own one set of buffers from buffers(); one worker runs on this thread.
+    Threads take jobs one at a time, so ``jobs`` never runs on two at once."""
+    lock = threading.Lock()
+
+    def work() -> None:
+        own = buffers()
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            run(*job, own)
+
+    if workers == 1:
+        return work()
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
+            future.result()
 
 
 def sweep_replicas(
@@ -129,34 +202,41 @@ def sweep_replicas(
     """Extremes of generations 0..n_max for every seed, and the centred points
     at or above ``floor`` for the generations in ``point_generations`` only.
 
-    Replicas run in blocks of block_rows(k, n_max) through one pair of
-    buffers. Each replica's values are those of a sweep of its seed alone.
+    Replicas run in blocks of block_rows(k, n_max). Where the last generation
+    spans more than one chunk, min(blocks, usable CPUs, budget // one
+    block's buffers) threads run them, else one. Each replica's values are
+    those of a sweep of its seed alone.
     """
     k, gamma, count = params.k, params.gamma, len(seeds)
     if count < 1:
         raise DomainError("seeds must list at least one replica")
     rows = min(count, block_rows(k, n_max))
-    child, parent = _buffers(
-        k, n_max, rows, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
+    width = _chunk_width(k, rows)
+    held, scratch = _block_doubles(k, n_max, rows, width)
+    per_worker = 8 * (held + scratch)
+    ensure_within_budget(
+        per_worker, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
     )
-    wanted = set(point_generations)
+    starts = range(0, count, rows)
+    workers = 1
+    if k**n_max > width:
+        workers = min(len(starts), usable_cpus(), budget_bytes() // per_worker)
+    wanted = sorted(set(point_generations))
     k_min = np.empty((count, n_max + 1))
     k_max = np.empty((count, n_max + 1))
-    points: dict[int, list[np.ndarray]] = {n: [] for n in sorted(wanted)}
-    for lo in range(0, count, rows):
-        rngs = [s.rng() for s in seeds[lo : lo + rows]]
-        hi = lo + len(rngs)
-        draw = _row_streams(rngs)
-        for n, frames in _generations(params, n_max, len(rngs), draw, child, parent):
-            frames.min(axis=1, out=k_min[lo:hi, n])
-            frames.max(axis=1, out=k_max[lo:hi, n])
-            if n in wanted:
-                shift = gamma * n
-                threshold = floor + shift
-                for row in frames:
-                    points[n].append(np.sort(row[row >= threshold] - shift))
+    points: list = [None] * len(starts)
+
+    def run(i: int, rngs: list, own: tuple[np.ndarray, np.ndarray]) -> None:
+        lo, hi = starts[i], starts[i] + len(rngs)
+        points[i] = _sweep_block(
+            params, n_max, width, rngs, own, k_min[lo:hi], k_max[lo:hi], floor, wanted
+        )
+
+    # a block's streams are made when a thread takes it
+    jobs = ((i, [s.rng() for s in seeds[lo : lo + rows]]) for i, lo in enumerate(starts))
+    _on_threads(run, jobs, workers, lambda: (np.empty(held), np.empty(scratch)))
     tau = k_max - gamma * np.arange(n_max + 1)
-    return ReplicaSweep(k_min, k_max, tau, points)
+    return ReplicaSweep(k_min, k_max, tau, {n: [p for b in points for p in b[n]] for n in wanted})
 
 
 def tree_matrices(
@@ -171,16 +251,20 @@ def tree_matrices(
     check_int("n_max", n_max)
     check_int("replicas", replicas, 1)
     k = params.k
+    width = k**n_max
+    held, scratch = _block_doubles(k, n_max, replicas, width)
     kept = 8 * replicas * sum(k**n for n in range(n_max + 1))
-    child, parent = _buffers(
-        k, n_max, replicas, f"tree matrices to generation {n_max} x {replicas} replicas", kept
+    ensure_within_budget(
+        8 * (held + scratch) + kept,
+        f"tree matrices to generation {n_max} x {replicas} replicas",
     )
     rng = seed.rng()
 
     def draw(frames: np.ndarray) -> None:
         rng.standard_exponential(out=frames)
 
-    return [f.copy() for _, f in _generations(params, n_max, replicas, draw, child, parent)]
+    buffers = np.empty(held), np.empty(scratch)
+    return [c.copy() for _, _, c in _generations(params, n_max, replicas, width, draw, *buffers)]
 
 
 def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Memory budget for the simulation engines (env FRAGSIM_BUDGET_BYTES)."""
+"""What the simulation engines may use: a memory budget (env
+FRAGSIM_BUDGET_BYTES) and the CPUs this process may run on."""
 
 from __future__ import annotations
 
@@ -30,3 +31,12 @@ def ensure_within_budget(required_bytes: int, what: str) -> None:
     budget = budget_bytes()
     if required_bytes > budget:
         raise BudgetError(required_bytes, budget, what)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else os.cpu_count(), and at least one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

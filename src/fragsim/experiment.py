@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
-import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
+from .budget import usable_cpus
 from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
 from .params import ModelParams
@@ -187,7 +187,10 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
             replicas, sweep.k_min.tolist(), sweep.k_max.tolist(), sweep.tau.tolist()
         ):
             rows.extend(zip(repeat(r), range(n_max + 1), k_min, k_max, tau))
-        points = {str(r): p.tolist() for r, p in zip(replicas, sweep.points[n_max])}
+        # free each array once listed, so that the lists reuse its memory
+        # rather than sit beside every array
+        final = sweep.points.pop(n_max)[::-1]
+        points = {str(r): final.pop().tolist() for r in replicas}
         return rows, {"points_final_generation": points}
     for r, seed in zip(replicas, seeds):
         if spec.engine == "gillespie":
@@ -203,8 +206,8 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
 
 
 def _blocks(spec: ExperimentSpec) -> list[tuple[int, int]]:
-    """Replica ranges [lo, hi) that one payload call runs: a BRW kernel block
-    each, or one replica for the other engines."""
+    """Replica ranges [lo, hi) that one pool worker's payload call runs: a
+    BRW kernel block each, or one replica for the other engines."""
     size = block_rows(spec.k, spec.n_max) if spec.engine == "brw" else 1
     return [(lo, min(lo + size, spec.replicas)) for lo in range(0, spec.replicas, size)]
 
@@ -214,17 +217,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
 
     Output ordering is by replica index regardless of completion order, and
     workers communicate by value only, so the CSV body is independent of
-    ``jobs``. At most min(jobs, blocks, CPUs) worker processes start.
+    ``jobs``. At most min(jobs, blocks, CPUs) worker processes start; with
+    one, a single payload call runs every replica in this process, so that
+    one BRW sweep sees them all.
     """
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs!r}")
     start = time.monotonic()
     blocks = _blocks(spec)
-    los, his = zip(*blocks)
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    workers = min(jobs, len(blocks), usable_cpus())
     if workers == 1:
-        payloads = list(map(_block_payload, repeat(spec), los, his))
+        payloads = [_block_payload(spec, 0, spec.replicas)]
     else:
+        los, his = zip(*blocks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(_block_payload, repeat(spec), los, his))
     rows: list[tuple] = []

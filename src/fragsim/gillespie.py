@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import ensure_within_budget
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .params import ModelParams
 from .predictors import smallest_depth_center
 from .seeds import SeedSpec
@@ -102,8 +102,7 @@ def gillespie_run(
     on_event, when given, is called as on_event(t, counts) with the live
     counts list after every event; inspection only, must not mutate.
     """
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise DomainError(f"t_end must be a positive real, got {t_end!r}")
+    check_real("t_end", t_end, positive=True)
     ensure_within_budget(
         _projected_bytes(params, t_end), f"gillespie run to t={t_end}"
     )

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fragsim import brw
 from fragsim.brw import (
     block_rows,
     spine_sample,
@@ -103,10 +106,12 @@ class TestBrwSweep:
             assert (np.diff(points) >= 0).all()
 
     def test_budget_guard_before_allocation(self, monkeypatch):
+        # generation 23 plus generation 22, into which generation 24 is
+        # drawn a chunk at a time
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
         with pytest.raises(BudgetError) as err:
             sweep_replicas(P21, 24, [SeedSpec(0, 0)])
-        assert err.value.required_bytes == 8 * (2**24 + 2**23)
+        assert err.value.required_bytes == 8 * (2**23 + 2**22)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -172,7 +177,13 @@ class TestKernelParity:
             assert np.array_equal(sweep.tau[row], alone.tau[0])
 
     def test_block_size(self):
-        assert [block_rows(2, n) for n in (8, 12, 13, 16, 20)] == [341, 21, 10, 1, 1]
+        assert [block_rows(2, n) for n in (8, 12, 13, 16, 17, 20)] == [341, 21, 10, 1, 1, 1]
+        # one replica's buffers: a frame and its parents while the last
+        # generation fits in one 1 MiB chunk, else generation n-1 and the
+        # larger of generation n-2 and a chunk
+        assert [brw._worker_bytes(2, n, 1) for n in (8, 17, 18, 20)] == [
+            8 * (2**8 + 2**7), 8 * (2**17 + 2**16), 8 * (2**17 + 2**17), 8 * (2**19 + 2**18)
+        ]
 
     def test_budget_shrinks_the_block(self, monkeypatch):
         seeds = [SeedSpec(5, r) for r in range(7)]
@@ -184,6 +195,84 @@ class TestKernelParity:
             assert a.tobytes() == b.tobytes()
         for a, b in zip(shrunk.points[8], full.points[8], strict=True):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("params", [P21, P31], ids=["k2", "k3"])
+    def test_chunks_match_oracle(self, params, monkeypatch):
+        # chunks of 64 leaves, 63 at k=3: generations 7 and 8 at k=2 and 4 to
+        # 8 at k=3 cross chunk edges, and generation 8 spans 4 chunks at k=2
+        # and 105 at k=3
+        monkeypatch.setattr(brw, "BLOCK_CAP_BYTES", 8 * 64)
+        seeds = [SeedSpec(13, r) for r in range(3)]
+        frames = [brw_frames_oracle(params.k, params.q, 8, s.rng()) for s in seeds]
+        for floor in (-math.inf, 0.0, math.inf):
+            sweeps = []
+            for workers in (1, 2):
+                monkeypatch.setattr(brw, "usable_cpus", lambda: workers)
+                sweeps.append(sweep_replicas(params, 8, seeds, floor, range(9)))
+            one, two = sweeps
+            for a, b in ((one.k_min, two.k_min), (one.k_max, two.k_max), (one.tau, two.tau)):
+                assert a.tobytes() == b.tobytes()
+            for n in range(9):
+                for a, b in zip(one.points[n], two.points[n], strict=True):
+                    assert a.tobytes() == b.tobytes()
+            for r, fs in enumerate(frames):
+                for n, f in enumerate(fs):
+                    k_min, k_max, tau, points = brw_summary_oracle(f, n, params.gamma, floor)
+                    assert (one.k_min[r, n], one.k_max[r, n], one.tau[r, n]) == (k_min, k_max, tau)
+                    assert one.points[n][r].tobytes() == points.tobytes()
+
+    def test_thread_count(self, monkeypatch):
+        pools = []
+
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(brw, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(brw, "BLOCK_CAP_BYTES", 8 * 64)
+        monkeypatch.setattr(brw, "usable_cpus", lambda: 64)
+        seeds = [SeedSpec(3, r) for r in range(5)]
+        sweep_replicas(P21, 6, seeds)  # generation 6 is one chunk: no threads
+        assert pools == []
+        sweep_replicas(P21, 8, seeds[:3])  # one replica a block, 3 blocks
+        assert pools == [3]
+        # generation 7, and generation 6 into which generation 8 is drawn
+        per_worker = 8 * (2**7 + 2**6)
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * per_worker - 1))
+        one = sweep_replicas(P21, 8, seeds, point_generations=(8,))
+        assert pools == [3]  # room for one worker: it runs, on this thread
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * per_worker))
+        two = sweep_replicas(P21, 8, seeds, point_generations=(8,))
+        assert pools == [3, 2]
+        assert one.k_max.tobytes() == two.k_max.tobytes()
+        for a, b in zip(one.points[8], two.points[8], strict=True):
+            assert a.tobytes() == b.tobytes()
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(per_worker - 1))
+        with pytest.raises(BudgetError) as err:
+            sweep_replicas(P21, 8, seeds)
+        assert err.value.required_bytes == per_worker
+
+    def test_threads_stress(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost or misplaced row would change the bytes
+        monkeypatch.setattr(brw, "BLOCK_CAP_BYTES", 8 * 64)
+        seeds = [SeedSpec(21, r) for r in range(24)]
+        sweeps = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 8):
+                monkeypatch.setattr(brw, "usable_cpus", lambda: workers)
+                sweeps.append(sweep_replicas(P31, 8, seeds, -math.inf, (7, 8)))
+        finally:
+            sys.setswitchinterval(interval)
+        one, many = sweeps
+        assert one.k_min.tobytes() == many.k_min.tobytes()
+        assert one.k_max.tobytes() == many.k_max.tobytes()
+        for n in (7, 8):
+            for a, b in zip(one.points[n], many.points[n], strict=True):
+                assert a.tobytes() == b.tobytes()
 
     def test_simulate_csv_digest(self, tmp_path, capsys):
         """Recorded with the frame-by-frame sampler; 200 replicas at n=10

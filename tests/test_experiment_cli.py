@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from fragsim import experiment, plotdata, verify
+from fragsim import budget, experiment, plotdata, verify
+from fragsim.brw import sweep_replicas
 from fragsim.cli import TAILS_MAX_ABS_ERROR, main
 from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
@@ -212,15 +213,37 @@ class TestRunRecord:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
         assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2",
                      "--jobs", "5000", "--out", str(tmp_path / "b.csv")]) == 0
         assert pools == []  # one block: no pool at all
         gil = ExperimentSpec(k=2, alpha=1.0, engine="gillespie", t_end=20.0, replicas=3)
         assert run_experiment(gil, jobs=5000).rows == run_experiment(gil).rows
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
         run_experiment(gil, jobs=5000)
         assert pools == [3, 2]
+
+    def test_one_worker_runs_one_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(params, n_max, seeds, *args):
+            calls.append(len(seeds))
+            return sweep_replicas(params, n_max, seeds, *args)
+
+        monkeypatch.setattr(experiment, "sweep_replicas", counted)
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=10, replicas=200)
+        assert len(experiment._blocks(spec)) == 3
+        run_experiment(spec, jobs=1)
+        assert calls == [200]
+
+    def test_usable_cpus_honours_affinity(self, monkeypatch):
+        monkeypatch.setattr(budget.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(budget.os, "cpu_count", lambda: 64)
+        assert budget.usable_cpus() == 3
+        monkeypatch.delattr(budget.os, "sched_getaffinity")
+        assert budget.usable_cpus() == 64
+        monkeypatch.setattr(budget.os, "cpu_count", lambda: None)
+        assert budget.usable_cpus() == 1
 
     def test_sidecar_contents(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -163,3 +163,10 @@ def test_domain():
         gillespie_run(P21, -1.0, SeedSpec(0, 0))
     with pytest.raises(DomainError):
         gillespie_run(P21, math.inf, SeedSpec(0, 0))
+
+
+@pytest.mark.parametrize("t_end", [10**400, True])
+def test_t_end_refuses_huge_int_and_bool(t_end):
+    # 10**400 has no float, and True is not a horizon of 1
+    with pytest.raises(DomainError, match="t_end"):
+        gillespie_run(P21, t_end, SeedSpec(0, 0))
