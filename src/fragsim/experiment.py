@@ -21,6 +21,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
 from .budget import usable_cpus
 from .errors import SpecError, check_int, check_real
@@ -187,10 +189,8 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
             replicas, sweep.k_min.tolist(), sweep.k_max.tolist(), sweep.tau.tolist()
         ):
             rows.extend(zip(repeat(r), range(n_max + 1), k_min, k_max, tau))
-        # free each array once listed, so that the lists reuse its memory
-        # rather than sit beside every array
-        final = sweep.points.pop(n_max)[::-1]
-        points = {str(r): final.pop().tolist() for r in replicas}
+        # float64 arrays, listed only as write_record encodes them
+        points = dict(zip(map(str, replicas), sweep.points[n_max]))
         return rows, {"points_final_generation": points}
     for r, seed in zip(replicas, seeds):
         if spec.engine == "gillespie":
@@ -266,8 +266,10 @@ def write_record(record: ResultRecord) -> None:
         "wall_clock_s": record.wall_clock_s,
         "extras": record.extras,
     }
-    # one line: without indent, json encodes the points in C
-    sidecar_path(out).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    # one line: without indent, json encodes the points in C; each point
+    # array is listed only when reached, so the floats of all never coexist
+    text = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist)
+    sidecar_path(out).write_text(text + "\n")
 
 
 def read_record_files(csv_path: str | Path) -> tuple[list[str], list[list[str]], dict]:

@@ -10,7 +10,15 @@ explicit bound on the accumulated floating-point error. When the complement
 cancellation, the CDF is recomputed from the two-sided simplex sandwich and
 the sandwich half-width is reported as the error.
 
-Each series stops at the first term whose exponential ``exp(-q^{-j} t)`` is
+Term j of each series is ``num_j * exp(-rate_j t) / den_j``, and only the
+exponential depends on t. The (num, rate, den) triples are therefore built
+once per (q, n) for the finite-n survival and density, and once per q for
+the full perpetuity, and cached as immutable tuples, so a t grid pays for
+them once. Every law then runs one loop, ``_sum_terms``, that forms each
+term with the same float operations in the same order as a term-by-term
+evaluation and adds it into the compensated sum.
+
+That loop stops at the first term whose exponential ``exp(-q^{-j} t)`` is
 exactly 0.0. For t > 0 the rate q^{-j} only grows with j, so every later
 term is +-0.0 as well. Adding +-0.0 leaves both the compensated sum and the
 sum of |terms| bit-for-bit unchanged, so the stop changes no value and no
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, check_int
 from .lefttail import left_tail_sandwich, log_simplex_upper
@@ -56,40 +65,75 @@ def _tail(value: float, abs_error: float) -> TailEval:
     return TailEval(min(max(value, 0.0), 1.0), max(abs_error, 0.0))
 
 
-def _neumaier(terms) -> tuple[float, float]:
-    """Compensated sum; returns (sum, sum of |terms|) for error budgeting."""
-    total = 0.0
-    comp = 0.0
-    absum = 0.0
-    for term in terms:
-        absum += abs(term)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return total + comp, absum
+@lru_cache(maxsize=256, typed=True)
+def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
+    """Term table of the finite-n series: one (numerator, rate, denominator)
+    triple per j = 0..n, with numerator (-1)^j q^{j(j+1)/2 - j*shift}, rate
+    q^{-j} and denominator phi_j phi_{n-j}.
 
-
-def _series_terms(q: float, n: int, t: float, exponent_shift: int):
-    """Terms (-1)^j q^{j(j+1)/2 - j*shift} exp(-q^{-j} t) / (phi_j phi_{n-j}).
-
-    shift=0 gives the survival series, shift=1 the density series. Stops at
-    the first zero exponential; every later term would be +-0.0.
+    shift=0 gives the survival series, shift=1 the density series. Cached
+    per (q, n, shift) like ``qpochhammer_factors``, and typed for the same
+    reason.
     """
     phis = qpochhammer_factors(q, n)
+    table = []
     sign = 1.0
     qpow = 1.0  # q^{j(j+1)/2 - j*shift}
     rate = 1.0  # q^{-j}
     for j in range(n + 1):
-        ex = math.exp(-rate * t) if t > 0.0 else 1.0
-        if ex == 0.0:
-            return
-        yield sign * qpow * ex / (phis[j] * phis[n - j])
+        table.append((sign * qpow, rate, phis[j] * phis[n - j]))
         sign = -sign
         qpow *= q ** (j + 1 - exponent_shift)
         rate /= q
+    return tuple(table)
+
+
+@lru_cache(maxsize=256)
+def _limit_coeffs(q: float) -> tuple:
+    """Term table of the full-perpetuity series: (numerator, rate, phi_j) for
+    each j until q^{j(j+1)/2}/phi_j drops below LIMIT_SERIES_TOL * phi_inf(q).
+    The cutoff does not depend on t, so it is applied here once."""
+    cutoff = LIMIT_SERIES_TOL * qpochhammer_limit(q)
+    table = []
+    sign = 1.0
+    qpow = 1.0  # q^{j(j+1)/2}
+    rate = 1.0  # q^{-j}
+    phi_j = 1.0
+    j = 0
+    while j == 0 or qpow / phi_j >= cutoff:
+        table.append((sign * qpow, rate, phi_j))
+        sign = -sign
+        j += 1
+        qpow *= q**j
+        phi_j *= 1.0 - q**j
+        rate /= q
+    return tuple(table)
+
+
+def _sum_terms(table: tuple, t: float) -> tuple[float, float]:
+    """Neumaier-compensated sum of numerator * exp(-rate t) / denominator over
+    a term table; returns (sum, sum of |terms|) for error budgeting.
+
+    Stops at the first zero exponential; every later term would be +-0.0.
+    """
+    exp = math.exp
+    total = 0.0
+    comp = 0.0
+    absum = 0.0
+    for num, rate, den in table:
+        ex = exp(-rate * t) if t > 0.0 else 1.0
+        if ex == 0.0:
+            break
+        term = num * ex / den
+        size = abs(term)
+        absum += size
+        s = total + term
+        if abs(total) >= size:
+            comp += (total - s) + term
+        else:
+            comp += (term - s) + total
+        total = s
+    return total + comp, absum
 
 
 def _check_nt(n: int, t: float) -> None:
@@ -107,7 +151,7 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
     _check_nt(n, t)
     if t == 0.0:
         return _tail(1.0, 0.0)
-    value, absum = _neumaier(_series_terms(q, n, t, exponent_shift=0))
+    value, absum = _sum_terms(_series_coeffs(q, n, 0), t)
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 
@@ -115,7 +159,7 @@ def perpetuity_density(q_or_params, n: int, t: float) -> TailEval:
     """Density of sum_{i=0..n} q^i W_i; equals -d/dt of the survival."""
     q = as_q(q_or_params)
     _check_nt(n, t)
-    value, absum = _neumaier(_series_terms(q, n, t, exponent_shift=1))
+    value, absum = _sum_terms(_series_coeffs(q, n, 1), t)
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 
@@ -133,33 +177,9 @@ def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
     if t == 0.0:
         return _tail(1.0, 0.0)
     phi_inf = qpochhammer_limit(q)
-    cutoff = LIMIT_SERIES_TOL * phi_inf
-
-    def terms():
-        sign = 1.0
-        qpow = 1.0
-        rate = 1.0
-        phi_j = 1.0
-        j = 0
-        while True:
-            bound = qpow / phi_j
-            if j > 0 and bound < cutoff:
-                break
-            ex = math.exp(-rate * t)
-            if ex == 0.0:  # t > 0: every later term is +-0.0
-                break
-            yield sign * qpow * ex / phi_j
-            sign = -sign
-            j += 1
-            qpow *= q**j
-            phi_j *= 1.0 - q**j
-            rate /= q
-            if j > 10_000:  # unreachable for q < 1; defensive
-                break
-
-    value, absum = _neumaier(terms())
+    value, absum = _sum_terms(_limit_coeffs(q), t)
     # Remainder bound: first omitted term over (1 - q), normalized by phi_inf.
-    trunc = cutoff / (1.0 - q)
+    trunc = LIMIT_SERIES_TOL * phi_inf / (1.0 - q)
     err = (_TERM_ULPS * _EPS * absum + trunc) / phi_inf + _EPS
     return _tail(value / phi_inf, err)
 
@@ -221,8 +241,13 @@ def tagged_depth_pmf(q_or_params, n: int, t: float) -> TailEval:
 
 
 def gumbel_limit_cdf(q_or_params, s: float) -> float:
-    """Limit law exp(-exp(-s)/phi_inf(q)) of the centred generation maximum."""
+    """Limit law exp(-exp(-s)/phi_inf(q)) of the centred generation maximum.
+
+    Equals 0.0 at s = -inf and 1.0 at s = +inf; a NaN s is refused.
+    """
     phi_inf = qpochhammer_limit(as_q(q_or_params))
+    if math.isnan(s):
+        raise DomainError(f"s must be a real or +-inf, got {s!r}")
     if s < -700.0:
         return 0.0
     return math.exp(-math.exp(-s) / phi_inf)

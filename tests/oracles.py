@@ -13,13 +13,24 @@ package:
 The convolution route never uses a closed form beyond exp(-t) for a single
 exponential; the partial-fractions route evaluates rate products directly
 without any q-product identity.
+
+A third route, the term-by-term references ``series_reference`` and
+``limit_reference``, shares the package's formula on purpose: it forms every
+term of the alternating series afresh, with the same float operations in the
+same order, and sums them with a plain Neumaier loop. It pins the package's
+cached term tables bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import math
+
 from mpmath import mp, mpf
 from scipy.interpolate import CubicSpline
+
+from fragsim.laws import _EPS, _TERM_ULPS, LIMIT_SERIES_TOL
+from fragsim.qseries import qpochhammer_factors, qpochhammer_limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # exp(-u) beyond this carries less mass than any tolerance used here
@@ -60,6 +71,69 @@ def hypoexp_density_mp(q: float, n: int, t: float, dps: int = 60) -> mpf:
                     coeff *= rk / (rk - rj)
             total += coeff * rj * mp.e ** (-rj * mpf(t))
         return total
+
+
+def neumaier(terms) -> tuple[float, float]:
+    """Compensated sum; returns (sum, sum of |terms|) for error budgeting."""
+    total = 0.0
+    comp = 0.0
+    absum = 0.0
+    for term in terms:
+        absum += abs(term)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    return total + comp, absum
+
+
+def _clamp(value: float, abs_error: float) -> tuple[float, float]:
+    return min(max(value, 0.0), 1.0), max(abs_error, 0.0)
+
+
+def series_reference(q: float, n: int, t: float, shift: int, stop: bool = True):
+    """(value, abs_error) of the finite-n survival (shift=0) or density
+    (shift=1) series, term by term. With ``stop`` the sum ends at the first
+    zero exponential, as the package does; without it all n+1 terms are
+    added."""
+    phis = qpochhammer_factors(q, n)
+    sign, qpow, rate = 1.0, 1.0, 1.0
+    terms = []
+    for j in range(n + 1):
+        ex = math.exp(-rate * t) if t > 0.0 else 1.0
+        if stop and ex == 0.0:
+            break
+        terms.append(sign * qpow * ex / (phis[j] * phis[n - j]))
+        sign = -sign
+        qpow *= q ** (j + 1 - shift)
+        rate /= q
+    value, absum = neumaier(terms)
+    return _clamp(value, _TERM_ULPS * _EPS * absum + _EPS)
+
+
+def limit_reference(q: float, t: float, stop: bool = True):
+    """(value, abs_error) of the full-perpetuity survival at t > 0, term by
+    term down to the LIMIT_SERIES_TOL cutoff; ``stop`` as in
+    ``series_reference``."""
+    phi_inf = qpochhammer_limit(q)
+    cutoff = LIMIT_SERIES_TOL * phi_inf
+    sign, qpow, rate, phi_j, j = 1.0, 1.0, 1.0, 1.0, 0
+    terms = []
+    while j == 0 or qpow / phi_j >= cutoff:
+        ex = math.exp(-rate * t)
+        if stop and ex == 0.0:
+            break
+        terms.append(sign * qpow * ex / phi_j)
+        sign = -sign
+        j += 1
+        qpow *= q**j
+        phi_j *= 1.0 - q**j
+        rate /= q
+    value, absum = neumaier(terms)
+    err = (_TERM_ULPS * _EPS * absum + cutoff / (1.0 - q)) / phi_inf + _EPS
+    return _clamp(value / phi_inf, err)
 
 
 class ConvolutionSurvival:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fragsim import budget, experiment, plotdata, verify
@@ -256,6 +257,19 @@ class TestRunRecord:
         assert meta["schema_version"] == SCHEMA_VERSION
         assert meta["spec"]["engine"] == "brw"
         assert "points_final_generation" in meta["extras"]
+
+    def test_sidecar_points_encode_as_lists(self, tmp_path):
+        out = tmp_path / "p.csv"
+        spec = ExperimentSpec(
+            k=2, alpha=1.0, engine="brw", n_max=6, replicas=12,
+            master_seed=3, out=str(out),
+        )
+        points = run_experiment(spec).extras["points_final_generation"]
+        assert list(points) == [str(r) for r in range(12)]
+        assert all(isinstance(p, np.ndarray) for p in points.values())
+        listed = {"points_final_generation": {r: p.tolist() for r, p in points.items()}}
+        encoded = '"extras": ' + json.dumps(listed, sort_keys=True) + ", "
+        assert encoded in sidecar_path(out).read_text()
 
     def test_spine_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fragsim import laws
 from fragsim.errors import DomainError
 from fragsim.laws import (
-    _EPS,
-    _TERM_ULPS,
     TailEval,
-    _neumaier,
     gumbel_limit_cdf,
     perpetuity_cdf,
     perpetuity_density,
@@ -21,9 +20,15 @@ from fragsim.laws import (
     tagged_depth_pmf,
 )
 from fragsim.params import ModelParams
-from fragsim.qseries import qpochhammer_factors, qpochhammer_limit
+from fragsim.qseries import qpochhammer_limit
 
-from oracles import hypoexp_cdf_mp, hypoexp_density_mp, hypoexp_survival_mp
+from oracles import (
+    hypoexp_cdf_mp,
+    hypoexp_density_mp,
+    hypoexp_survival_mp,
+    limit_reference,
+    series_reference,
+)
 
 QS = (0.3, 0.5, 0.8)
 
@@ -133,62 +138,109 @@ class TestDensity:
             assert worst <= golden * (1 + 1e-9)
 
 
-def _full_series(q, n, t, shift):
-    # every one of the n+1 terms, with no stop at a zero exponential
-    phis = qpochhammer_factors(q, n)
-    sign, qpow, rate = 1.0, 1.0, 1.0
-    terms = []
-    for j in range(n + 1):
-        ex = math.exp(-rate * t)  # t > 0
-        terms.append(sign * qpow * ex / (phis[j] * phis[n - j]))
-        sign = -sign
-        qpow *= q ** (j + 1 - shift)
-        rate /= q
-    value, absum = _neumaier(terms)
-    return min(max(value, 0.0), 1.0), _TERM_ULPS * _EPS * absum + _EPS
-
-
-def _full_limit(q, t, tol=1e-14):
-    # every term down to the tol cutoff, with no stop at a zero exponential
-    phi_inf = qpochhammer_limit(q)
-    cutoff = tol * phi_inf
-    sign, qpow, rate, phi_j, j = 1.0, 1.0, 1.0, 1.0, 0
-    terms = []
-    while j == 0 or qpow / phi_j >= cutoff:
-        ex = math.exp(-rate * t)  # t > 0
-        terms.append(sign * qpow * ex / phi_j)
-        sign = -sign
-        j += 1
-        qpow *= q**j
-        phi_j *= 1.0 - q**j
-        rate /= q
-    value, absum = _neumaier(terms)
-    err = (_TERM_ULPS * _EPS * absum + cutoff / (1.0 - q)) / phi_inf + _EPS
-    return min(max(value / phi_inf, 0.0), 1.0), err
-
-
 STOP_TS = (5e-324, 1e-300, 0.02, 1.0, 20.0, 700.0, 746.0, 1e300)
+
+
+def _reprs(ev):
+    # repr tells -0.0 from 0.0
+    return repr(ev.value), repr(ev.abs_error)
+
+
+def _same(ev, ref):
+    assert _reprs(ev) == tuple(map(repr, ref))
 
 
 class TestSeriesStop:
     """Ending a series at its first zero exponential changes no bit."""
 
-    @staticmethod
-    def _same(ev, ref):
-        # repr tells -0.0 from 0.0
-        assert (repr(ev.value), repr(ev.abs_error)) == tuple(map(repr, ref))
-
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
     @pytest.mark.parametrize("n", [0, 1, 5, 40, 200])
     def test_finite_n_matches_full_sum(self, q, n):
         for t in STOP_TS:
-            self._same(perpetuity_survival(q, n, t), _full_series(q, n, t, 0))
-            self._same(perpetuity_density(q, n, t), _full_series(q, n, t, 1))
+            full = series_reference(q, n, t, 0, stop=False)
+            _same(perpetuity_survival(q, n, t), full)
+            full = series_reference(q, n, t, 1, stop=False)
+            _same(perpetuity_density(q, n, t), full)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
     def test_limit_matches_full_sum(self, q):
         for t in STOP_TS:
-            self._same(perpetuity_survival_limit(q, t), _full_limit(q, t))
+            full = limit_reference(q, t, stop=False)
+            _same(perpetuity_survival_limit(q, t), full)
+
+
+PARITY_TS = (0.0, 5e-324, 745.0, 746.0, 1e300)
+
+
+def _reference_survival(q, n, t):
+    if t == 0.0:
+        return TailEval(1.0, 0.0)
+    return TailEval(*series_reference(q, n, t, 0))
+
+
+class TestTermTables:
+    """The cached term tables give every law bit for bit the value of the
+    term-by-term reference sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.integers(min_value=0, max_value=400),
+        st.one_of(
+            st.sampled_from(PARITY_TS),
+            st.floats(min_value=0.0, max_value=800.0),
+            st.floats(min_value=0.0, max_value=1e300),
+        ),
+    )
+    def test_parity_with_term_by_term_sum(self, q, n, t):
+        ref = series_reference(q, n, t, 0) if t > 0.0 else (1.0, 0.0)
+        _same(perpetuity_survival(q, n, t), ref)
+        _same(perpetuity_density(q, n, t), series_reference(q, n, t, 1))
+        ref = limit_reference(q, t) if t > 0.0 else (1.0, 0.0)
+        _same(perpetuity_survival_limit(q, t), ref)
+        # the compositions, with the reference survival in place of the tables
+        fns = (perpetuity_cdf, split_time_survival, tagged_depth_pmf)
+        got = [_reprs(fn(q, n, t)) for fn in fns]
+        with mock.patch.object(laws, "perpetuity_survival", _reference_survival):
+            assert got == [_reprs(fn(q, n, t)) for fn in fns]
+
+    def test_tables_are_immutable_tuples(self):
+        for table in (laws._series_coeffs(0.5, 40, 0), laws._limit_coeffs(0.5)):
+            assert isinstance(table, tuple)
+            assert all(isinstance(row, tuple) and len(row) == 3 for row in table)
+        assert len(laws._series_coeffs(0.5, 40, 1)) == 41
+
+    def test_cache_clear_changes_no_value(self):
+        def values():
+            return [
+                _reprs(fn(q, *args))
+                for q in (0.3, 0.5, 0.95)
+                for fn, args in (
+                    (perpetuity_survival, (40, 1.5)),
+                    (perpetuity_density, (200, 0.0)),
+                    (perpetuity_density, (5, 3.0)),
+                    (perpetuity_cdf, (40, 0.01)),
+                    (perpetuity_survival_limit, (2.0,)),
+                )
+            ]
+
+        before = values()
+        laws._series_coeffs.cache_clear()
+        laws._limit_coeffs.cache_clear()
+        assert laws._series_coeffs.cache_info().currsize == 0
+        assert values() == before
+        assert values() == before  # now from the refilled tables
+
+    def test_bool_n_refused_after_int_n_cached(self):
+        perpetuity_survival(0.5, 1, 1.0)
+        perpetuity_density(0.5, 1, 1.0)
+        for fn in (perpetuity_survival, perpetuity_density):
+            with pytest.raises(DomainError):
+                fn(0.5, True, 1.0)
+        # the cache is typed, so n=True misses the n=1 entry
+        for shift in (0, 1):
+            with pytest.raises(DomainError):
+                laws._series_coeffs(0.5, True, shift)
 
 
 class TestSurvivalLimit:
@@ -320,3 +372,9 @@ class TestGumbelLimit:
     def test_limits(self):
         assert gumbel_limit_cdf(0.5, -800.0) == 0.0
         assert gumbel_limit_cdf(0.5, 800.0) == 1.0
+        assert gumbel_limit_cdf(0.5, -math.inf) == 0.0
+        assert gumbel_limit_cdf(0.5, math.inf) == 1.0
+
+    def test_nan_refused(self):
+        with pytest.raises(DomainError):
+            gumbel_limit_cdf(0.5, math.nan)
