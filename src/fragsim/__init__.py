@@ -52,7 +52,6 @@ from .predictors import (
     smallest_depth_envelope_inverse,
     smallest_depth_window,
     solve_min_leaf_center,
-    staircase_value_window,
 )
 from .qseries import qpochhammer, qpochhammer_factors, qpochhammer_limit
 from .seeds import SeedSpec, stream_seed

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import budget_bytes, ensure_within_budget, usable_cpus
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .params import ModelParams
 from .seeds import SeedSpec
 
@@ -210,6 +210,8 @@ def sweep_replicas(
     k, gamma, count = params.k, params.gamma, len(seeds)
     if count < 1:
         raise DomainError("seeds must list at least one replica")
+    if floor not in (-np.inf, np.inf):  # -inf keeps every point, +inf none
+        check_real("floor", floor)
     rows = min(count, block_rows(k, n_max))
     width = _chunk_width(k, rows)
     held, scratch = _block_doubles(k, n_max, rows, width)

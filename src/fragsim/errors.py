@@ -1,7 +1,16 @@
-"""Semantic exception hierarchy; public functions never raise bare ValueError."""
+"""Semantic exception hierarchy and the two argument checks.
+
+The contract: a bad argument to a public function raises DomainError (or,
+for an experiment spec or a CLI option, SpecError), never a bare
+ValueError, OverflowError or TypeError. Integer arguments go through
+``check_int`` and real ones through ``check_real``; each function adds at
+most one line for a range rule that is not a lower bound.
+"""
 
 import math
 import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class FragsimError(Exception):
@@ -43,15 +52,25 @@ def check_int(
 
 
 def check_real(
-    name: str, value, positive: bool = False, error: type = DomainError
+    name: str,
+    value,
+    positive: bool = False,
+    least: float = -_FLOAT_MAX,
+    error: type = DomainError,
 ) -> None:
-    """Raise ``error`` unless ``value`` is a finite int or float, and > 0 when
-    ``positive``. A bool is refused, although Python counts it as an int."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float))
+    """Raise ``error`` unless ``value`` is a finite int or float that is >=
+    ``least`` (a finite lower bound), and > 0 when ``positive``.
+
+    A bool is refused, although Python counts it as an int, and so is a
+    numpy integer, as ``check_int`` refuses it: what passes is what the JSON
+    sidecar writes as a number. A numpy float64 is a float and passes.
+    """
+    if not (
+        (type(value) is float or (isinstance(value, (int, float)) and not isinstance(value, bool)))
         # false for inf and nan, and for an int no float can hold
-        and abs(value) <= sys.float_info.max
+        and least <= value <= _FLOAT_MAX
         and (value > 0 or not positive)
     ):
         kind = "a positive finite" if positive else "a finite"
-        raise error(f"{name} must be {kind} number, got {value!r}")
+        bound = f" >= {least:g}" if least > -_FLOAT_MAX else ""
+        raise error(f"{name} must be {kind} number{bound}, got {value!r}")

@@ -221,8 +221,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     one, a single payload call runs every replica in this process, so that
     one BRW sweep sees them all.
     """
-    if jobs < 1:
-        raise SpecError(f"jobs must be >= 1, got {jobs!r}")
+    check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
     blocks = _blocks(spec)
     workers = min(jobs, len(blocks), usable_cpus())

@@ -72,7 +72,8 @@ class GillespieTrajectory:
     census: DepthCensus
 
     def value_at(self, t: float) -> tuple[int, int]:
-        if not (0.0 <= t <= self.t_end):
+        check_real("t", t, least=0.0)
+        if t > self.t_end:
             raise DomainError(f"t={t!r} outside the simulated horizon")
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return int(self.min_depths[i]), int(self.max_depths[i])

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .lefttail import left_tail_sandwich, log_simplex_upper
 from .params import as_q
 from .qseries import qpochhammer_factors, qpochhammer_limit
@@ -72,8 +72,9 @@ def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
     q^{-j} and denominator phi_j phi_{n-j}.
 
     shift=0 gives the survival series, shift=1 the density series. Cached
-    per (q, n, shift) like ``qpochhammer_factors``, and typed for the same
-    reason.
+    per (q, n, shift), so a t grid builds the table once. The cache is typed,
+    so that its entry for n=1 does not answer n=True, which
+    ``qpochhammer_factors`` refuses.
     """
     phis = qpochhammer_factors(q, n)
     table = []
@@ -138,8 +139,7 @@ def _sum_terms(table: tuple, t: float) -> tuple[float, float]:
 
 def _check_nt(n: int, t: float) -> None:
     check_int("n", n)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be a non-negative real, got {t!r}")
+    check_real("t", t, least=0.0)
 
 
 def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
@@ -151,6 +151,11 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
     _check_nt(n, t)
     if t == 0.0:
         return _tail(1.0, 0.0)
+    return _survival(q, n, t)
+
+
+def _survival(q: float, n: int, t: float) -> TailEval:
+    """perpetuity_survival for arguments already checked, and t > 0."""
     value, absum = _sum_terms(_series_coeffs(q, n, 0), t)
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
@@ -172,8 +177,7 @@ def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
     survival for every n, and equals 1 at t = 0.
     """
     q = as_q(q_or_params)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be a non-negative real, got {t!r}")
+    check_real("t", t, least=0.0)
     if t == 0.0:
         return _tail(1.0, 0.0)
     phi_inf = qpochhammer_limit(q)
@@ -191,7 +195,7 @@ def perpetuity_cdf(q_or_params, n: int, t: float) -> TailEval:
     _check_nt(n, t)
     if t == 0.0:
         return _tail(0.0, 0.0)
-    surv = perpetuity_survival(q, n, t)
+    surv = _survival(q, n, t)
     raw = 1.0 - surv.value
     if raw > 0.0 and surv.abs_error <= REL_ERR_SWITCH * raw:
         return _tail(raw, surv.abs_error)
@@ -220,7 +224,7 @@ def split_time_survival(q_or_params, n: int, t: float) -> TailEval:
         return _tail(1.0, 0.0)
     x = (q**n) * t
     if x > 0.0:
-        return perpetuity_survival(q, n, x)
+        return _survival(q, n, x)
     log_up = log_simplex_upper(q, n + 1, n * math.log(q) + math.log(t))
     return _tail(1.0, math.exp(log_up) if log_up < 0.0 else 1.0)
 
@@ -246,8 +250,8 @@ def gumbel_limit_cdf(q_or_params, s: float) -> float:
     Equals 0.0 at s = -inf and 1.0 at s = +inf; a NaN s is refused.
     """
     phi_inf = qpochhammer_limit(as_q(q_or_params))
-    if math.isnan(s):
-        raise DomainError(f"s must be a real or +-inf, got {s!r}")
+    if s not in (-math.inf, math.inf):
+        check_real("s", s)
     if s < -700.0:
         return 0.0
     return math.exp(-math.exp(-s) / phi_inf)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .params import as_kappa, as_q
 
 # log log(1/s) must be positive, hence the hard domain cut at 1/e^2.
@@ -20,7 +20,8 @@ S_MAX = math.exp(-2.0)
 
 
 def _checked_log_terms(s: float) -> tuple[float, float]:
-    if not (0.0 < s <= S_MAX):
+    check_real("s", s, positive=True)
+    if s > S_MAX:
         raise DomainError(f"s must lie in (0, 1/e^2], got {s!r}")
     big_s = math.log(1.0 / s)
     return big_s, math.log(big_s)
@@ -62,8 +63,7 @@ def left_tail_sandwich(q: float, m: int, s: float) -> tuple[float, float]:
     """
     q = as_q(q)
     check_int("m", m, 1)
-    if s < 0:
-        raise DomainError(f"s must be non-negative, got {s!r}")
+    check_real("s", s, least=0.0)
     if s == 0.0:
         return (0.0, 0.0)
     log_upper = log_simplex_upper(q, m, math.log(s))
@@ -79,8 +79,7 @@ def log_left_tail_upper(q: float, m: int, s: float) -> float:
     """log of the simplex upper bound, usable when the bound itself underflows."""
     q = as_q(q)
     check_int("m", m, 1)
-    if not s > 0:
-        raise DomainError(f"s must be positive, got {s!r}")
+    check_real("s", s, positive=True)
     return log_simplex_upper(q, m, math.log(s))
 
 
@@ -96,8 +95,9 @@ def stirling_exponent(x: float, y: float, kappa: float) -> float:
     Stirling-form exponent of the simplex upper bound: for integer m,
     |f(s, m) - log(upper)| is at most the Stirling envelope constant 1.
     """
-    if not (x > 0 and y > 0):
-        raise DomainError(f"x and y must be positive, got {x!r}, {y!r}")
+    check_real("x", x, positive=True)
+    check_real("y", y, positive=True)
+    check_real("kappa", kappa, positive=True)
     return (
         y * y / (2.0 * kappa)
         - (math.log(1.0 / x) - 1.0 + 1.0 / (2.0 * kappa)) * y

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_int("k", self.k, 2)
+        check_real("alpha", self.alpha, positive=True)
         alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha <= 0:
-            raise DomainError(f"alpha must be a positive real, got {self.alpha!r}")
         q = self.k ** (-alpha)
         if not 0.0 < q < 1.0:
             raise DomainError(f"alpha={alpha!r} gives q={q!r}, outside (0, 1) in floating point")
@@ -41,10 +40,12 @@ class ModelParams:
 
 def as_q(q_or_params: "ModelParams | float") -> float:
     """Accept either a ModelParams or a raw ``q`` and return ``q`` in (0, 1)."""
-    q = q_or_params.q if isinstance(q_or_params, ModelParams) else float(q_or_params)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    return q
+    if isinstance(q_or_params, ModelParams):
+        return q_or_params.q
+    check_real("q", q_or_params)
+    if not 0.0 < q_or_params < 1.0:
+        raise DomainError(f"q must lie in (0, 1), got {q_or_params!r}")
+    return float(q_or_params)
 
 
 def as_kappa(q_or_params: "ModelParams | float") -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import SpecError
 from .experiment import SCHEMA_VERSION, ExperimentSpec, format_csv, read_record_files
 from .predictors import largest_depth_window
-from .stats import intensity_profile
+from .stats import PROBE_RATIO, intensity_profile
 
 KINDS = ("staircase", "windows", "intensity")
 
@@ -47,10 +47,11 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
         columns = ("replica", "t", "m_t", "lo_int", "hi_int")
         out_rows = []
         windows = {}  # every replica probes the same grid of t
+        start = math.e * PROBE_RATIO
         for replica, stairs in sorted(_replica_staircases(rows).items()):
             times = np.array([t for t, _ in stairs])
             values = np.array([v for _, v in stairs])
-            t = max(math.e * 1.05, times[0] if times.size else math.e * 1.05)
+            t = max(start, times[0]) if times.size else start
             while t <= t_end:
                 i = int(np.searchsorted(times, t, side="right")) - 1
                 window = windows.get(t)
@@ -59,7 +60,7 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
                 out_rows.append(
                     (replica, t, int(values[max(i, 0)]), window.lo_int, window.hi_int)
                 )
-                t *= 1.05
+                t *= PROBE_RATIO
     else:  # intensity
         points = meta.get("extras", {}).get("points_final_generation", {})
         edges = np.arange(math.floor(spec.floor), 6.0)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError, check_int
+from .errors import ConvergenceError, DomainError, check_int, check_real
 from .params import ModelParams
 
 
 def ceil_strict(x: float) -> int:
     """Least integer strictly greater than x (so ceil_strict(3.0) == 4)."""
+    check_real("x", x)
     return math.floor(x) + 1
 
 
@@ -40,8 +39,8 @@ class PredictorWindow:
 
     @classmethod
     def from_center(cls, center: float, half_width: float) -> "PredictorWindow":
-        if not half_width >= 0.0:
-            raise DomainError(f"half_width must be >= 0, got {half_width!r}")
+        check_real("center", center)
+        check_real("half_width", half_width, least=0.0)
         return cls(
             lo_int=ceil_strict(center - half_width),
             hi_int=ceil_strict(center + half_width),
@@ -54,7 +53,8 @@ class PredictorWindow:
 
 
 def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t > math.e):
+    check_real("t", t)
+    if t <= math.e:
         raise DomainError(f"t must exceed e so that log log t > 0, got {t!r}")
 
 
@@ -198,8 +198,7 @@ def largest_depth_envelope_inverses(
     a(x) = q^-x (gamma x - log(2 log x)) and b(x) = q^-x (gamma x + 2 log x),
     by monotone bisection in log space on x >= 2. b_inv <= a_inv since
     b >= a pointwise."""
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    check_real("t", t, positive=True)
     kappa, gamma = params.kappa, params.gamma
 
     def log_a(x: float) -> float:
@@ -227,10 +226,10 @@ def smallest_depth_envelope_inverse(
     exactly, with w the min-leaf concentration center, so its inverses
     sandwich the depth of the smallest fragment.
     """
-    if sigma not in (-1, 1):
-        raise DomainError(f"sigma must be -1 or +1, got {sigma!r}")
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    check_int("sigma", sigma, -1, 2)
+    if sigma == 0:
+        raise DomainError("sigma must be -1 or +1, got 0")
+    check_real("t", t, positive=True)
     kappa, gamma = params.kappa, params.gamma
     c_hat = 1.0 / (2.0 * kappa) + 0.5 * math.log(kappa) - 1.0 + 0.5 * math.log(
         2.0 * gamma
@@ -256,32 +255,3 @@ def smallest_depth_envelope_inverse(
         if x_lo > 1e9:
             raise ConvergenceError("no monotone regime found for the envelope")
     return _bisect_log_increasing(log_p, x_lo, math.log(t))
-
-
-def staircase_value_window(
-    levels: np.ndarray, lower: np.ndarray, upper: np.ndarray, t: float
-) -> tuple[int, int]:
-    """Membership window for a right-continuous staircase from jump-time bounds.
-
-    levels must be consecutive integers; lower[i] <= T_i <= upper[i] are
-    verified bounds on the time the staircase jumps from levels[i] to
-    levels[i]+1, both strictly increasing. Returns the two integers (lo, hi)
-    such that the staircase value at t lies in {lo, ..., hi}; when lower and
-    upper coincide the window is a singleton except exactly at a jump.
-    """
-    levels = np.asarray(levels, dtype=np.int64)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if not (levels.size and levels.size == lower.size == upper.size):
-        raise DomainError("levels, lower and upper must have equal nonzero length")
-    if not np.all(np.diff(levels) == 1):
-        raise DomainError("levels must be consecutive integers")
-    if not (np.all(np.diff(lower) > 0) and np.all(np.diff(upper) > 0)):
-        raise DomainError("jump-time bounds must be strictly increasing")
-    if not np.all(lower <= upper):
-        raise DomainError("lower bounds must not exceed upper bounds")
-    if t >= lower[-1]:
-        raise DomainError(f"t={t!r} is above the tabulated range")
-    i_lo = int(np.searchsorted(upper, t, side="right"))
-    i_hi = int(np.searchsorted(lower, t, side="right"))
-    return int(levels[min(i_lo, levels.size - 1)]), int(levels[i_hi])

@@ -12,15 +12,12 @@ from .params import as_q
 LIMIT_TOL = 1e-14
 
 
-@lru_cache(maxsize=256, typed=True)
 def qpochhammer_factors(q: float, n: int) -> tuple[float, ...]:
     """Partial products ((q;q)_0, ..., (q;q)_n), i.e. prod_{j<=i}(1 - q^j).
 
     The whole prefix is needed by the alternating survival series, so it is
-    returned in one pass rather than recomputed per index. Results are
-    cached per (q, n), so a t grid builds the prefix once; the tuple keeps a
-    caller from mutating the cached value. The cache is typed, so that its
-    entry for n=1 does not answer n=True before the check below refuses it.
+    returned in one pass rather than recomputed per index. The laws cache
+    their term tables, which hold these products, per (q, n).
     """
     q = as_q(q)
     check_int("n", n)

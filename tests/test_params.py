@@ -1,15 +1,34 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fragsim.brw import sweep_replicas
 from fragsim.errors import DomainError, SpecError
-from fragsim.experiment import ExperimentSpec
-from fragsim.lefttail import left_tail_sandwich
+from fragsim.experiment import ExperimentSpec, run_experiment
+from fragsim.gillespie import gillespie_run
+from fragsim.laws import (
+    gumbel_limit_cdf,
+    perpetuity_survival,
+    perpetuity_survival_limit,
+    split_time_survival,
+)
+from fragsim.lefttail import (
+    left_tail_exponent,
+    left_tail_sandwich,
+    log_left_tail_upper,
+    stirling_exponent,
+)
 from fragsim.params import ModelParams, as_kappa, as_q
-from fragsim.predictors import min_leaf_center
+from fragsim.predictors import (
+    PredictorWindow,
+    largest_depth_center,
+    largest_depth_envelope_inverses,
+    min_leaf_center,
+    smallest_depth_envelope_inverse,
+)
 from fragsim.qseries import qpochhammer_factors
 from fragsim.seeds import SeedSpec
 
@@ -83,3 +102,63 @@ _P = ModelParams(2, 1.0)
 def test_integer_arguments_refuse_bool_and_float(call, error):
     with pytest.raises(error, match="must be an integer"):
         call()
+
+
+_BIG = 10**400  # an int no float can hold
+_SPEC = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: perpetuity_survival(0.5, 3, _BIG), DomainError),
+    (lambda: perpetuity_survival_limit(0.5, _BIG), DomainError),
+    (lambda: split_time_survival(0.5, 3, _BIG), DomainError),
+    (lambda: gumbel_limit_cdf(0.5, _BIG), DomainError),
+    (lambda: largest_depth_center(_P, _BIG), DomainError),
+    (lambda: left_tail_sandwich(0.5, 3, math.nan), DomainError),
+    (lambda: left_tail_sandwich(0.5, 3, _BIG), DomainError),
+    (lambda: log_left_tail_upper(0.5, 3, math.inf), DomainError),
+    (lambda: largest_depth_envelope_inverses(_P, math.inf), DomainError),
+    (lambda: smallest_depth_envelope_inverse(_P, math.inf, 1), DomainError),
+    (lambda: stirling_exponent(math.inf, 2.0, 1.0), DomainError),
+    (lambda: stirling_exponent(0.5, 2.0, 0.0), DomainError),
+    (lambda: PredictorWindow.from_center(math.nan, 1.0), DomainError),
+    (lambda: PredictorWindow.from_center(1e308, 1e308), DomainError),
+    (lambda: perpetuity_survival(0.5, 3, True), DomainError),
+    (lambda: ModelParams(2, True), DomainError),
+    (lambda: smallest_depth_envelope_inverse(_P, 1e6, True), DomainError),
+    (lambda: perpetuity_survival("0.5", 3, 1.0), DomainError),
+    (lambda: left_tail_exponent(0.5, "0.1"), DomainError),
+    (lambda: gillespie_run(_P, 5.0, SeedSpec(0)).value_at("1"), DomainError),
+    (lambda: run_experiment(_SPEC, jobs="2"), SpecError),
+    (lambda: sweep_replicas(_P, 6, [SeedSpec(0)], floor=math.nan, point_generations=(6,)),
+     DomainError),
+], ids=["survival_big_t", "limit_big_t", "split_big_t", "gumbel_big_s", "center_big_t",
+        "sandwich_nan_s", "sandwich_big_s", "log_upper_inf_s", "largest_inverse_inf_t",
+        "smallest_inverse_inf_t", "stirling_inf_x", "stirling_zero_kappa", "window_nan_center",
+        "window_end_overflows",
+        "survival_bool_t", "params_bool_alpha", "inverse_bool_sigma", "survival_str_q",
+        "exponent_str_s", "value_at_str_t", "run_str_jobs", "sweep_nan_floor"])
+def test_real_arguments_refuse_bad_values(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_real_arguments_keep_their_legal_edges():
+    assert gumbel_limit_cdf(0.5, math.inf) == 1.0
+    assert gumbel_limit_cdf(0.5, -math.inf) == 0.0
+    sweep = sweep_replicas(_P, 3, [SeedSpec(0)], floor=-math.inf, point_generations=(3,))
+    assert sweep.points[3][0].size == 2**3
+    sweep = sweep_replicas(_P, 3, [SeedSpec(0)], floor=math.inf, point_generations=(3,))
+    assert sweep.points[3][0].size == 0
+    assert perpetuity_survival(0.5, 3, 0).value == 1.0
+    assert gillespie_run(_P, 5.0, SeedSpec(0)).value_at(0) == (0, 0)
+    assert perpetuity_survival(0.5, 3, np.float64(1.5)) == perpetuity_survival(0.5, 3, 1.5)
+    assert as_q(np.float64(0.25)) == 0.25
+
+
+def test_numpy_integer_scalars_are_refused():
+    # as check_int refuses them, and as the JSON sidecar could not write them
+    with pytest.raises(DomainError, match="t must be a finite number >= 0"):
+        perpetuity_survival(0.5, 3, np.int64(2))
+    with pytest.raises(SpecError, match="alpha"):
+        ExperimentSpec(k=2, alpha=np.int64(2), engine="brw", n_max=1)

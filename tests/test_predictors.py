@@ -22,7 +22,6 @@ from fragsim.predictors import (
     smallest_depth_envelope_inverse,
     smallest_depth_window,
     solve_min_leaf_center,
-    staircase_value_window,
 )
 
 P21 = ModelParams(2, 1.0)
@@ -258,53 +257,6 @@ class TestEnvelopeInverses:
     def test_sigma_domain(self):
         with pytest.raises(DomainError):
             smallest_depth_envelope_inverse(P21, math.e**10, 0)
-
-
-class TestStaircaseWindow:
-    def test_exact_jumps_give_singleton(self):
-        jumps = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        levels = np.arange(5)
-        lo, hi = staircase_value_window(levels, jumps, jumps, 3.0)
-        assert lo == hi == 2
-        # value at a jump point moves to the next level
-        lo, hi = staircase_value_window(levels, jumps, jumps, 4.0)
-        assert lo == hi == 3
-
-    def test_self_consistency_random_staircase(self):
-        rng = np.random.default_rng(5)
-        jumps = np.cumsum(rng.exponential(2.0, size=40)) + 1.0
-        levels = np.arange(40)
-        for t in rng.uniform(jumps[0], jumps[-1] * 0.999, size=200):
-            true_value = int(np.searchsorted(jumps, t, side="right"))
-            if t >= jumps[-1]:
-                continue
-            lo, hi = staircase_value_window(levels, jumps, jumps, float(t))
-            assert lo <= true_value <= hi
-
-    def test_jittered_bounds_cover(self):
-        rng = np.random.default_rng(11)
-        jumps = np.cumsum(rng.exponential(3.0, size=60)) + 2.0
-        # jitter below half the smaller adjacent gap keeps bounds monotone
-        gaps = np.diff(jumps)
-        room = np.minimum(np.append(gaps, gaps[-1]), np.insert(gaps, 0, gaps[0]))
-        jitter = rng.uniform(0.0, 0.49, size=60) * room
-        lower = jumps - jitter
-        upper = jumps + jitter
-        assert (np.diff(lower) > 0).all() and (np.diff(upper) > 0).all()
-        levels = np.arange(60)
-        probes = rng.uniform(lower[0], lower[-1] * 0.999, size=500)
-        for t in probes:
-            true_value = int(np.searchsorted(jumps, t, side="right"))
-            lo, hi = staircase_value_window(levels, lower, upper, float(t))
-            assert lo <= true_value <= hi
-
-    def test_range_errors(self):
-        jumps = np.array([1.0, 2.0, 3.0])
-        levels = np.arange(3)
-        with pytest.raises(DomainError):
-            staircase_value_window(levels, jumps, jumps, 3.5)
-        with pytest.raises(DomainError):
-            staircase_value_window(np.array([0, 2, 3]), jumps, jumps, 1.5)
 
 
 class TestWindowType:
