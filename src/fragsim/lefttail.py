@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, check_int, check_real
-from .params import as_kappa, as_q
+from .params import as_kappa, as_q, left_tail_constant
 
 # log log(1/s) must be positive, hence the hard domain cut at 1/e^2.
 S_MAX = math.exp(-2.0)
@@ -30,14 +30,14 @@ def _checked_log_terms(s: float) -> tuple[float, float]:
 def left_tail_exponent(q_or_params, s: float) -> float:
     """Rate exponent F(s) with P(sum <= s) = exp(-F(s)) up to bounded factors.
 
-    F(s) = (kappa/2) * (log(1/s) + log log(1/s) + 1/(2 kappa) + log kappa - 1)^2
-           + (1/2 + kappa) * log log(1/s)
+    F(s) = (kappa/2) * (S + log S + A(kappa))^2 + (1/2 + kappa) * log S
 
-    Strictly positive and increasing as s decreases to 0.
+    with S = log(1/s) and A = params.left_tail_constant. Strictly positive
+    and increasing as s decreases to 0.
     """
     kappa = as_kappa(q_or_params)
     big_s, loglog = _checked_log_terms(s)
-    core = big_s + loglog + 1.0 / (2.0 * kappa) + math.log(kappa) - 1.0
+    core = big_s + loglog + left_tail_constant(kappa)
     return 0.5 * kappa * core * core + (0.5 + kappa) * loglog
 
 
@@ -94,12 +94,16 @@ def stirling_exponent(x: float, y: float, kappa: float) -> float:
 
     Stirling-form exponent of the simplex upper bound: for integer m,
     |f(s, m) - log(upper)| is at most the Stirling envelope constant 1.
+    Raises DomainError where f is not a finite float.
     """
     check_real("x", x, positive=True)
     check_real("y", y, positive=True)
     check_real("kappa", kappa, positive=True)
-    return (
+    f = (
         y * y / (2.0 * kappa)
         - (math.log(1.0 / x) - 1.0 + 1.0 / (2.0 * kappa)) * y
         - (y + 0.5) * math.log(y)
     )
+    if not math.isfinite(f):
+        raise DomainError(f"stirling_exponent is not finite at x={x!r}, y={y!r}, kappa={kappa!r}")
+    return f

@@ -53,3 +53,9 @@ def as_kappa(q_or_params: "ModelParams | float") -> float:
     if isinstance(q_or_params, ModelParams):
         return q_or_params.kappa
     return -1.0 / math.log(as_q(q_or_params))
+
+
+def left_tail_constant(kappa: float) -> float:
+    """A(kappa) = 1/(2 kappa) + log kappa - 1, the O(1) constant of the
+    left-tail rate exponent and of the min-leaf center."""
+    return 1.0 / (2.0 * kappa) + math.log(kappa) - 1.0

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, check_int, check_real
-from .params import ModelParams
+from .params import ModelParams, left_tail_constant
 
 
 def ceil_strict(x: float) -> int:
@@ -78,16 +78,23 @@ def largest_depth_window(params: ModelParams, t: float) -> PredictorWindow:
     return PredictorWindow.from_center(center, mu_largest(params) * math.log(lt) / lt)
 
 
+def _center_constant(params: ModelParams) -> float:
+    """C = A(kappa) - log(kappa)/2 + log(2 gamma)/2, the O(1) term of w."""
+    kappa = params.kappa
+    return left_tail_constant(kappa) - 0.5 * math.log(kappa) + 0.5 * math.log(2.0 * params.gamma)
+
+
+def _min_leaf_center(params: ModelParams, x: float) -> float:
+    """w(x) = sqrt(2 gamma x / kappa) - log(x)/2 - C for real x > 0."""
+    root = math.sqrt(2.0 * params.gamma * x / params.kappa)
+    return root - 0.5 * math.log(x) - _center_constant(params)
+
+
 def smallest_depth_shift(params: ModelParams) -> float:
-    """Additive constant in the smallest-depth predictor."""
-    kappa, gamma = params.kappa, params.gamma
-    return (
-        -1.0 / (2.0 * kappa)
-        - math.log(kappa)
-        + gamma
-        - 0.5 * math.log(2.0 * gamma)
-        + 1.0
-    )
+    """Additive constant gamma - log(kappa)/2 - C in the smallest-depth
+    predictor, from inverting x/kappa - w(x) = log t = L to O(1) with
+    sqrt(2 gamma (L + sqrt(2 gamma L))) ~ sqrt(2 gamma L) + gamma."""
+    return params.gamma - 0.5 * math.log(params.kappa) - _center_constant(params)
 
 
 def smallest_depth_center(params: ModelParams, t: float) -> float:
@@ -119,24 +126,15 @@ def smallest_depth_window(params: ModelParams, t: float) -> PredictorWindow:
 
 
 def min_leaf_center(params: ModelParams, n: int) -> float:
-    """Expansion of the concentration center of -log(min leaf value) at
-    generation n: sqrt(2 gamma n / kappa) - log(n)/2 - 1/(2 kappa)
-    - log(kappa)/2 + 1 - log(2 gamma)/2."""
+    """Expansion w(n) of the concentration center of -log(min leaf value)
+    at generation n: sqrt(2 gamma n / kappa) - log(n)/2 - C."""
     check_int("n", n, 1)
-    kappa, gamma = params.kappa, params.gamma
-    return (
-        math.sqrt(2.0 * gamma * n / kappa)
-        - 0.5 * math.log(n)
-        - 1.0 / (2.0 * kappa)
-        - 0.5 * math.log(kappa)
-        + 1.0
-        - 0.5 * math.log(2.0 * gamma)
-    )
+    return _min_leaf_center(params, n)
 
 
 def solve_min_leaf_center(params: ModelParams, n: int) -> float:
     """Exact center z_n: the unique root of
-    z + log z + 1/(2 kappa) + log kappa - 1 = sqrt(2 gamma n / kappa).
+    z + log z + A(kappa) = sqrt(2 gamma n / kappa).
 
     The left side is strictly increasing on z > 0, so the root is found by
     the same bisection as the envelope inverses. With c the right side minus
@@ -146,9 +144,8 @@ def solve_min_leaf_center(params: ModelParams, n: int) -> float:
     1/(2 kappa) > -365.
     """
     check_int("n", n, 1)
-    kappa, gamma = params.kappa, params.gamma
-    shift = 1.0 / (2.0 * kappa) + math.log(kappa) - 1.0
-    rhs = math.sqrt(2.0 * gamma * n / kappa)
+    shift = left_tail_constant(params.kappa)
+    rhs = math.sqrt(2.0 * params.gamma * n / params.kappa)
     z_lo = math.exp(min(rhs - shift, 1.0) - 1.0)
     return _bisect_log_increasing(lambda z: z + math.log(z) + shift, z_lo, rhs)
 
@@ -218,31 +215,20 @@ def smallest_depth_envelope_inverse(
 ) -> float:
     """Inverse at t of the smallest-fragment time envelope
 
-    p_sigma(x) = exp(x/kappa - sqrt(2 gamma x/kappa) + log(x)/2
-                     + c_hat + sigma x^-1/3),
+    log p_sigma(x) = x/kappa - w(x) + sigma x^-1/3,
 
     sigma in {-1, +1}, by monotone bisection above the stationary point.
-    The envelope satisfies log p_sigma(n) = n/kappa - w(n) + sigma n^-1/3
-    exactly, with w the min-leaf concentration center, so its inverses
-    sandwich the depth of the smallest fragment.
+    w is the min-leaf concentration center, so the inverses sandwich the
+    depth of the smallest fragment.
     """
     check_int("sigma", sigma, -1, 2)
     if sigma == 0:
         raise DomainError("sigma must be -1 or +1, got 0")
     check_real("t", t, positive=True)
     kappa, gamma = params.kappa, params.gamma
-    c_hat = 1.0 / (2.0 * kappa) + 0.5 * math.log(kappa) - 1.0 + 0.5 * math.log(
-        2.0 * gamma
-    )
 
     def log_p(x: float) -> float:
-        return (
-            x / kappa
-            - math.sqrt(2.0 * gamma * x / kappa)
-            + 0.5 * math.log(x)
-            + c_hat
-            + sigma * x ** (-1.0 / 3.0)
-        )
+        return x / kappa - _min_leaf_center(params, x) + sigma * x ** (-1.0 / 3.0)
 
     # Start above both the stationary point of the smooth part (x = gamma
     # kappa / 2) and the scale where the sigma term's slope could flip the

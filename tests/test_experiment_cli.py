@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -343,6 +344,16 @@ class TestCliSurface:
         captured = capsys.readouterr()
         assert "[PASS]" in captured.out
         assert "FAIL" not in captured.out
+
+    def test_verify_all_report_is_pinned(self, capsys):
+        # Seed-42 report of every suite. A change that alters a check
+        # re-records this digest and says why.
+        assert main(["verify", "--suite", "all"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out.count(b"[PASS]") == 21 and len(out) == 1617
+        assert hashlib.sha256(out).hexdigest() == (
+            "2a85e19dd9334961abcc88feb3a18d80b1926fd16d7fd654d938c5355ddbd4a9"
+        )
 
     def test_verify_failed_check_exits_1(self, monkeypatch, capsys):
         failing = lambda seed: [verify.CheckResult("off bound", 2.0, hi=1.0)]

@@ -121,6 +121,9 @@ _SPEC = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1)
     (lambda: smallest_depth_envelope_inverse(_P, math.inf, 1), DomainError),
     (lambda: stirling_exponent(math.inf, 2.0, 1.0), DomainError),
     (lambda: stirling_exponent(0.5, 2.0, 0.0), DomainError),
+    (lambda: stirling_exponent(1e-300, 1e300, 1e-300), DomainError),
+    (lambda: stirling_exponent(1e-300, 1e200, 1e-200), DomainError),
+    (lambda: stirling_exponent(0.5, 1e300, 1.0), DomainError),
     (lambda: PredictorWindow.from_center(math.nan, 1.0), DomainError),
     (lambda: PredictorWindow.from_center(1e308, 1e308), DomainError),
     (lambda: perpetuity_survival(0.5, 3, True), DomainError),
@@ -134,8 +137,9 @@ _SPEC = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1)
      DomainError),
 ], ids=["survival_big_t", "limit_big_t", "split_big_t", "gumbel_big_s", "center_big_t",
         "sandwich_nan_s", "sandwich_big_s", "log_upper_inf_s", "largest_inverse_inf_t",
-        "smallest_inverse_inf_t", "stirling_inf_x", "stirling_zero_kappa", "window_nan_center",
-        "window_end_overflows",
+        "smallest_inverse_inf_t", "stirling_inf_x", "stirling_zero_kappa",
+        "stirling_nan_tiny_kappa", "stirling_nan_small_kappa", "stirling_inf_huge_y",
+        "window_nan_center", "window_end_overflows",
         "survival_bool_t", "params_bool_alpha", "inverse_bool_sigma", "survival_str_q",
         "exponent_str_s", "value_at_str_t", "run_str_jobs", "sweep_nan_floor"])
 def test_real_arguments_refuse_bad_values(call, error):

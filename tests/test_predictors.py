@@ -26,6 +26,8 @@ from fragsim.predictors import (
 
 P21 = ModelParams(2, 1.0)
 PARAM_GRID = [ModelParams(2, 1.0), ModelParams(2, 0.5), ModelParams(3, 1.0), ModelParams(5, 2.0)]
+# Away from alpha = 1, gamma * kappa != 1, so a gamma written for 1/kappa shows.
+K_ALPHA_GRID = [(k, alpha) for k in (2, 3, 5) for alpha in (0.5, 1.0, 2.0)]
 
 
 def test_ceil_strict_is_least_integer_above():
@@ -164,9 +166,11 @@ class TestMinLeafCenter:
         # the largest alpha whose q is positive still leaves z_1 far from 0
         assert solve_min_leaf_center(ModelParams(2, 1074.0), 1) > 1e-160
 
-    def test_expansion_approaches_exact_center(self):
+    @pytest.mark.parametrize("k,alpha", K_ALPHA_GRID)
+    def test_expansion_approaches_exact_center(self, k, alpha):
+        p = ModelParams(k, alpha)
         gaps = [
-            abs(solve_min_leaf_center(P21, n) - min_leaf_center(P21, n))
+            abs(solve_min_leaf_center(p, n) - min_leaf_center(p, n))
             for n in (100, 1000, 10000)
         ]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -227,12 +231,14 @@ class TestEnvelopeInverses:
         with pytest.raises(DomainError):
             largest_depth_envelope_inverses(P21, 1.0)
 
-    def test_smallest_round_trip_and_order(self):
-        kappa, gamma = P21.kappa, P21.gamma
+    @pytest.mark.parametrize("k,alpha", K_ALPHA_GRID)
+    def test_smallest_round_trip_and_order(self, k, alpha):
+        p = ModelParams(k, alpha)
+        kappa, gamma = p.kappa, p.gamma
         c_hat = 1 / (2 * kappa) + 0.5 * math.log(kappa) - 1 + 0.5 * math.log(2 * gamma)
         t = math.e**20
-        inv_plus = smallest_depth_envelope_inverse(P21, t, +1)
-        inv_minus = smallest_depth_envelope_inverse(P21, t, -1)
+        inv_plus = smallest_depth_envelope_inverse(p, t, +1)
+        inv_minus = smallest_depth_envelope_inverse(p, t, -1)
 
         def p_sigma(x, sigma):
             return math.exp(
@@ -247,12 +253,15 @@ class TestEnvelopeInverses:
         assert p_sigma(inv_minus, -1) == pytest.approx(t, rel=1e-9)
         assert inv_plus <= inv_minus
 
-    def test_smallest_inverse_near_center(self):
-        t = math.e**30
-        tol = 2 * mu_smallest(P21) / 30 ** (1 / 3)
-        for sigma in (-1, +1):
-            inv = smallest_depth_envelope_inverse(P21, t, sigma)
-            assert abs(inv - smallest_depth_center(P21, t)) <= tol
+    @pytest.mark.parametrize("k,alpha", K_ALPHA_GRID)
+    def test_smallest_inverse_near_center(self, k, alpha):
+        p = ModelParams(k, alpha)
+        for log_t in (30.0, 700.0):
+            t = math.exp(log_t)
+            tol = 2 * mu_smallest(p) / log_t ** (1 / 3)
+            for sigma in (-1, +1):
+                inv = smallest_depth_envelope_inverse(p, t, sigma)
+                assert abs(inv - smallest_depth_center(p, t)) <= tol
 
     def test_sigma_domain(self):
         with pytest.raises(DomainError):
