@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import errno
 import json
+import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -254,6 +256,22 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".meta.json")
 
 
+def _write_json(value: Any, write) -> None:
+    """Write value as json.dumps(value, sort_keys=True,
+    default=np.ndarray.tolist) spells it, one dict entry at a time, so that
+    each array is listed only when its turn comes. Dict keys are strings."""
+    if isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                write(", ")
+            write(json.dumps(key) + ": ")
+            _write_json(value[key], write)
+        write("}")
+    else:
+        write(json.dumps(value, default=np.ndarray.tolist))
+
+
 def write_record(record: ResultRecord) -> None:
     out = Path(record.spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -265,18 +283,25 @@ def write_record(record: ResultRecord) -> None:
         "wall_clock_s": record.wall_clock_s,
         "extras": record.extras,
     }
-    # one line: without indent, json encodes the points in C; each point
-    # array is listed only when reached, so the floats of all never coexist
-    text = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist)
-    sidecar_path(out).write_text(text + "\n")
+    # one line, streamed: only one point array is held as listed floats or
+    # as text at a time, never the whole sidecar
+    with sidecar_path(out).open("w") as f:
+        _write_json(sidecar, f.write)
+        f.write("\n")
 
 
-def read_record_files(csv_path: str | Path) -> tuple[list[str], list[list[str]], dict]:
-    """Parse a written CSV plus sidecar back into header, raw rows, metadata."""
+def read_rows(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Parse a written CSV into its header and raw rows."""
     text = Path(csv_path).read_text()
     lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def read_sidecar(csv_path: str | Path) -> dict:
+    """Metadata of the record written at csv_path, {} if it has no sidecar.
+    The CSV must exist, although only the sidecar is read."""
+    csv_path = Path(csv_path)
+    if not csv_path.is_file():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
     meta_file = sidecar_path(csv_path)
-    meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
-    return header, rows, meta
+    return json.loads(meta_file.read_text()) if meta_file.exists() else {}

@@ -11,7 +11,8 @@ arithmetic over the common denominator k^max_depth).
 Sampling contract: each event consumes two uniforms from the replica stream,
 the inverse-CDF waiting time's and then the depth choice's. They come in
 blocks of 4096 events, and the incrementally updated total rate is re-summed
-exactly at the end of every full block, so runs are bit-reproducible given a
+exactly at the end of every full block, and after any event that leaves it
+below the split fragment's old rate, so runs are bit-reproducible given a
 SeedSpec. Continuous event times make ties measure-zero; if equal floats
 ever occur, events keep draw order.
 """
@@ -79,15 +80,20 @@ class GillespieTrajectory:
         return int(self.min_depths[i]), int(self.max_depths[i])
 
 
+def _projected_depth(params: ModelParams, t_end: float) -> int:
+    """Deepest depth a run to t_end is charged for: one past the
+    smallest-fragment predictor's center."""
+    if t_end > math.e * 1.01:
+        return max(1, math.ceil(smallest_depth_center(params, t_end)) + 1)
+    return 1
+
+
 def _projected_bytes(params: ModelParams, t_end: float) -> int:
     # What the run holds: the uniform block as a list of Python floats (while
     # its replacement is drawn, the old list, the new list and the float64
     # array it came from), the per-depth lists and dicts, and one record per
-    # change of m or M, so at most 2*depth + 1 records. The deepest depth
-    # tracks the smallest-fragment predictor.
-    depth = 1
-    if t_end > math.e * 1.01:
-        depth = max(1, math.ceil(smallest_depth_center(params, t_end)) + 1)
+    # change of m or M, so at most 2*depth + 1 records.
+    depth = _projected_depth(params, t_end)
     return (
         (2 * _BYTES_PER_LISTED_UNIFORM + 8) * _UNIFORM_BLOCK
         + _BYTES_PER_DEPTH * depth
@@ -157,6 +163,10 @@ def gillespie_run(
                 weights[child] = counts[child] * qpow[child]
                 changed = False
             total_rate += k * qpow[child] - qpow[d]
+            if total_rate < qpow[d]:
+                # k q^(d+1) << q^d (alpha > 1): the update cancelled, so the
+                # rate may have lost all its digits; never taken at alpha <= 1
+                total_rate = math.fsum(weights[m_cur : max_cur + 1])
 
             if counts[d] == 0 and d == m_cur:
                 while counts[m_cur] == 0:

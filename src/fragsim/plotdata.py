@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecError
-from .experiment import SCHEMA_VERSION, ExperimentSpec, format_csv, read_record_files
+from .experiment import SCHEMA_VERSION, ExperimentSpec, format_csv, read_rows, read_sidecar
 from .predictors import largest_depth_window
 from .stats import PROBE_RATIO, intensity_profile
 
@@ -26,10 +26,13 @@ def _replica_staircases(rows: list[list[str]]) -> dict[int, list[tuple[float, in
 
 
 def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
-    """Write the requested table; returns the number of data rows."""
+    """Write the requested table; returns the number of data rows.
+
+    Only staircase and windows parse the CSV rows; intensity reads the
+    sidecar alone."""
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}, got {kind!r}")
-    header, rows, meta = read_record_files(in_path)
+    meta = read_sidecar(in_path)
     spec = ExperimentSpec.from_dict(meta.get("spec", {}))
     if spec.engine != _KIND_ENGINE[kind]:
         raise SpecError(
@@ -39,7 +42,7 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     if kind == "staircase":
         columns = ("replica", "t", "value")
         out_rows = [
-            (int(r[1]), float(r[2]), int(r[3])) for r in rows
+            (int(r[1]), float(r[2]), int(r[3])) for r in read_rows(in_path)[1]
         ]
     elif kind == "windows":
         params = spec.params()
@@ -48,7 +51,8 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
         out_rows = []
         windows = {}  # every replica probes the same grid of t
         start = math.e * PROBE_RATIO
-        for replica, stairs in sorted(_replica_staircases(rows).items()):
+        staircases = _replica_staircases(read_rows(in_path)[1])
+        for replica, stairs in sorted(staircases.items()):
             times = np.array([t for t, _ in stairs])
             values = np.array([v for _, v in stairs])
             t = max(start, times[0]) if times.size else start

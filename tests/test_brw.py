@@ -17,7 +17,7 @@ from fragsim.brw import (
 )
 from fragsim.cli import main
 from fragsim.errors import BudgetError, DomainError
-from fragsim.experiment import read_record_files
+from fragsim.experiment import read_sidecar
 from fragsim.laws import split_time_survival
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec, stream_seed
@@ -284,7 +284,7 @@ class TestKernelParity:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "541f51c7cd277bfe2432b4a1df433fcaaa5bd8caeb9d1db743be27eec8c2a615"
         )
-        extras = json.dumps(read_record_files(out)[2]["extras"], sort_keys=True)
+        extras = json.dumps(read_sidecar(out)["extras"], sort_keys=True)
         assert hashlib.sha256(extras.encode()).hexdigest() == (
             "f63d513bcd2d6c4fc36033e8021f671eea82c2e0e8fb5d60f52649d7abc48a3d"
         )

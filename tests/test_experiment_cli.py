@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
     SCHEMA_VERSION,
     ExperimentSpec,
+    ResultRecord,
     format_csv,
     read_config,
-    read_record_files,
+    read_rows,
+    read_sidecar,
     run_experiment,
     sidecar_path,
 )
@@ -126,8 +130,8 @@ class TestConfig:
             "--seed", "3", "--out", str(out),
         ])
         assert code == 0
-        header, rows, meta = read_record_files(out)
-        assert meta["spec"]["n_max"] == 4
+        rows = read_rows(out)[1]
+        assert read_sidecar(out)["spec"]["n_max"] == 4
         assert {int(r[2]) for r in rows} == set(range(5))
 
 
@@ -140,7 +144,7 @@ class TestRunRecord:
         )
         record = run_experiment(spec)
         assert len(record.rows) == 1
-        header, rows, meta = read_record_files(out)
+        header, rows = read_rows(out)
         assert header == ["schema_version", "replica", "n", "k_min", "k_max", "tau"]
         draw = SeedSpec(42, 0).rng().standard_exponential(1)[0]
         assert float(rows[0][3]) == draw == float(rows[0][4]) == float(rows[0][5])
@@ -152,7 +156,7 @@ class TestRunRecord:
             master_seed=7, out=str(out),
         )
         record = run_experiment(spec)
-        _, rows, _ = read_record_files(out)
+        rows = read_rows(out)[1]
         for row, original in zip(rows, record.rows):
             assert float(row[3]) == original[2]
             assert float(row[5]) == original[4]
@@ -272,6 +276,58 @@ class TestRunRecord:
         encoded = '"extras": ' + json.dumps(listed, sort_keys=True) + ", "
         assert encoded in sidecar_path(out).read_text()
 
+    @pytest.mark.parametrize("fields, empty_extras", [
+        ({"engine": "brw", "n_max": 5, "replicas": 40}, False),
+        ({"engine": "brw", "n_max": 4, "replicas": 3, "floor": -1e300}, False),
+        ({"engine": "brw", "n_max": 3, "replicas": 2}, True),
+        ({"engine": "gillespie", "t_end": 30.0, "replicas": 2}, False),
+        ({"engine": "spine", "n_max": 6, "replicas": 2}, False),
+    ], ids=["brw", "brw-low-floor", "brw-empty-extras", "gillespie", "spine"])
+    def test_sidecar_bytes_match_json_dumps(self, tmp_path, fields, empty_extras):
+        out = tmp_path / "r.csv"
+        spec = ExperimentSpec(k=3, alpha=0.6, master_seed=8, **fields)
+        record = dataclasses.replace(
+            run_experiment(spec),
+            spec=dataclasses.replace(spec, out=str(out)),
+            wall_clock_s=1.25,
+            version_tag="v1.0-3-gabcdef",
+        )
+        if empty_extras:
+            record = dataclasses.replace(record, extras={})
+        experiment.write_record(record)
+        sidecar = {
+            "schema_version": SCHEMA_VERSION,
+            "spec": record.spec.to_dict(),
+            "git_describe": record.version_tag,
+            "wall_clock_s": record.wall_clock_s,
+            "extras": record.extras,
+        }
+        expected = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n"
+        assert sidecar_path(out).read_text() == expected
+
+    def test_sidecar_written_in_bounded_memory(self, tmp_path):
+        # about 10 MB of points: the whole-text json.dumps held three copies
+        rng = np.random.default_rng(0)
+        points = {str(r): rng.standard_exponential(256) for r in range(2000)}
+        out = tmp_path / "big.csv"
+        record = ResultRecord(
+            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out)),
+            columns=("replica", "n", "k_min", "k_max", "tau"),
+            rows=[],
+            wall_clock_s=0.0,
+            version_tag="v",
+            extras={"points_final_generation": points},
+        )
+        tracemalloc.start()
+        try:
+            experiment.write_record(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sidecar_path(out).stat().st_size
+        assert size > 9_000_000
+        assert peak < 0.1 * size
+
     def test_spine_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         run_experiment(
@@ -280,7 +336,7 @@ class TestRunRecord:
                 master_seed=1, out=str(out),
             )
         )
-        header, rows, _ = read_record_files(out)
+        header, rows = read_rows(out)
         assert header == ["schema_version", "replica", "i", "split_time"]
         times = [float(r[3]) for r in rows]
         assert times == sorted(times)
@@ -295,7 +351,7 @@ class TestCliSurface:
             "--out", str(out),
         ])
         assert code == 0
-        header, rows, _ = read_record_files(out)
+        header, rows = read_rows(out)
         assert header == ["schema_version", "q", "n", "t", "survival", "abs_error"]
         expected = 2 * math.exp(-1) - math.exp(-2)
         assert float(rows[0][4]) == pytest.approx(expected, abs=1e-14)
@@ -307,7 +363,7 @@ class TestCliSurface:
             "--out", str(out),
         ])
         assert code == 0
-        _, rows, _ = read_record_files(out)
+        rows = read_rows(out)[1]
         assert len(rows) == 1001
         assert max(float(r[5]) for r in rows) <= TAILS_MAX_ABS_ERROR
 
@@ -381,7 +437,7 @@ class TestCliSurface:
         ])
         win = tmp_path / "w.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "windows", "--out", str(win)]) == 0
-        header, rows, _ = read_record_files(win)
+        header, rows = read_rows(win)
         assert header == ["schema_version", "replica", "t", "m_t", "lo_int", "hi_int"]
         assert rows, "expected probe rows"
         for r in rows:
@@ -444,6 +500,34 @@ class TestCliSurface:
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
                      "--out", str(tmp_path / "i.csv")]) == 2
         assert "floor must be a finite number, got inf" in capsys.readouterr().err
+
+    def test_plotdata_intensity_reads_only_the_sidecar(self, tmp_path, monkeypatch):
+        out = tmp_path / "b.csv"
+        run_experiment(ExperimentSpec(
+            k=2, alpha=1.0, engine="brw", n_max=5, replicas=30, master_seed=6, out=str(out),
+        ))
+        table = tmp_path / "i.csv"
+        expected = plotdata.emit_plotdata(out, "intensity", table)
+        body = table.read_bytes()
+
+        def refuse(path):
+            raise AssertionError("intensity parsed the CSV rows")
+
+        monkeypatch.setattr(plotdata, "read_rows", refuse)
+        assert plotdata.emit_plotdata(out, "intensity", table) == expected > 0
+        assert table.read_bytes() == body
+
+    @pytest.mark.parametrize("kind", plotdata.KINDS)
+    def test_plotdata_missing_csv_exits_2(self, tmp_path, capsys, kind):
+        # the sidecar stays, so only the missing record can refuse the run
+        out = tmp_path / "r.csv"
+        horizon = ["--n-max", "3"] if kind == "intensity" else ["--t-end", "20"]
+        engine = "brw" if kind == "intensity" else "gillespie"
+        assert main(["simulate", engine, *horizon, "--out", str(out)]) == 0
+        out.unlink()
+        assert main(["plotdata", "--in", str(out), "--kind", kind,
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from fragsim.errors import BudgetError, DomainError
-from fragsim.gillespie import _UNIFORM_BLOCK, _projected_bytes, gillespie_run
+from fragsim.gillespie import (
+    _UNIFORM_BLOCK,
+    _projected_bytes,
+    _projected_depth,
+    gillespie_run,
+)
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec
 
@@ -80,6 +85,34 @@ def test_on_event_sequence_pinned():
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
         "75d981e23aaacb6e7848ab278b47321633474fc93d44dff282f120130720758a"
     )
+
+
+def test_rate_survives_cancellation_at_large_alpha():
+    # k q = 5^-99: the incremental update 1 + 5q - 1 cancelled to a rate of 0
+    traj = gillespie_run(ModelParams(5, 100.0), math.e**20, SeedSpec(1, 0))
+    assert traj.census.counts == {1: 5}
+    assert list(traj.max_depths) == [0, 1]
+
+
+def test_second_waiting_time_at_large_alpha():
+    # after the root splits, the rate is k q exactly: three fragments at q
+    params, seed = ModelParams(3, 30.0), SeedSpec(4, 0)
+    u = seed.rng().random(_UNIFORM_BLOCK)
+    traj = gillespie_run(params, 1e15, seed)
+    assert list(traj.max_depths[:3]) == [0, 1, 2]
+    expected = -math.log(1.0 - u[2]) / (params.k * params.q)
+    assert traj.times[2] - traj.times[1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_projected_depth_covers_observed_at_large_alpha():
+    # the smallest-depth center lies below the largest one here (0.862
+    # against 0.910), yet one past its ceiling still covers every run
+    params, t_end = ModelParams(3, 20.0), math.e**20
+    observed = max(
+        int(gillespie_run(params, t_end, SeedSpec(0, r)).max_depths[-1]) for r in range(50)
+    )
+    assert observed == 2
+    assert _projected_depth(params, t_end) >= observed
 
 
 @pytest.mark.parametrize("params,seed", [(P21, 3), (P32, 4)])

@@ -90,6 +90,11 @@ class TestSmallestDepth:
                 t = math.e**x
                 assert smallest_depth_center(p, t) > largest_depth_center(p, t)
 
+    def test_below_largest_center_at_large_alpha(self):
+        p, t = ModelParams(3, 20.0), math.e**20
+        assert smallest_depth_center(p, t) == pytest.approx(0.8619906317639565, rel=1e-12)
+        assert largest_depth_center(p, t) == pytest.approx(0.9102392266268373, rel=1e-12)
+
     def test_windows_disjoint_for_large_t(self):
         for p in PARAM_GRID:
             for x in (10, 15, 25, 40):
