@@ -294,14 +294,111 @@ def read_rows(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Parse a written CSV into its header and raw rows."""
     text = Path(csv_path).read_text()
     lines = [ln for ln in text.split("\n") if ln]
+    if not lines:
+        raise SpecError(f"record {csv_path} is empty: no header line")
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+# characters of sidecar text read at a time, and more while a value is cut
+# at the buffer's edge (see _SidecarReader._more)
+_READ_CHUNK = 1 << 20
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+class _SidecarReader:
+    """JSON text read from a file one chunk at a time. Dicts are walked
+    entry by entry; every other value goes through json's raw_decode, so it
+    reads as json.loads reads it, except that a list of floats becomes a
+    float64 array at once."""
+
+    def __init__(self, file, path: Path):
+        self.file, self.path = file, path
+        self.buf, self.pos = "", 0
+        self.base = 0  # file offset of buf[0]
+
+    def _more(self) -> bool:
+        """Drop the parsed text and append at least as much as is left, so a
+        value cut at a chunk edge is parsed again only O(log size) times."""
+        text = self.file.read(max(_READ_CHUNK, len(self.buf) - self.pos))
+        if text:
+            self.base += self.pos
+            self.buf = self.buf[self.pos :] + text
+            self.pos = 0
+        return bool(text)
+
+    def _error(self, what: str, pos: int) -> SpecError:
+        return SpecError(f"malformed sidecar {self.path}: {what} at offset {self.base + pos}")
+
+    def _peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self.pos = json.decoder.WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self._more():
+                return self.buf[self.pos : self.pos + 1]
+
+    def _expect(self, char: str) -> None:
+        if self._peek() != char:
+            raise self._error(f"expecting {char!r}", self.pos)
+        self.pos += 1
+
+    def _decode(self) -> Any:
+        while True:
+            try:
+                value, end = _raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self._more():
+                    continue
+                raise self._error(exc.msg, exc.pos) from None
+            # a number cut at the buffer's edge still parses, as a shorter
+            # one followed by at most two characters: 0.12|345, 1.|5, 2e+|10
+            if len(self.buf) - end > 2 or not self._more():
+                self.pos = end
+                return value
+
+    def value(self) -> Any:
+        if self._peek() != "{":
+            value = self._decode()
+            if isinstance(value, list) and set(map(type, value)) <= {float}:
+                return np.array(value)
+            return value
+        self.pos += 1
+        out: dict[str, Any] = {}
+        if self._peek() != "}":
+            while True:
+                if self._peek() != '"':
+                    raise self._error("expecting a property name", self.pos)
+                key = self._decode()
+                self._expect(":")
+                out[key] = self.value()
+                if self._peek() != ",":
+                    break
+                self.pos += 1
+        self._expect("}")
+        return out
+
+    def document(self) -> dict:
+        if self._peek() != "{":
+            raise self._error("expecting a JSON object", self.pos)
+        meta = self.value()
+        if self._peek():
+            raise self._error("extra data", self.pos)
+        return meta
 
 
 def read_sidecar(csv_path: str | Path) -> dict:
     """Metadata of the record written at csv_path, {} if it has no sidecar.
-    The CSV must exist, although only the sidecar is read."""
+    The CSV must exist, although only the sidecar is read.
+
+    The sidecar is read one chunk at a time, and each list of floats (a
+    replica's points) comes back as a float64 array as soon as it is
+    parsed, so only one replica's points are ever held as Python floats;
+    every other value is what json.loads returns. A malformed or truncated
+    sidecar raises SpecError naming the file and the offset."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
     meta_file = sidecar_path(csv_path)
-    return json.loads(meta_file.read_text()) if meta_file.exists() else {}
+    if not meta_file.exists():
+        return {}
+    with meta_file.open() as f:
+        return _SidecarReader(f, meta_file).document()

@@ -284,7 +284,7 @@ class TestKernelParity:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "541f51c7cd277bfe2432b4a1df433fcaaa5bd8caeb9d1db743be27eec8c2a615"
         )
-        extras = json.dumps(read_sidecar(out)["extras"], sort_keys=True)
+        extras = json.dumps(read_sidecar(out)["extras"], sort_keys=True, default=np.ndarray.tolist)
         assert hashlib.sha256(extras.encode()).hexdigest() == (
             "f63d513bcd2d6c4fc36033e8021f671eea82c2e0e8fb5d60f52649d7abc48a3d"
         )

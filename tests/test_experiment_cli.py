@@ -307,24 +307,14 @@ class TestRunRecord:
 
     def test_sidecar_written_in_bounded_memory(self, tmp_path):
         # about 10 MB of points: the whole-text json.dumps held three copies
-        rng = np.random.default_rng(0)
-        points = {str(r): rng.standard_exponential(256) for r in range(2000)}
-        out = tmp_path / "big.csv"
-        record = ResultRecord(
-            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out)),
-            columns=("replica", "n", "k_min", "k_max", "tau"),
-            rows=[],
-            wall_clock_s=0.0,
-            version_tag="v",
-            extras={"points_final_generation": points},
-        )
+        record = _big_points_record(tmp_path / "big.csv")
         tracemalloc.start()
         try:
             experiment.write_record(record)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sidecar_path(out).stat().st_size
+        size = sidecar_path(record.spec.out).stat().st_size
         assert size > 9_000_000
         assert peak < 0.1 * size
 
@@ -341,6 +331,130 @@ class TestRunRecord:
         times = [float(r[3]) for r in rows]
         assert times == sorted(times)
         assert len(rows) == 5
+
+
+def _big_points_record(out) -> ResultRecord:
+    """A brw record whose sidecar holds about 10 MB of points."""
+    rng = np.random.default_rng(0)
+    return ResultRecord(
+        spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out)),
+        columns=("replica", "n", "k_min", "k_max", "tau"),
+        rows=[],
+        wall_clock_s=0.0,
+        version_tag="v",
+        extras={"points_final_generation": {
+            str(r): rng.standard_exponential(256) for r in range(2000)
+        }},
+    )
+
+
+def _assert_reads_as_loaded(got, want):
+    """got is json.loads' want, except that each list of floats is a
+    float64 array with the same bytes."""
+    if isinstance(want, list) and all(type(v) is float for v in want):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_reads_as_loaded(got[key], want[key])
+    else:
+        assert type(got) is type(want) and got == want
+
+
+# sidecars of each engine, and brw ones rewritten in other valid layouts
+_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "gillespie", "spine",
+                    "indent-2", "floor-infinity", "empty-extras")
+
+
+def _sidecar_in_layout(tmp_path, layout):
+    engine = layout if layout in ("gillespie", "spine") else "brw"
+    horizon = {"t_end": 30.0} if engine == "gillespie" else {"n_max": 4}
+    floor = {"floor": 2.0} if layout == "brw-high-floor" else {}
+    out = tmp_path / "r.csv"
+    run_experiment(ExperimentSpec(
+        k=3, alpha=0.6, engine=engine, replicas=5, master_seed=8, out=str(out),
+        **horizon, **floor,
+    ))
+    meta = sidecar_path(out)
+    text = meta.read_text()
+    if layout == "indent-2":
+        text = json.dumps(json.loads(text), indent=2)
+    elif layout == "floor-infinity":
+        text = text.replace('"floor": -5.0', '"floor": Infinity')
+        assert "Infinity" in text
+    elif layout == "empty-extras":
+        text = json.dumps({**json.loads(text), "extras": {}}, sort_keys=True)
+    meta.write_text(text)
+    return out
+
+
+class TestReadSidecar:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
+    def test_reads_as_json_loads(self, tmp_path, monkeypatch, layout, chunk):
+        # small chunks cut every key, string and number at some chunk edge
+        out = _sidecar_in_layout(tmp_path, layout)
+        if chunk:
+            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
+        _assert_reads_as_loaded(read_sidecar(out), json.loads(sidecar_path(out).read_text()))
+
+    def test_read_in_bounded_memory(self, tmp_path):
+        # this reader peaks at 0.87x the file size, json.loads of the whole
+        # text at 2.6x
+        record = _big_points_record(tmp_path / "big.csv")
+        experiment.write_record(record)
+        tracemalloc.start()
+        try:
+            meta = read_sidecar(record.spec.out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sidecar_path(record.spec.out).stat().st_size
+        assert size > 9_000_000
+        assert peak < 1.0 * size
+        points = record.extras["points_final_generation"]
+        assert all(
+            meta["extras"]["points_final_generation"][r].tobytes() == p.tobytes()
+            for r, p in points.items()
+        )
+
+    def test_long_value_read_in_few_attempts(self, tmp_path, monkeypatch):
+        # each retry at least doubles the unparsed text; fixed-size reads
+        # would parse a value spanning m chunks m times
+        values = np.random.default_rng(1).standard_normal(1_000_000)
+        out = tmp_path / "long.csv"
+        out.write_text("")
+        sidecar_path(out).write_text(json.dumps({"points": values.tolist()}))
+        attempts = []
+        decode = experiment._raw_decode
+
+        def counted(text, pos):
+            attempts.append(pos)
+            return decode(text, pos)
+
+        chunk = 1 << 16
+        monkeypatch.setattr(experiment, "_raw_decode", counted)
+        monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
+        assert read_sidecar(out)["points"].tobytes() == values.tobytes()
+        size = sidecar_path(out).stat().st_size
+        assert len(attempts) <= math.log2(size / chunk) + 4
+
+    @pytest.mark.parametrize("text, what", [
+        ('{"spec": {"k": 2}', "expecting '}' at offset 17"),
+        ('{"spec": [1.0, 2.', "Expecting ',' delimiter at offset 16"),
+        ('{"spec" {}}', "expecting ':' at offset 8"),
+        ('{"a": 1,}', "expecting a property name at offset 8"),
+        ("[]", "expecting a JSON object at offset 0"),
+        ("", "expecting a JSON object at offset 0"),
+        ('{"a": 1} {}', "extra data at offset 9"),
+    ])
+    def test_malformed_raises_spec_error(self, tmp_path, text, what):
+        out = tmp_path / "m.csv"
+        out.write_text("")
+        sidecar_path(out).write_text(text)
+        with pytest.raises(SpecError, match=f"m.csv.meta.json: {what}"):
+            read_sidecar(out)
 
 
 class TestCliSurface:
@@ -516,6 +630,26 @@ class TestCliSurface:
         monkeypatch.setattr(plotdata, "read_rows", refuse)
         assert plotdata.emit_plotdata(out, "intensity", table) == expected > 0
         assert table.read_bytes() == body
+
+    @pytest.mark.parametrize("kind", ["staircase", "windows"])
+    def test_plotdata_empty_csv_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "g.csv"
+        assert main(["simulate", "gillespie", "--t-end", "20", "--out", str(out)]) == 0
+        out.write_text("")
+        assert main(["plotdata", "--in", str(out), "--kind", kind,
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"record {out} is empty" in capsys.readouterr().err
+
+    def test_plotdata_truncated_sidecar_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "5", "--replicas", "10",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        text = meta.read_text()
+        meta.write_text(text[: len(text) // 2])
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(tmp_path / "i.csv")]) == 2
+        assert f"malformed sidecar {meta}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", plotdata.KINDS)
     def test_plotdata_missing_csv_exits_2(self, tmp_path, capsys, kind):
