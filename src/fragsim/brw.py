@@ -96,6 +96,12 @@ def block_rows(k: int, n_max: int) -> int:
     return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _worker_bytes(k, n_max, 1))
 
 
+def sweep_threads(k: int, n_max: int, rows: int) -> bool:
+    """Whether sweep_replicas runs blocks of ``rows`` replicas on threads: it
+    does where the last generation spans more than one chunk."""
+    return k**n_max > _chunk_width(k, rows)
+
+
 def _generations(
     params: ModelParams,
     n_max: int,
@@ -202,10 +208,9 @@ def sweep_replicas(
     """Extremes of generations 0..n_max for every seed, and the centred points
     at or above ``floor`` for the generations in ``point_generations`` only.
 
-    Replicas run in blocks of block_rows(k, n_max). Where the last generation
-    spans more than one chunk, min(blocks, usable CPUs, budget // one
-    block's buffers) threads run them, else one. Each replica's values are
-    those of a sweep of its seed alone.
+    Replicas run in blocks of block_rows(k, n_max), on min(blocks, usable
+    CPUs, budget // one block's buffers) threads if sweep_threads says so,
+    else one. Each replica's values are those of a sweep of its seed alone.
     """
     k, gamma, count = params.k, params.gamma, len(seeds)
     if count < 1:
@@ -221,7 +226,7 @@ def sweep_replicas(
     )
     starts = range(0, count, rows)
     workers = 1
-    if k**n_max > width:
+    if sweep_threads(k, n_max, rows):
         workers = min(len(starts), usable_cpus(), budget_bytes() // per_worker)
     wanted = sorted(set(point_generations))
     k_min = np.empty((count, n_max + 1))

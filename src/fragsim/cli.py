@@ -18,6 +18,7 @@ import numpy as np
 from .budget import ensure_within_budget
 from .errors import FragsimError
 from .experiment import (
+    _CONFIG_TYPES,
     ENGINES,
     TAILS_COLUMNS,
     ExperimentSpec,
@@ -47,14 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded replica sweep")
     sim.add_argument("engine", choices=ENGINES)
     sim.add_argument("--config", help="key=value config file; flags override it")
-    sim.add_argument("--k", type=int)
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--n-max", type=int, dest="n_max")
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--replicas", type=int)
-    sim.add_argument("--seed", type=int, dest="master_seed")
-    sim.add_argument("--floor", type=float)
-    sim.add_argument("--out", type=str)
+    for key, convert in _CONFIG_TYPES.items():
+        if key != "engine":
+            flag = "seed" if key == "master_seed" else key.replace("_", "-")
+            sim.add_argument(f"--{flag}", type=convert, dest=key, default=argparse.SUPPRESS)
     sim.add_argument("--jobs", type=int, default=1)
 
     tails = sub.add_parser("tails", help="tabulate the exact survival function")
@@ -76,16 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    fields = {}
+    fields = {"k": 2, "alpha": 1.0}  # then the config file's values, then the flags
     if args.config:
         fields.update(read_config(args.config))
-    fields["engine"] = args.engine
-    for key in ("k", "alpha", "n_max", "t_end", "replicas", "master_seed", "floor", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            fields[key] = value
-    fields.setdefault("k", 2)
-    fields.setdefault("alpha", 1.0)
+    fields.update((key, value) for key, value in vars(args).items() if key in _CONFIG_TYPES)
     spec = ExperimentSpec(**fields)
     record = run_experiment(spec, jobs=args.jobs)
     dest = spec.out if spec.out is not None else "<unpersisted>"

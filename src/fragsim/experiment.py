@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas
+from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas, sweep_threads
 from .budget import usable_cpus
 from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
@@ -34,13 +34,13 @@ from .seeds import SeedSpec
 
 SCHEMA_VERSION = 1
 
-ENGINES = ("brw", "gillespie", "spine")
-
+# each engine's record columns, after schema_version
 _COLUMNS = {
     "brw": ("replica", "n", "k_min", "k_max", "tau"),
     "gillespie": ("replica", "event_time", "m_t", "M_t"),
     "spine": ("replica", "i", "split_time"),
 }
+ENGINES = tuple(_COLUMNS)
 
 TAILS_COLUMNS = ("q", "n", "t", "survival", "abs_error")
 
@@ -62,19 +62,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise SpecError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.engine in ("brw", "spine"):
-            if self.n_max is None or self.t_end is not None:
-                raise SpecError(
-                    f"engine {self.engine!r} takes n_max and not t_end "
-                    f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
-                )
+        horizon, other = ("t_end", "n_max") if self.engine == "gillespie" else ("n_max", "t_end")
+        if getattr(self, horizon) is None or getattr(self, other) is not None:
+            raise SpecError(
+                f"engine {self.engine!r} takes {horizon} and not {other} "
+                f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
+            )
+        if horizon == "n_max":
             check_int("n_max", self.n_max, error=SpecError)
         else:
-            if self.t_end is None or self.n_max is not None:
-                raise SpecError(
-                    f"engine 'gillespie' takes t_end and not n_max "
-                    f"(got n_max={self.n_max!r}, t_end={self.t_end!r})"
-                )
             check_real("t_end", self.t_end, positive=True, error=SpecError)
         check_int("replicas", self.replicas, 1, error=SpecError)
         check_int("master_seed", self.master_seed, below=1 << 64, error=SpecError)
@@ -107,17 +103,12 @@ class ExperimentSpec:
         return cls(**data)
 
 
-_CONFIG_TYPES = {
-    "k": int,
-    "alpha": float,
-    "engine": str,
-    "n_max": int,
-    "t_end": float,
-    "replicas": int,
-    "master_seed": int,
-    "floor": float,
-    "out": str,
-}
+# The spec's fields, each with the converter that reads it from a config
+# file or a `simulate` flag.
+_CONFIG_TYPES = dict(
+    k=int, alpha=float, engine=str, n_max=int, t_end=float,
+    replicas=int, master_seed=int, floor=float, out=str,
+)
 
 
 def read_config(path: str | Path) -> dict[str, Any]:
@@ -144,7 +135,6 @@ class ResultRecord:
     """Spec echo plus the rows that went into the CSV body."""
 
     spec: ExperimentSpec
-    columns: tuple[str, ...]
     rows: list[tuple]
     wall_clock_s: float
     version_tag: str
@@ -207,32 +197,36 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
     return rows, {}
 
 
-def _blocks(spec: ExperimentSpec) -> list[tuple[int, int]]:
-    """Replica ranges [lo, hi) that one pool worker's payload call runs: a
-    BRW kernel block each, or one replica for the other engines."""
+def _worker_ranges(spec: ExperimentSpec, jobs: int) -> list[tuple[int, int]]:
+    """Replica ranges [lo, hi), one per worker: min(jobs, blocks, CPUs)
+    contiguous runs of whole blocks, a block being a BRW kernel block or one
+    replica of another engine. A BRW sweep that threads its blocks is one
+    range, so its threads share one memory budget, not one per process."""
     size = block_rows(spec.k, spec.n_max) if spec.engine == "brw" else 1
-    return [(lo, min(lo + size, spec.replicas)) for lo in range(0, spec.replicas, size)]
+    blocks = -(-spec.replicas // size)
+    workers = min(jobs, blocks, usable_cpus())
+    if spec.engine == "brw" and sweep_threads(spec.k, spec.n_max, size):
+        workers = 1
+    cuts = [min(i * blocks // workers * size, spec.replicas) for i in range(workers + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     """Execute every replica, optionally in parallel, and persist if out set.
 
-    Output ordering is by replica index regardless of completion order, and
-    workers communicate by value only, so the CSV body is independent of
-    ``jobs``. At most min(jobs, blocks, CPUs) worker processes start; with
-    one, a single payload call runs every replica in this process, so that
-    one BRW sweep sees them all.
+    Each worker makes one payload call over its range of replicas; one
+    worker runs in this process, more in a process pool. Output ordering is
+    by replica index, and workers communicate by value only, so the CSV
+    body is independent of ``jobs``.
     """
     check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
-    blocks = _blocks(spec)
-    workers = min(jobs, len(blocks), usable_cpus())
-    if workers == 1:
-        payloads = [_block_payload(spec, 0, spec.replicas)]
+    ranges = _worker_ranges(spec, jobs)
+    if len(ranges) == 1:
+        payloads = [_block_payload(spec, *ranges[0])]
     else:
-        los, his = zip(*blocks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_block_payload, repeat(spec), los, his))
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            payloads = list(pool.map(_block_payload, repeat(spec), *zip(*ranges)))
     rows: list[tuple] = []
     merged_extras: dict[str, Any] = {}
     for payload_rows, extras in payloads:
@@ -241,7 +235,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
             merged_extras.setdefault(key, {}).update(value)
     record = ResultRecord(
         spec=spec,
-        columns=_COLUMNS[spec.engine],
         rows=rows,
         wall_clock_s=time.monotonic() - start,
         version_tag=_git_describe(),
@@ -275,7 +268,7 @@ def _write_json(value: Any, write) -> None:
 def write_record(record: ResultRecord) -> None:
     out = Path(record.spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(format_csv(record.columns, record.rows))
+    out.write_text(format_csv(_COLUMNS[record.spec.engine], record.rows))
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "spec": record.spec.to_dict(),
@@ -290,13 +283,27 @@ def write_record(record: ResultRecord) -> None:
         f.write("\n")
 
 
-def read_rows(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Parse a written CSV into its header and raw rows."""
+def read_rows(
+    csv_path: str | Path, columns: tuple[str, ...] | None = None
+) -> tuple[list[str], list[list[str]]]:
+    """Parse a written CSV into its header and raw rows, row i being line
+    i + 2. The header must be schema_version and then ``columns`` (any
+    names, if None), and every row must hold this SCHEMA_VERSION and one
+    cell per column; else SpecError names the file and the line."""
     text = Path(csv_path).read_text()
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
+    if not text:
         raise SpecError(f"record {csv_path} is empty: no header line")
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    header, *rows = (line.split(",") for line in text.removesuffix("\n").split("\n"))
+    if header[0] != "schema_version" or columns not in (None, tuple(header[1:])):
+        want = ",".join(("schema_version", *(columns or ("...",))))
+        raise SpecError(f"record {csv_path} line 1: header {','.join(header)!r}, not {want!r}")
+    for line, row in enumerate(rows, 2):
+        if row[0] != str(SCHEMA_VERSION) or len(row) != len(header):
+            raise SpecError(
+                f"record {csv_path} line {line}: expected {len(header)} cells with"
+                f" schema_version {SCHEMA_VERSION}, got {','.join(row)!r}"
+            )
+    return header, rows
 
 
 # characters of sidecar text read at a time, and more while a value is cut

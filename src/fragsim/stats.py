@@ -18,6 +18,7 @@ import numpy as np
 from .brw import tree_matrices
 from .errors import DomainError
 from .gillespie import GillespieTrajectory
+from .laws import gumbel_limit_cdf
 from .params import ModelParams
 from .predictors import (
     PredictorWindow,
@@ -81,11 +82,11 @@ def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
 
 def ks_gumbel(tau_samples: Sequence[float], q: float) -> KSReport:
     """KS distance between centred-maximum samples and the limit law
-    exp(-exp(-s)/phi_inf(q))."""
+    gumbel_limit_cdf(q, .)."""
     samples = np.sort(np.asarray(tau_samples, dtype=float))
     if samples.size < 100:
         raise DomainError(f"need at least 100 samples, got {samples.size}")
-    ref = np.exp(-np.exp(-samples) / qpochhammer_limit(q))
+    ref = np.array([gumbel_limit_cdf(q, s) for s in samples.tolist()])
     return KSReport(statistic=ks_statistic(samples, ref), sample_size=int(samples.size))
 
 

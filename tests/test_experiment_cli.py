@@ -2,14 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fragsim import budget, experiment, plotdata, verify
+from fragsim import brw, budget, experiment, plotdata, verify
 from fragsim.brw import sweep_replicas
-from fragsim.cli import TAILS_MAX_ABS_ERROR, main
+from fragsim.cli import TAILS_MAX_ABS_ERROR, build_parser, main
 from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
     SCHEMA_VERSION,
@@ -134,6 +135,22 @@ class TestConfig:
         assert read_sidecar(out)["spec"]["n_max"] == 4
         assert {int(r[2]) for r in rows} == set(range(5))
 
+    def test_config_types_name_the_spec_fields(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert set(experiment._CONFIG_TYPES) == fields
+
+    def test_one_simulate_flag_per_field(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {}
+        for action in sub.choices["simulate"]._actions:
+            flags.setdefault(action.dest, []).extend(action.option_strings)
+        for key in ("k", "alpha", "replicas", "floor", "out"):
+            assert flags.pop(key) == [f"--{key}"]
+        assert flags.pop("n_max") == ["--n-max"] and flags.pop("t_end") == ["--t-end"]
+        assert flags.pop("master_seed") == ["--seed"]
+        assert flags == {"help": ["-h", "--help"], "engine": [], "config": ["--config"],
+                         "jobs": ["--jobs"]}
+
 
 class TestRunRecord:
     def test_single_root_row(self, tmp_path):
@@ -199,13 +216,13 @@ class TestRunRecord:
         assert a.read_bytes() == b.read_bytes()
         assert sidecar_path(a).read_text().count("\n") == 1
 
-    def test_jobs_clamped_to_blocks_and_cpus(self, tmp_path, monkeypatch):
-        pools = []
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        """Stand in for ProcessPoolExecutor: record each pool's worker count
+        and its mapped tasks, start no process and map in this one."""
+        pools, tasks = [], []
 
         class Recorder:
-            """Stands in for ProcessPoolExecutor: records the worker count,
-            starts no process and maps in this one."""
-
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -216,9 +233,15 @@ class TestRunRecord:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                calls = list(zip(*iterables))
+                tasks.append(len(calls))
+                return (fn(*args) for args in calls)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+        return pools, tasks
+
+    def test_jobs_clamped_to_blocks_and_cpus(self, tmp_path, monkeypatch, recorder):
+        pools = recorder[0]
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
         assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2",
                      "--jobs", "5000", "--out", str(tmp_path / "b.csv")]) == 0
@@ -229,6 +252,42 @@ class TestRunRecord:
         run_experiment(gil, jobs=5000)
         assert pools == [3, 2]
 
+    @pytest.mark.parametrize("engine, horizon, replicas", [
+        ("spine", {"n_max": 8}, 7),
+        ("gillespie", {"t_end": 20.0}, 7),
+        ("brw", {"n_max": 6}, 7),
+    ])
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
+    def test_one_task_per_worker(self, monkeypatch, recorder, engine, horizon, replicas, jobs):
+        if engine == "brw":  # blocks of two n=6 replicas: four blocks
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+        spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=replicas,
+                              master_seed=5, **horizon)
+        rows = run_experiment(spec, jobs=jobs).rows
+        pools, tasks = recorder
+        assert pools == tasks == [min(jobs, 3)]
+        assert rows == run_experiment(spec, jobs=1).rows
+        block = 2 if engine == "brw" else 1
+        assert max(hi - lo for lo, hi in experiment._worker_ranges(spec, jobs)) > block
+
+    @pytest.mark.parametrize("engine, horizon", [
+        ("spine", {"n_max": 8}), ("gillespie", {"t_end": 20.0}), ("brw", {"n_max": 6}),
+    ])
+    def test_jobs_keep_csv_and_sidecar_bytes(self, tmp_path, monkeypatch, engine, horizon):
+        if engine == "brw":
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+        bodies = set()
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}.csv"
+            run_experiment(ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=7,
+                                          master_seed=5, out=str(out), **horizon), jobs=jobs)
+            meta = sidecar_path(out).read_text().replace(json.dumps(str(out)), '"OUT"')
+            meta = re.sub(r'"wall_clock_s": [^,}]+', "", meta)
+            bodies.add((out.read_bytes(), meta))
+        assert len(bodies) == 1
+
     def test_one_worker_runs_one_sweep(self, monkeypatch):
         calls = []
 
@@ -238,9 +297,32 @@ class TestRunRecord:
 
         monkeypatch.setattr(experiment, "sweep_replicas", counted)
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=10, replicas=200)
-        assert len(experiment._blocks(spec)) == 3
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
+        assert len(experiment._worker_ranges(spec, 64)) == 3  # three blocks
         run_experiment(spec, jobs=1)
         assert calls == [200]
+
+    def test_threaded_sweep_starts_no_pool(self, monkeypatch, recorder):
+        """A deep brw run spreads its blocks over the sweep's threads, which
+        share one budget, in place of pool workers that would each hold one."""
+        threads = []
+
+        def on_threads(run, jobs, workers, make):
+            threads.append(workers)
+            return brw_on_threads(run, jobs, workers, make)
+
+        brw_on_threads = brw._on_threads
+        monkeypatch.setattr(brw, "_on_threads", on_threads)
+        monkeypatch.setattr(brw, "usable_cpus", lambda: 64)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
+        # one replica a block, 2**18 leaves spanning two chunks
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=18, replicas=3)
+        assert brw.block_rows(2, 18) == 1 and brw.sweep_threads(2, 18, 1)
+        assert experiment._worker_ranges(spec, 3) == [(0, 3)]
+        rows = run_experiment(spec, jobs=3).rows
+        assert recorder[0] == [] and threads == [3]
+        alone = run_experiment(dataclasses.replace(spec, replicas=1)).rows
+        assert [row for row in rows if row[0] == 0] == alone
 
     def test_usable_cpus_honours_affinity(self, monkeypatch):
         monkeypatch.setattr(budget.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
@@ -338,7 +420,6 @@ def _big_points_record(out) -> ResultRecord:
     rng = np.random.default_rng(0)
     return ResultRecord(
         spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out)),
-        columns=("replica", "n", "k_min", "k_max", "tau"),
         rows=[],
         wall_clock_s=0.0,
         version_tag="v",
@@ -639,6 +720,36 @@ class TestCliSurface:
         assert main(["plotdata", "--in", str(out), "--kind", kind,
                      "--out", str(tmp_path / "p.csv")]) == 2
         assert f"record {out} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["staircase", "windows"])
+    @pytest.mark.parametrize("fault, where", [
+        ("brw rows", "line 1: header 'schema_version,replica,n,k_min,k_max,tau'"),
+        ("schema_version 2", "line 2: expected 5 cells with schema_version 1, got '2,0,0.0,0,0'"),
+        ("late first row", "replica 1 starts at t = "),
+        ("bad cell", "line 2: could not convert string to float: 'x'"),
+    ])
+    def test_plotdata_malformed_record_exits_2(self, tmp_path, capsys, kind, fault, where):
+        out = tmp_path / "g.csv"
+        assert main(["simulate", "gillespie", "--t-end", "20", "--replicas", "2",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        if fault == "brw rows":
+            brw = tmp_path / "b.csv"
+            assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2",
+                         "--out", str(brw)]) == 0
+            lines = brw.read_text().splitlines(keepends=True)
+        elif fault == "schema_version 2":
+            lines[1:] = ["2" + line[1:] for line in lines[1:]]
+        elif fault == "late first row":
+            first = lines.index("1,1,0.0,0,0\n")
+            del lines[first]
+            where = f"line {first + 1}: " + where
+        else:
+            lines[1] = "1,0,x,0,0\n"
+        out.write_text("".join(lines))
+        assert main(["plotdata", "--in", str(out), "--kind", kind,
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"record {out} {where}" in capsys.readouterr().err
 
     def test_plotdata_truncated_sidecar_exits_2(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
