@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +21,9 @@ from .experiment import (
     ENGINES,
     TAILS_COLUMNS,
     ExperimentSpec,
-    format_csv,
     read_config,
     run_experiment,
+    write_csv,
 )
 from .laws import perpetuity_survival
 from .plotdata import KINDS, emit_plotdata
@@ -109,7 +108,7 @@ def _cmd_tails(args) -> int:
             file=sys.stderr,
         )
         return 1
-    Path(args.out).write_text(format_csv(TAILS_COLUMNS, rows))
+    write_csv(args.out, TAILS_COLUMNS, rows)
     print(f"tails: {len(rows)} rows -> {args.out}")
     return 0
 

@@ -19,9 +19,9 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -141,12 +141,20 @@ class ResultRecord:
     extras: dict[str, Any]
 
 
-def format_csv(columns: tuple[str, ...], rows: list[tuple]) -> str:
-    # str of a Python float is its shortest round-trip repr
-    lines = ["schema_version," + ",".join(columns)]
-    for row in rows:
-        lines.append(f"{SCHEMA_VERSION}," + ",".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+# CSV lines formatted and written at a time
+_CSV_BATCH = 1024
+
+
+def write_csv(path: str | Path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Write a schema_version header and then one line per row, a batch of
+    _CSV_BATCH lines at a time, so no string or list of the whole file is
+    ever held. str of a Python float is its shortest round-trip repr."""
+    rows = iter(rows)
+    prefix = f"{SCHEMA_VERSION},"
+    with Path(path).open("w") as f:
+        f.write("schema_version," + ",".join(columns) + "\n")
+        while batch := list(islice(rows, _CSV_BATCH)):
+            f.write("".join([prefix + ",".join(map(str, row)) + "\n" for row in batch]))
 
 
 def _git_describe() -> str:
@@ -177,10 +185,10 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
         n_max = spec.n_max
         sweep = sweep_replicas(params, n_max, seeds, spec.floor, (n_max,))
         # .tolist() gives Python floats, whose repr the CSV cells rely on
-        for r, k_min, k_max, tau in zip(
-            replicas, sweep.k_min.tolist(), sweep.k_max.tolist(), sweep.tau.tolist()
-        ):
-            rows.extend(zip(repeat(r), range(n_max + 1), k_min, k_max, tau))
+        for r, k_min, k_max, tau in zip(replicas, sweep.k_min, sweep.k_max, sweep.tau):
+            rows.extend(
+                zip(repeat(r), range(n_max + 1), k_min.tolist(), k_max.tolist(), tau.tolist())
+            )
         # float64 arrays, listed only as write_record encodes them
         points = dict(zip(map(str, replicas), sweep.points[n_max]))
         return rows, {"points_final_generation": points}
@@ -268,7 +276,7 @@ def _write_json(value: Any, write) -> None:
 def write_record(record: ResultRecord) -> None:
     out = Path(record.spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(format_csv(_COLUMNS[record.spec.engine], record.rows))
+    write_csv(out, _COLUMNS[record.spec.engine], record.rows)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "spec": record.spec.to_dict(),
@@ -308,18 +316,21 @@ def read_rows(
 
 # characters of sidecar text read at a time, and more while a value is cut
 # at the buffer's edge (see _SidecarReader._more)
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 16
 _raw_decode = json.JSONDecoder().raw_decode
+# keys of the dict that maps each brw replica to its final-generation points
+_POINTS_KEYS = ("extras", "points_final_generation")
 
 
 class _SidecarReader:
     """JSON text read from a file one chunk at a time. Dicts are walked
     entry by entry; every other value goes through json's raw_decode, so it
     reads as json.loads reads it, except that a list of floats becomes a
-    float64 array at once."""
+    float64 array at once, and that each replica's points go through
+    ``points`` (if given) as soon as they are parsed."""
 
-    def __init__(self, file, path: Path):
-        self.file, self.path = file, path
+    def __init__(self, file, path: Path, points: Callable[[Any], Any] | None):
+        self.file, self.path, self.points = file, path, points
         self.buf, self.pos = "", 0
         self.base = 0  # file offset of buf[0]
 
@@ -362,12 +373,16 @@ class _SidecarReader:
                 self.pos = end
                 return value
 
-    def value(self) -> Any:
-        if self._peek() != "{":
-            value = self._decode()
-            if isinstance(value, list) and set(map(type, value)) <= {float}:
-                return np.array(value)
-            return value
+    def value(self, keys: tuple[str, ...] = ()) -> Any:
+        """The value at the reader's position, found under ``keys``."""
+        value = self._dict(keys) if self._peek() == "{" else self._decode()
+        if isinstance(value, list) and set(map(type, value)) <= {float}:
+            value = np.array(value)
+        if self.points and keys[:-1] == _POINTS_KEYS:
+            return self.points(value)
+        return value
+
+    def _dict(self, keys: tuple[str, ...]) -> dict:
         self.pos += 1
         out: dict[str, Any] = {}
         if self._peek() != "}":
@@ -376,7 +391,7 @@ class _SidecarReader:
                     raise self._error("expecting a property name", self.pos)
                 key = self._decode()
                 self._expect(":")
-                out[key] = self.value()
+                out[key] = self.value((*keys, key))
                 if self._peek() != ",":
                     break
                 self.pos += 1
@@ -392,15 +407,20 @@ class _SidecarReader:
         return meta
 
 
-def read_sidecar(csv_path: str | Path) -> dict:
+def read_sidecar(
+    csv_path: str | Path, points: Callable[[Any], Any] | None = None
+) -> dict:
     """Metadata of the record written at csv_path, {} if it has no sidecar.
     The CSV must exist, although only the sidecar is read.
 
     The sidecar is read one chunk at a time, and each list of floats (a
     replica's points) comes back as a float64 array as soon as it is
     parsed, so only one replica's points are ever held as Python floats;
-    every other value is what json.loads returns. A malformed or truncated
-    sidecar raises SpecError naming the file and the offset."""
+    every other value is what json.loads returns. With ``points``, each
+    replica's points are replaced by ``points(value)`` as soon as they are
+    parsed, so a caller that keeps only a reduction of them never holds them
+    all. A malformed or truncated sidecar raises SpecError naming the file
+    and the offset."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
@@ -408,4 +428,4 @@ def read_sidecar(csv_path: str | Path) -> dict:
     if not meta_file.exists():
         return {}
     with meta_file.open() as f:
-        return _SidecarReader(f, meta_file).document()
+        return _SidecarReader(f, meta_file, points).document()

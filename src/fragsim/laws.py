@@ -14,7 +14,8 @@ Term j of each series is ``num_j * exp(-rate_j t) / den_j``, and only the
 exponential depends on t. The (num, rate, den) triples are therefore built
 once per (q, n) for the finite-n survival and density, and once per q for
 the full perpetuity, and cached as immutable tuples, so a t grid pays for
-them once. Every law then runs one loop, ``_sum_terms``, that forms each
+them once. The finite-n tables are built only as deep as the stop below has
+needed yet. Every law then runs one loop, ``_sum_terms``, that forms each
 term with the same float operations in the same order as a term-by-term
 evaluation and adds it into the compensated sum.
 
@@ -65,28 +66,52 @@ def _tail(value: float, abs_error: float) -> TailEval:
     return TailEval(min(max(value, 0.0), 1.0), max(abs_error, 0.0))
 
 
-@lru_cache(maxsize=256, typed=True)
-def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
+class _SeriesTable:
     """Term table of the finite-n series: one (numerator, rate, denominator)
     triple per j = 0..n, with numerator (-1)^j q^{j(j+1)/2 - j*shift}, rate
     q^{-j} and denominator phi_j phi_{n-j}.
 
-    shift=0 gives the survival series, shift=1 the density series. Cached
-    per (q, n, shift), so a t grid builds the table once. The cache is typed,
-    so that its entry for n=1 does not answer n=True, which
-    ``qpochhammer_factors`` refuses.
+    shift=0 gives the survival series, shift=1 the density series. The
+    terms are built only as deep as a t has needed yet, and extended with
+    the same recurrences when a smaller t needs more, so a one-off (q, n)
+    at large n builds the few terms its t reads, not all n+1.
     """
-    phis = qpochhammer_factors(q, n)
-    table = []
-    sign = 1.0
-    qpow = 1.0  # q^{j(j+1)/2 - j*shift}
-    rate = 1.0  # q^{-j}
-    for j in range(n + 1):
-        table.append((sign * qpow, rate, phis[j] * phis[n - j]))
-        sign = -sign
-        qpow *= q ** (j + 1 - exponent_shift)
-        rate /= q
-    return tuple(table)
+
+    def __init__(self, q: float, n: int, exponent_shift: int):
+        self.q, self.n, self.shift = q, n, exponent_shift
+        self.phis = qpochhammer_factors(q, n)
+        # the terms built so far, then sign, q^{j(j+1)/2 - j*shift} and
+        # q^{-j} of the next one: replaced as one value, so they always agree
+        self.built = ((), 1.0, 1.0, 1.0)
+
+    def upto(self, t: float) -> tuple:
+        """The terms, built through the first whose exponential at t is
+        exactly 0.0 (where _sum_terms stops), or all n+1."""
+        terms, sign, qpow, rate = self.built
+        if len(terms) > self.n or (
+            terms and t > 0.0 and math.exp(-terms[-1][1] * t) == 0.0
+        ):
+            return terms
+        q, n, phis = self.q, self.n, self.phis
+        new = []
+        for j in range(len(terms), n + 1):
+            new.append((sign * qpow, rate, phis[j] * phis[n - j]))
+            sign = -sign
+            qpow *= q ** (j + 1 - self.shift)
+            rate /= q
+            if t > 0.0 and math.exp(-new[-1][1] * t) == 0.0:
+                break
+        terms += tuple(new)
+        self.built = (terms, sign, qpow, rate)
+        return terms
+
+
+@lru_cache(maxsize=256, typed=True)
+def _series_coeffs(q: float, n: int, exponent_shift: int) -> _SeriesTable:
+    """The _SeriesTable of (q, n, shift), cached so that a t grid builds each
+    term once. The cache is typed, so that its entry for n=1 does not answer
+    n=True, which ``qpochhammer_factors`` refuses."""
+    return _SeriesTable(q, n, exponent_shift)
 
 
 @lru_cache(maxsize=256)
@@ -156,7 +181,7 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
 
 def _survival(q: float, n: int, t: float) -> TailEval:
     """perpetuity_survival for arguments already checked, and t > 0."""
-    value, absum = _sum_terms(_series_coeffs(q, n, 0), t)
+    value, absum = _sum_terms(_series_coeffs(q, n, 0).upto(t), t)
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 
@@ -164,7 +189,7 @@ def perpetuity_density(q_or_params, n: int, t: float) -> TailEval:
     """Density of sum_{i=0..n} q^i W_i; equals -d/dt of the survival."""
     q = as_q(q_or_params)
     _check_nt(n, t)
-    value, absum = _sum_terms(_series_coeffs(q, n, 1), t)
+    value, absum = _sum_terms(_series_coeffs(q, n, 1).upto(t), t)
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 

@@ -7,13 +7,35 @@ from pathlib import Path
 
 import numpy as np
 
+from .budget import ensure_within_budget
 from .errors import SpecError
-from .experiment import _COLUMNS, ExperimentSpec, format_csv, read_rows, read_sidecar
+from .experiment import _COLUMNS, ExperimentSpec, read_rows, read_sidecar, write_csv
 from .predictors import largest_depth_window
-from .stats import PROBE_RATIO, intensity_profile
+from .stats import PROBE_RATIO, interval_count_reports
 
 _KIND_ENGINE = {"staircase": "gillespie", "windows": "gillespie", "intensity": "brw"}
 KINDS = tuple(_KIND_ENGINE)
+
+# The intensity table's unit bins [i, i + 1) run from floor(spec.floor) up
+# to this edge.
+INTENSITY_TOP = 5
+# Memory per intensity bin besides its 8-byte count per replica: interval,
+# report and row (tracemalloc peak of a 705-bin table, 150 to 260 bytes).
+INTENSITY_BIN_BYTES = 300
+
+
+def _unit_bin_counts(points) -> tuple[int, np.ndarray]:
+    """One replica's points as its counts in the unit bins [i, i + 1) from
+    the floor of its lowest finite point up to INTENSITY_TOP: (that floor,
+    counts). NaN and +-inf points fall in no bin, as with searchsorted. The
+    counts are charged to the budget before they are allocated."""
+    values = np.asarray(points, dtype=float)
+    floors = np.floor(values[(values > -np.inf) & (values < INTENSITY_TOP)])
+    first = int(floors.min(initial=INTENSITY_TOP))
+    ensure_within_budget(
+        8 * (INTENSITY_TOP - first), f"intensity bins from a point at {first:.6g}"
+    )
+    return first, np.bincount((floors - first).astype(np.intp))
 
 
 def _staircases(in_path: str | Path) -> list[tuple[int, list[tuple[float, int]]]]:
@@ -38,10 +60,12 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     """Write the requested table; returns the number of data rows.
 
     Only staircase and windows parse the CSV rows; intensity reads the
-    sidecar alone."""
+    sidecar alone, and keeps each replica's points only as its bin counts."""
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}, got {kind!r}")
-    meta = read_sidecar(in_path)
+    # the sidecar's sorted keys put extras before spec, so the points are
+    # reduced before the table's bins are known
+    meta = read_sidecar(in_path, points=_unit_bin_counts)
     spec = ExperimentSpec.from_dict(meta.get("spec", {}))
     if spec.engine != _KIND_ENGINE[kind]:
         raise SpecError(
@@ -67,17 +91,32 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
             ]
     else:  # intensity
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
-        points = meta.get("extras", {}).get("points_final_generation", {})
-        edges = np.arange(math.floor(spec.floor), 6.0)
-        reports = intensity_profile(
-            [points[r] for r in sorted(points, key=int)],
-            list(zip(edges[:-1], edges[1:])),
-            spec.params().q,
-        ) if points else []
-        out_rows = [
-            (float(r.interval[0]), float(r.interval[1]), r.mean_count, r.expected)
-            for r in reports
-        ]
+        binned = meta.get("extras", {}).get("points_final_generation", {})
+        out_rows = _intensity_rows(spec, [binned[r] for r in sorted(binned, key=int)])
 
-    Path(out_path).write_text(format_csv(columns, out_rows))
+    write_csv(out_path, columns, out_rows)
     return len(out_rows)
+
+
+def _intensity_rows(spec: ExperimentSpec, binned: list) -> list[tuple]:
+    """Mean count per unit bin [i, i + 1), floor(spec.floor) <= i <
+    INTENSITY_TOP, over the replicas' _unit_bin_counts, against the limit
+    intensity; no rows without replicas."""
+    lo = math.floor(spec.floor)
+    bins = INTENSITY_TOP - lo
+    if not binned or bins <= 0:
+        return []
+    ensure_within_budget(
+        bins * (INTENSITY_BIN_BYTES + 8 * len(binned)),
+        f"intensity bins from floor {spec.floor!r} x {len(binned)} replicas",
+    )
+    counts = np.zeros((bins, len(binned)))
+    for r, (first, count) in enumerate(binned):
+        kept = count[max(lo - first, 0) :]  # no finite point lies below first
+        at = max(first, lo) - lo
+        counts[at : at + kept.size, r] = kept
+    intervals = [(float(i), float(i + 1)) for i in range(lo, INTENSITY_TOP)]
+    return [
+        (r.interval[0], r.interval[1], r.mean_count, r.expected)
+        for r in interval_count_reports(intervals, counts, spec.params().q)
+    ]

@@ -103,14 +103,21 @@ def intensity_profile(
     """
     if not len(point_samples):
         raise DomainError("point_samples must contain at least one replica")
-    phi = qpochhammer_limit(q)
     los = np.array([lo for lo, _ in intervals], dtype=float)
     his = np.array([hi for _, hi in intervals], dtype=float)
-    # counts[i, r] is the number of points of replica r in [lo_i, hi_i)
     counts = np.empty((len(intervals), len(point_samples)))
     for r, pts in enumerate(point_samples):
         values = np.sort(np.asarray(pts, dtype=float))
         counts[:, r] = np.searchsorted(values, his) - np.searchsorted(values, los)
+    return interval_count_reports(intervals, counts, q)
+
+
+def interval_count_reports(
+    intervals: Sequence[tuple[float, float]], counts: np.ndarray, q: float
+) -> list[IntervalCountReport]:
+    """intensity_profile's reports from its count matrix: counts[i, r] is
+    the number of points of replica r in [lo_i, hi_i), as float64."""
+    phi = qpochhammer_limit(q)
     out = []
     for (lo, hi), row in zip(intervals, counts):
         e_hi = 0.0 if math.isinf(hi) else math.exp(-hi)

@@ -16,15 +16,16 @@ from fragsim.experiment import (
     SCHEMA_VERSION,
     ExperimentSpec,
     ResultRecord,
-    format_csv,
     read_config,
     read_rows,
     read_sidecar,
     run_experiment,
     sidecar_path,
+    write_csv,
 )
 from fragsim.predictors import largest_depth_window
 from fragsim.seeds import SeedSpec
+from fragsim.stats import intensity_profile
 
 
 class TestSpecValidation:
@@ -178,10 +179,53 @@ class TestRunRecord:
             assert float(row[3]) == original[2]
             assert float(row[5]) == original[4]
 
-    def test_format_csv_matches_repr_join(self):
+    def test_write_csv_matches_repr_join(self, tmp_path, monkeypatch):
         row = (0.1 + 0.2, 5e-324, 1e16, -0.0, math.inf, math.nan, 123456789012345678)
-        body = format_csv(("a", "b", "c", "d", "e", "f", "g"), [row])
-        assert body.split("\n")[1] == f"{SCHEMA_VERSION}," + ",".join(map(repr, row))
+        columns = ("a", "b", "c", "d", "e", "f", "g")
+        out = tmp_path / "t.csv"
+        write_csv(out, columns, [row])
+        assert out.read_text().split("\n")[1] == f"{SCHEMA_VERSION}," + ",".join(map(repr, row))
+        # no rows, and counts that are and are not multiples of the batch
+        monkeypatch.setattr(experiment, "_CSV_BATCH", 7)
+        for count in (0, 1, 7, 15, 21):
+            rows = [(i, i / 3, -i) for i in range(count)]
+            write_csv(out, ("x", "y", "z"), iter(rows))
+            assert out.read_text() == _joined_csv(("x", "y", "z"), rows)
+
+    @pytest.mark.parametrize("fields", [
+        {"engine": "brw", "n_max": 5, "replicas": 40},
+        {"engine": "gillespie", "t_end": 30.0, "replicas": 3},
+        {"engine": "spine", "n_max": 6, "replicas": 3},
+    ], ids=lambda fields: fields["engine"])
+    def test_record_csv_matches_joined_lines(self, tmp_path, monkeypatch, fields):
+        # 40 brw replicas at n_max=5 are 240 rows, not a multiple of 100
+        monkeypatch.setattr(experiment, "_CSV_BATCH", 100)
+        out = tmp_path / "r.csv"
+        record = run_experiment(ExperimentSpec(k=3, alpha=0.6, master_seed=8, out=str(out), **fields))
+        assert len(record.rows) % 100
+        columns = experiment._COLUMNS[fields["engine"]]
+        assert out.read_text() == _joined_csv(columns, record.rows)
+
+    def test_csv_written_in_bounded_memory(self, tmp_path):
+        # the whole-text format held the lines and their join, 3.9x the file
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((60_000, 3)).tolist()
+        record = ResultRecord(
+            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(tmp_path / "c.csv")),
+            rows=[(i // 9, i % 9, *v) for i, v in enumerate(values)],
+            wall_clock_s=0.0,
+            version_tag="v",
+            extras={},
+        )
+        tracemalloc.start()
+        try:
+            experiment.write_record(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "c.csv").stat().st_size
+        assert size > 3_000_000
+        assert peak < 0.25 * size
 
     def test_git_describe_ignores_working_directory(self, tmp_path, monkeypatch):
         here = experiment._git_describe()
@@ -415,6 +459,13 @@ class TestRunRecord:
         assert len(rows) == 5
 
 
+def _joined_csv(columns, rows) -> str:
+    """A CSV as a whole-text writer spells it: every line, joined."""
+    lines = ["schema_version," + ",".join(columns)]
+    lines += [f"{SCHEMA_VERSION}," + ",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _big_points_record(out) -> ResultRecord:
     """A brw record whose sidecar holds about 10 MB of points."""
     rng = np.random.default_rng(0)
@@ -443,9 +494,17 @@ def _assert_reads_as_loaded(got, want):
         assert type(got) is type(want) and got == want
 
 
+# edits of a brw sidecar's points (floor -5.0): a replica with none, points
+# below the floor, non-finite points, and ints, which stay a list
+_POINT_EDITS = {
+    "replica-without-points": lambda points: points.update({"1": []}),
+    "points-below-floor": lambda points: points["2"].extend([-7.5, -12.0, -5.000001]),
+    "non-finite-points": lambda points: points["0"].extend([math.inf, -math.inf, math.nan]),
+    "int-points": lambda points: points.update({"3": [-6, -4, 0, 2, 4, 5, 7]}),
+}
 # sidecars of each engine, and brw ones rewritten in other valid layouts
 _SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "gillespie", "spine",
-                    "indent-2", "floor-infinity", "empty-extras")
+                    "indent-2", "floor-infinity", "empty-extras", *_POINT_EDITS)
 
 
 def _sidecar_in_layout(tmp_path, layout):
@@ -466,8 +525,29 @@ def _sidecar_in_layout(tmp_path, layout):
         assert "Infinity" in text
     elif layout == "empty-extras":
         text = json.dumps({**json.loads(text), "extras": {}}, sort_keys=True)
+    elif layout in _POINT_EDITS:
+        data = json.loads(text)
+        _POINT_EDITS[layout](data["extras"]["points_final_generation"])
+        text = json.dumps(data, sort_keys=True)
     meta.write_text(text)
     return out
+
+
+def _loaded_intensity_table(out) -> str:
+    """The intensity table from fully loaded points: json.loads of the
+    sidecar, intensity_profile over unit bins, every line joined."""
+    meta = json.loads(sidecar_path(out).read_text())
+    spec = ExperimentSpec.from_dict(meta["spec"])
+    points = meta["extras"].get("points_final_generation", {})
+    edges = np.arange(math.floor(spec.floor), 6.0)
+    reports = intensity_profile(
+        [points[r] for r in sorted(points, key=int)],
+        list(zip(edges[:-1], edges[1:])),
+        spec.params().q,
+    ) if points else []
+    rows = [(float(r.interval[0]), float(r.interval[1]), r.mean_count, r.expected)
+            for r in reports]
+    return _joined_csv(("s_lo", "s_hi", "mean_count", "expected_count"), rows)
 
 
 class TestReadSidecar:
@@ -479,6 +559,27 @@ class TestReadSidecar:
         if chunk:
             monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
         _assert_reads_as_loaded(read_sidecar(out), json.loads(sidecar_path(out).read_text()))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
+    def test_streamed_intensity_matches_loaded_points(self, tmp_path, monkeypatch, layout, chunk):
+        out = _sidecar_in_layout(tmp_path, layout)
+        monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
+        loaded = json.loads(sidecar_path(out).read_text())
+        reduced = read_sidecar(out, points=plotdata._unit_bin_counts)
+        # the reduction replaces each replica's points and touches nothing else
+        points = loaded.get("extras", {}).pop("points_final_generation", {})
+        binned = reduced.get("extras", {}).pop("points_final_generation", {})
+        _assert_reads_as_loaded(reduced, loaded)
+        assert list(binned) == list(points)
+        for r, (first, counts) in binned.items():
+            want_first, want_counts = plotdata._unit_bin_counts(points[r])
+            assert first == want_first and counts.tolist() == want_counts.tolist()
+        if layout in ("gillespie", "spine", "floor-infinity"):
+            return  # plotdata refuses these for intensity
+        table = tmp_path / "i.csv"
+        plotdata.emit_plotdata(out, "intensity", table)
+        assert table.read_text() == _loaded_intensity_table(out)
 
     def test_read_in_bounded_memory(self, tmp_path):
         # this reader peaks at 0.87x the file size, json.loads of the whole
@@ -656,7 +757,7 @@ class TestCliSurface:
 
     def test_plotdata_empty_record_header_only(self, tmp_path):
         csv = tmp_path / "empty.csv"
-        csv.write_text(format_csv(("replica", "event_time", "m_t", "M_t"), []))
+        write_csv(csv, ("replica", "event_time", "m_t", "M_t"), [])
         sidecar_path(csv).write_text(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "spec": {"engine": "gillespie", "k": 2, "alpha": 1.0, "t_end": 10.0},
@@ -711,6 +812,61 @@ class TestCliSurface:
         monkeypatch.setattr(plotdata, "read_rows", refuse)
         assert plotdata.emit_plotdata(out, "intensity", table) == expected > 0
         assert table.read_bytes() == body
+
+    def test_plotdata_intensity_in_bounded_memory(self, tmp_path):
+        # loading the points whole held them as float64 arrays, and the
+        # 1 MiB read chunk cost as much again
+        record = _big_points_record(tmp_path / "big.csv")
+        experiment.write_record(record)
+        tracemalloc.start()
+        try:
+            rows = plotdata.emit_plotdata(record.spec.out, "intensity", tmp_path / "i.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = record.extras["points_final_generation"].values()
+        float_bytes = sum(p.nbytes for p in points)
+        assert sidecar_path(record.spec.out).stat().st_size > 9_000_000 and rows == 10
+        assert peak < 0.35 * float_bytes
+
+    def test_plotdata_intensity_at_huge_negative_floor_exits_2(self, tmp_path, capsys):
+        # 1e18 bins: charged, refused, never allocated
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
+                     "--floor=-1e18", "--out", str(out)]) == 0
+        table = tmp_path / "i.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert "intensity bins from floor -1e+18 x 2 replicas requires" in capsys.readouterr().err
+
+    def test_plotdata_intensity_stray_low_point_exits_2(self, tmp_path, capsys):
+        # one replica's bin counts run down to its lowest point: charged too
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        meta.write_text(meta.read_text().replace('"1": [', '"1": [-1e300, ', 1))
+        table = tmp_path / "i.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert "intensity bins from a point at -1e+300 requires" in capsys.readouterr().err
+
+    def test_plotdata_intensity_bins_charged_to_budget(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
+                     "--floor=-100", "--out", str(out)]) == 0
+        table = tmp_path / "i.csv"
+        argv = ["plotdata", "--in", str(out), "--kind", "intensity", "--out", str(table)]
+        # 105 bins of 300 bytes and two counts each need 33,180 bytes
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "33179")
+        assert main(argv) == 2
+        assert not table.exists()
+        assert "requires 33180 bytes, exceeding the budget of 33179 bytes" in capsys.readouterr().err
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "33180")
+        assert main(argv) == 0
+        assert len(read_rows(table)[1]) == 105
 
     @pytest.mark.parametrize("kind", ["staircase", "windows"])
     def test_plotdata_empty_csv_exits_2(self, tmp_path, capsys, kind):

@@ -205,10 +205,27 @@ class TestTermTables:
             assert got == [_reprs(fn(q, n, t)) for fn in fns]
 
     def test_tables_are_immutable_tuples(self):
-        for table in (laws._series_coeffs(0.5, 40, 0), laws._limit_coeffs(0.5)):
+        for table in (laws._series_coeffs(0.5, 40, 0).upto(0.0), laws._limit_coeffs(0.5)):
             assert isinstance(table, tuple)
             assert all(isinstance(row, tuple) and len(row) == 3 for row in table)
-        assert len(laws._series_coeffs(0.5, 40, 1)) == 41
+        assert len(laws._series_coeffs(0.5, 40, 1).upto(0.0)) == 41
+
+    @pytest.mark.parametrize("q, n", [(0.3, 400), (0.5, 200), (0.95, 100)])
+    def test_table_extended_only_as_deep_as_used(self, q, n):
+        # descending t makes every call extend the table its predecessor built
+        laws._series_coeffs.cache_clear()
+        depths = []
+        for t in (1e300, 800.0, 20.0, 1.0, 0.02, 1e-9, 5e-324):
+            _same(perpetuity_survival(q, n, t), series_reference(q, n, t, 0))
+            _same(perpetuity_density(q, n, t), series_reference(q, n, t, 1))
+            depths.append(len(laws._series_coeffs(q, n, 0).built[0]))
+        assert depths == sorted(depths) and depths[0] == 1
+        _same(perpetuity_density(q, n, 0.0), series_reference(q, n, 0.0, 1))
+        assert len(laws._series_coeffs(q, n, 1).built[0]) == n + 1
+        # an earlier, deeper table serves a larger t as it is
+        table = laws._series_coeffs(q, n, 0).built[0]
+        _same(perpetuity_survival(q, n, 20.0), series_reference(q, n, 20.0, 0))
+        assert laws._series_coeffs(q, n, 0).built[0] is table
 
     def test_cache_clear_changes_no_value(self):
         def values():
