@@ -273,6 +273,10 @@ def _write_json(value: Any, write) -> None:
         write(json.dumps(value, default=np.ndarray.tolist))
 
 
+# write_record's sorted keys put the points first: every brw sidecar it writes begins so
+_POINTS_HEAD = '{"extras": {"points_final_generation": {'
+
+
 def write_record(record: ResultRecord) -> None:
     out = Path(record.spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -314,118 +318,74 @@ def read_rows(
     return header, rows
 
 
-# characters of sidecar text read at a time, and more while a value is cut
-# at the buffer's edge (see _SidecarReader._more)
+# characters of sidecar text read at a time, or as many as are held if more
 _READ_CHUNK = 1 << 16
-_raw_decode = json.JSONDecoder().raw_decode
-# keys of the dict that maps each brw replica to its final-generation points
-_POINTS_KEYS = ("extras", "points_final_generation")
+_decode = json.JSONDecoder().decode
+_skip_space = json.decoder.WHITESPACE.match
+# points hold no "]": the first one past an entry's start ends its list
+_find = str.find
 
 
-class _SidecarReader:
-    """JSON text read from a file one chunk at a time. Dicts are walked
-    entry by entry; every other value goes through json's raw_decode, so it
-    reads as json.loads reads it, except that a list of floats becomes a
-    float64 array at once, and that each replica's points go through
-    ``points`` (if given) as soon as they are parsed."""
-
-    def __init__(self, file, path: Path, points: Callable[[Any], Any] | None):
-        self.file, self.path, self.points = file, path, points
-        self.buf, self.pos = "", 0
-        self.base = 0  # file offset of buf[0]
-
-    def _more(self) -> bool:
-        """Drop the parsed text and append at least as much as is left, so a
-        value cut at a chunk edge is parsed again only O(log size) times."""
-        text = self.file.read(max(_READ_CHUNK, len(self.buf) - self.pos))
-        if text:
-            self.base += self.pos
-            self.buf = self.buf[self.pos :] + text
-            self.pos = 0
-        return bool(text)
-
-    def _error(self, what: str, pos: int) -> SpecError:
-        return SpecError(f"malformed sidecar {self.path}: {what} at offset {self.base + pos}")
-
-    def _peek(self) -> str:
-        """Skip whitespace; the next character, or "" at the end of the file."""
-        while True:
-            self.pos = json.decoder.WHITESPACE.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or not self._more():
-                return self.buf[self.pos : self.pos + 1]
-
-    def _expect(self, char: str) -> None:
-        if self._peek() != char:
-            raise self._error(f"expecting {char!r}", self.pos)
-        self.pos += 1
-
-    def _decode(self) -> Any:
-        while True:
-            try:
-                value, end = _raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
-                if self._more():
-                    continue
-                raise self._error(exc.msg, exc.pos) from None
-            # a number cut at the buffer's edge still parses, as a shorter
-            # one followed by at most two characters: 0.12|345, 1.|5, 2e+|10
-            if len(self.buf) - end > 2 or not self._more():
-                self.pos = end
-                return value
-
-    def value(self, keys: tuple[str, ...] = ()) -> Any:
-        """The value at the reader's position, found under ``keys``."""
-        value = self._dict(keys) if self._peek() == "{" else self._decode()
-        if isinstance(value, list) and set(map(type, value)) <= {float}:
-            value = np.array(value)
-        if self.points and keys[:-1] == _POINTS_KEYS:
-            return self.points(value)
-        return value
-
-    def _dict(self, keys: tuple[str, ...]) -> dict:
-        self.pos += 1
-        out: dict[str, Any] = {}
-        if self._peek() != "}":
-            while True:
-                if self._peek() != '"':
-                    raise self._error("expecting a property name", self.pos)
-                key = self._decode()
-                self._expect(":")
-                out[key] = self.value((*keys, key))
-                if self._peek() != ",":
-                    break
-                self.pos += 1
-        self._expect("}")
-        return out
-
-    def document(self) -> dict:
-        if self._peek() != "{":
-            raise self._error("expecting a JSON object", self.pos)
-        meta = self.value()
-        if self._peek():
-            raise self._error("extra data", self.pos)
-        return meta
+def _malformed(path: Path, what: str, offset: int) -> SpecError:
+    return SpecError(f"malformed sidecar {path}: {what} at offset {offset}")
 
 
-def read_sidecar(
-    csv_path: str | Path, points: Callable[[Any], Any] | None = None
-) -> dict:
-    """Metadata of the record written at csv_path, {} if it has no sidecar.
-    The CSV must exist, although only the sidecar is read.
+def _stream_points(f, path: Path, points) -> tuple[dict, str, int]:
+    """Read a sidecar on from its _POINTS_HEAD, each entry '"r": [...]' as
+    soon as the "]" that ends it is read. Returns each replica's points(r,
+    list), then _POINTS_HEAD and the rest, and the file offset of its [0]."""
+    text, pos, scan, base = "", 0, 0, len(_POINTS_HEAD)  # base: offset of text[0]
+    out: dict[str, Any] = {}
+    while True:
+        while (close := _find(text, "]", scan)) < 0 and (
+            more := f.read(max(_READ_CHUNK, len(text) - pos))
+        ):
+            text, base, scan, pos = text[pos:] + more, base + pos, len(text) - pos, 0
+        at = _skip_space(text, pos).end()
+        # the end of the points, or of a cut file, which json.loads then reports
+        if at == len(text) or text.startswith("}", at):
+            return out, _POINTS_HEAD + text[at:], base + at - len(_POINTS_HEAD)
+        if out and not text.startswith(",", at):
+            raise _malformed(path, "Expecting ',' delimiter", base + at)
+        start = _skip_space(text, at + 1).end() if out else at
+        if text.startswith("}", start):
+            what = "Expecting property name enclosed in double quotes"
+            raise _malformed(path, what, base + start)
+        scan = pos = close + 1 if close >= 0 else len(text)
+        try:
+            entry = _decode("{" + text[start:pos] + "}")
+        except json.JSONDecodeError:  # not a list of numbers, or a cut: json.loads reads on
+            return out, _POINTS_HEAD + text[start:], base + start - len(_POINTS_HEAD)
+        for replica, value in entry.items():
+            out[replica] = points(replica, value) if points else value
 
-    The sidecar is read one chunk at a time, and each list of floats (a
-    replica's points) comes back as a float64 array as soon as it is
-    parsed, so only one replica's points are ever held as Python floats;
-    every other value is what json.loads returns. With ``points``, each
-    replica's points are replaced by ``points(value)`` as soon as they are
-    parsed, so a caller that keeps only a reduction of them never holds them
-    all. A malformed or truncated sidecar raises SpecError naming the file
-    and the offset."""
+
+def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None = None) -> dict:
+    """Metadata of the record written at csv_path, {} if it has no sidecar:
+    json.loads of it, each replica r's points replaced by points(r, list)
+    if given. The CSV must exist, although only the sidecar is read. One
+    that begins with _POINTS_HEAD, as write_record's brw ones do, is read a
+    replica at a time, each replica's points passed to ``points`` as soon as
+    parsed. A malformed sidecar raises SpecError naming file and offset."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
-    meta_file = sidecar_path(csv_path)
-    if not meta_file.exists():
+    path = sidecar_path(csv_path)
+    if not path.exists():
         return {}
-    with meta_file.open() as f:
-        return _SidecarReader(f, meta_file, points).document()
+    with path.open() as f:
+        text, by_replica, offset = f.read(len(_POINTS_HEAD)), {}, 0
+        if text == _POINTS_HEAD:
+            by_replica, text, offset = _stream_points(f, path, points)
+        try:
+            meta = _decode(text + f.read())
+        except json.JSONDecodeError as exc:
+            raise _malformed(path, exc.msg, offset + exc.pos) from None
+    if not isinstance(meta, dict):
+        raise _malformed(path, "expecting a JSON object", 0)
+    extras = meta.get("extras")
+    loaded = extras.get("points_final_generation") if isinstance(extras, dict) else None
+    if isinstance(loaded, dict):  # the points not streamed, if any
+        by_replica.update((r, points(r, value) if points else value) for r, value in loaded.items())
+        extras["points_final_generation"] = by_replica
+    return meta

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .budget import ensure_within_budget
 from .errors import SpecError
-from .experiment import _COLUMNS, ExperimentSpec, read_rows, read_sidecar, write_csv
+from .experiment import _COLUMNS, ExperimentSpec, read_rows, read_sidecar, sidecar_path, write_csv
 from .predictors import largest_depth_window
 from .stats import PROBE_RATIO, interval_count_reports
 
@@ -24,12 +25,24 @@ INTENSITY_TOP = 5
 INTENSITY_BIN_BYTES = 300
 
 
-def _unit_bin_counts(points) -> tuple[int, np.ndarray]:
+def _unit_bin_counts(sidecar: Path, replica: str, points) -> tuple[int, np.ndarray]:
     """One replica's points as its counts in the unit bins [i, i + 1) from
     the floor of its lowest finite point up to INTENSITY_TOP: (that floor,
     counts). NaN and +-inf points fall in no bin, as with searchsorted. The
-    counts are charged to the budget before they are allocated."""
-    values = np.asarray(points, dtype=float)
+    counts are charged to the budget before they are allocated. A replica
+    that is not a decimal integer, or points that are not a list of
+    numbers a float can hold, raise SpecError naming the sidecar and the
+    replica."""
+    if not replica.isdecimal():
+        raise SpecError(f"malformed sidecar {sidecar}: replica {replica!r} is not an integer")
+    if not (isinstance(points, list) and set(map(type, points)) <= {int, float}):
+        raise SpecError(f"malformed sidecar {sidecar}: replica {replica}: not a list of numbers")
+    try:
+        values = np.asarray(points, dtype=float)
+    except OverflowError:  # an int past the largest float
+        raise SpecError(
+            f"malformed sidecar {sidecar}: replica {replica}: a point is too large"
+        ) from None
     floors = np.floor(values[(values > -np.inf) & (values < INTENSITY_TOP)])
     first = int(floors.min(initial=INTENSITY_TOP))
     ensure_within_budget(
@@ -65,7 +78,8 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
         raise SpecError(f"kind must be one of {KINDS}, got {kind!r}")
     # the sidecar's sorted keys put extras before spec, so the points are
     # reduced before the table's bins are known
-    meta = read_sidecar(in_path, points=_unit_bin_counts)
+    sidecar = sidecar_path(in_path)
+    meta = read_sidecar(in_path, points=partial(_unit_bin_counts, sidecar))
     spec = ExperimentSpec.from_dict(meta.get("spec", {}))
     if spec.engine != _KIND_ENGINE[kind]:
         raise SpecError(
@@ -92,6 +106,8 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     else:  # intensity
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
         binned = meta.get("extras", {}).get("points_final_generation", {})
+        if not isinstance(binned, dict):
+            raise SpecError(f"malformed sidecar {sidecar}: its points are not a JSON object")
         out_rows = _intensity_rows(spec, [binned[r] for r in sorted(binned, key=int)])
 
     write_csv(out_path, columns, out_rows)

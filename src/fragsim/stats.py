@@ -120,17 +120,27 @@ def interval_count_reports(
     phi = qpochhammer_limit(q)
     out = []
     for (lo, hi), row in zip(intervals, counts):
-        e_hi = 0.0 if math.isinf(hi) else math.exp(-hi)
-        expected = (math.exp(-lo) - e_hi) / phi
         out.append(
             IntervalCountReport(
                 interval=(lo, hi),
                 mean_count=float(row.mean()),
                 var_count=float(row.var(ddof=1)) if row.size > 1 else 0.0,
-                expected=expected,
+                expected=_expected_count(lo, hi, phi),
             )
         )
     return out
+
+
+def _expected_count(lo: float, hi: float, phi: float) -> float:
+    """(e^-lo - e^-hi) / phi, the limit intensity's mass on [lo, hi): inf
+    only where that count exceeds a float, not wherever e^-lo does."""
+    try:
+        return (math.exp(-lo) - (0.0 if math.isinf(hi) else math.exp(-hi))) / phi
+    except OverflowError:  # lo < -709.78: take e^-lo (1 - e^(lo - hi)) / phi in logs
+        try:
+            return math.exp(-lo + math.log(-math.expm1(lo - hi)) - math.log(phi))
+        except OverflowError:
+            return math.inf
 
 
 def _ordered_tuple_count(values: np.ndarray, thresholds: Sequence[float]) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -217,12 +218,7 @@ class TestRunRecord:
             version_tag="v",
             extras={},
         )
-        tracemalloc.start()
-        try:
-            experiment.write_record(record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: experiment.write_record(record))
         size = (tmp_path / "c.csv").stat().st_size
         assert size > 3_000_000
         assert peak < 0.25 * size
@@ -430,16 +426,14 @@ class TestRunRecord:
         }
         expected = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n"
         assert sidecar_path(out).read_text() == expected
+        # read_sidecar streams the points of a sidecar that starts so
+        streamed = fields["engine"] == "brw" and not empty_extras
+        assert expected.startswith(experiment._POINTS_HEAD) == streamed
 
     def test_sidecar_written_in_bounded_memory(self, tmp_path):
         # about 10 MB of points: the whole-text json.dumps held three copies
         record = _big_points_record(tmp_path / "big.csv")
-        tracemalloc.start()
-        try:
-            experiment.write_record(record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: experiment.write_record(record))
         size = sidecar_path(record.spec.out).stat().st_size
         assert size > 9_000_000
         assert peak < 0.1 * size
@@ -457,6 +451,16 @@ class TestRunRecord:
         times = [float(r[3]) for r in rows]
         assert times == sorted(times)
         assert len(rows) == 5
+
+
+def _traced_peak(call) -> int:
+    """The peak of traced Python memory while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _joined_csv(columns, rows) -> str:
@@ -480,38 +484,27 @@ def _big_points_record(out) -> ResultRecord:
     )
 
 
-def _assert_reads_as_loaded(got, want):
-    """got is json.loads' want, except that each list of floats is a
-    float64 array with the same bytes."""
-    if isinstance(want, list) and all(type(v) is float for v in want):
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
-        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
-    elif isinstance(want, dict):
-        assert list(got) == list(want)
-        for key in want:
-            _assert_reads_as_loaded(got[key], want[key])
-    else:
-        assert type(got) is type(want) and got == want
-
-
 # edits of a brw sidecar's points (floor -5.0): a replica with none, points
-# below the floor, non-finite points, and ints, which stay a list
+# below the floor, non-finite points, and ints
 _POINT_EDITS = {
     "replica-without-points": lambda points: points.update({"1": []}),
     "points-below-floor": lambda points: points["2"].extend([-7.5, -12.0, -5.000001]),
     "non-finite-points": lambda points: points["0"].extend([math.inf, -math.inf, math.nan]),
     "int-points": lambda points: points.update({"3": [-6, -4, 0, 2, 4, 5, 7]}),
 }
-# sidecars of each engine, and brw ones rewritten in other valid layouts
-_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "gillespie", "spine",
-                    "indent-2", "floor-infinity", "empty-extras", *_POINT_EDITS)
+# sidecars of each engine, brw ones with a "]" in the spec after the
+# points, with no point above the floor and with no replicas' points, and
+# brw ones rewritten in other valid layouts
+_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "brw-bracket-path", "brw-no-points",
+                    "empty-points", "gillespie", "spine", "indent-2", "floor-infinity",
+                    "empty-extras", *_POINT_EDITS)
 
 
 def _sidecar_in_layout(tmp_path, layout):
     engine = layout if layout in ("gillespie", "spine") else "brw"
     horizon = {"t_end": 30.0} if engine == "gillespie" else {"n_max": 4}
-    floor = {"floor": 2.0} if layout == "brw-high-floor" else {}
-    out = tmp_path / "r.csv"
+    floor = {"brw-high-floor": {"floor": 2.0}, "brw-no-points": {"floor": 1e9}}.get(layout, {})
+    out = tmp_path / ("r]0.csv" if layout == "brw-bracket-path" else "r.csv")
     run_experiment(ExperimentSpec(
         k=3, alpha=0.6, engine=engine, replicas=5, master_seed=8, out=str(out),
         **horizon, **floor,
@@ -525,6 +518,9 @@ def _sidecar_in_layout(tmp_path, layout):
         assert "Infinity" in text
     elif layout == "empty-extras":
         text = json.dumps({**json.loads(text), "extras": {}}, sort_keys=True)
+    elif layout == "empty-points":
+        text = json.dumps({**json.loads(text), "extras": {"points_final_generation": {}}},
+                          sort_keys=True)
     elif layout in _POINT_EDITS:
         data = json.loads(text)
         _POINT_EDITS[layout](data["extras"]["points_final_generation"])
@@ -554,11 +550,12 @@ class TestReadSidecar:
     @pytest.mark.parametrize("chunk", [1, 7, 64, None])
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
     def test_reads_as_json_loads(self, tmp_path, monkeypatch, layout, chunk):
-        # small chunks cut every key, string and number at some chunk edge
+        # small chunks cut every key, string and number at some chunk edge;
+        # reprs, so that NaN points compare equal
         out = _sidecar_in_layout(tmp_path, layout)
         if chunk:
             monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
-        _assert_reads_as_loaded(read_sidecar(out), json.loads(sidecar_path(out).read_text()))
+        assert repr(read_sidecar(out)) == repr(json.loads(sidecar_path(out).read_text()))
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
@@ -566,14 +563,15 @@ class TestReadSidecar:
         out = _sidecar_in_layout(tmp_path, layout)
         monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
         loaded = json.loads(sidecar_path(out).read_text())
-        reduced = read_sidecar(out, points=plotdata._unit_bin_counts)
+        bin_counts = partial(plotdata._unit_bin_counts, sidecar_path(out))
+        reduced = read_sidecar(out, points=bin_counts)
         # the reduction replaces each replica's points and touches nothing else
         points = loaded.get("extras", {}).pop("points_final_generation", {})
         binned = reduced.get("extras", {}).pop("points_final_generation", {})
-        _assert_reads_as_loaded(reduced, loaded)
+        assert repr(reduced) == repr(loaded)
         assert list(binned) == list(points)
         for r, (first, counts) in binned.items():
-            want_first, want_counts = plotdata._unit_bin_counts(points[r])
+            want_first, want_counts = bin_counts(r, points[r])
             assert first == want_first and counts.tolist() == want_counts.tolist()
         if layout in ("gillespie", "spine", "floor-infinity"):
             return  # plotdata refuses these for intensity
@@ -581,62 +579,80 @@ class TestReadSidecar:
         plotdata.emit_plotdata(out, "intensity", table)
         assert table.read_text() == _loaded_intensity_table(out)
 
-    def test_read_in_bounded_memory(self, tmp_path):
-        # this reader peaks at 0.87x the file size, json.loads of the whole
-        # text at 2.6x
-        record = _big_points_record(tmp_path / "big.csv")
-        experiment.write_record(record)
-        tracemalloc.start()
-        try:
-            meta = read_sidecar(record.spec.out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = sidecar_path(record.spec.out).stat().st_size
-        assert size > 9_000_000
-        assert peak < 1.0 * size
-        points = record.extras["points_final_generation"]
-        assert all(
-            meta["extras"]["points_final_generation"][r].tobytes() == p.tobytes()
-            for r, p in points.items()
-        )
-
-    def test_long_value_read_in_few_attempts(self, tmp_path, monkeypatch):
-        # each retry at least doubles the unparsed text; fixed-size reads
-        # would parse a value spanning m chunks m times
+    def test_long_replica_decoded_once(self, tmp_path, monkeypatch):
+        # one decode for the replica's entry and one for the rest; the "]"
+        # scan goes on from where the last one stopped, so it passes each
+        # character once, not once more for every read
         values = np.random.default_rng(1).standard_normal(1_000_000)
         out = tmp_path / "long.csv"
-        out.write_text("")
-        sidecar_path(out).write_text(json.dumps({"points": values.tolist()}))
-        attempts = []
-        decode = experiment._raw_decode
+        experiment.write_record(ResultRecord(
+            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=20, out=str(out)),
+            rows=[], wall_clock_s=0.0, version_tag="v",
+            extras={"points_final_generation": {"0": values}},
+        ))
+        decoded, scanned = [], []
+        decode = experiment._decode
 
-        def counted(text, pos):
-            attempts.append(pos)
-            return decode(text, pos)
+        def counted_decode(text):
+            decoded.append(len(text))
+            return decode(text)
 
-        chunk = 1 << 16
-        monkeypatch.setattr(experiment, "_raw_decode", counted)
-        monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
-        assert read_sidecar(out)["points"].tobytes() == values.tobytes()
+        def counted_find(text, sub, start):
+            found = text.find(sub, start)
+            scanned.append((found + 1 if found >= 0 else len(text)) - start)
+            return found
+
+        monkeypatch.setattr(experiment, "_decode", counted_decode)
+        monkeypatch.setattr(experiment, "_find", counted_find)
+        meta = read_sidecar(out)
+        assert meta["extras"]["points_final_generation"] == {"0": values.tolist()}
         size = sidecar_path(out).stat().st_size
-        assert len(attempts) <= math.log2(size / chunk) + 4
+        assert len(decoded) == 2 and decoded[0] > 0.99 * size
+        assert sum(scanned) <= size
+
+    @pytest.mark.parametrize("points", [
+        '"0": [0.5], "1": [[1.0], [2.0]], "2": [1.5]',
+        '"0": [0.5], "1": "a]b"',
+        '"a]": [0.5]',
+    ], ids=["nested-list", "bracket-in-string", "bracket-in-key"])
+    def test_points_that_are_no_list_read_as_json_loads(self, tmp_path, monkeypatch, points):
+        # the first "]" of such an entry ends no list: the rest is read whole
+        out = tmp_path / "n.csv"
+        out.write_text("")
+        text = experiment._POINTS_HEAD + points + '}}, "spec": {"out": "x]"}}'
+        sidecar_path(out).write_text(text)
+        for chunk in (1, 7, experiment._READ_CHUNK):
+            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
+            assert read_sidecar(out) == json.loads(text)
 
     @pytest.mark.parametrize("text, what", [
-        ('{"spec": {"k": 2}', "expecting '}' at offset 17"),
+        ('{"spec": {"k": 2}', "Expecting ',' delimiter at offset 17"),
         ('{"spec": [1.0, 2.', "Expecting ',' delimiter at offset 16"),
-        ('{"spec" {}}', "expecting ':' at offset 8"),
-        ('{"a": 1,}', "expecting a property name at offset 8"),
+        ('{"spec" {}}', "Expecting ':' delimiter at offset 8"),
+        ('{"a": 1,}', "Expecting property name enclosed in double quotes at offset 8"),
         ("[]", "expecting a JSON object at offset 0"),
-        ("", "expecting a JSON object at offset 0"),
-        ('{"a": 1} {}', "extra data at offset 9"),
+        ("", "Expecting value at offset 0"),
+        ('{"a": 1} {}', "Extra data at offset 9"),
+        # points first, as write_record writes them, in the 40 characters of
+        # _POINTS_HEAD: cut in a number, no comma, a key without a list or
+        # without a colon, a comma before the end, and no entry at all
+        (experiment._POINTS_HEAD + '"0": [0.5, 1.2', "Expecting ',' delimiter at offset 54"),
+        (experiment._POINTS_HEAD + '"0": [0.5] "1": [1.5]}}}',
+         "Expecting ',' delimiter at offset 51"),
+        (experiment._POINTS_HEAD + '"0": , "1": [1.5]}}}', "Expecting value at offset 45"),
+        (experiment._POINTS_HEAD + '"0" [0.5]}}}', "Expecting ':' delimiter at offset 44"),
+        (experiment._POINTS_HEAD + '"0": [0.5], }}}',
+         "Expecting property name enclosed in double quotes at offset 52"),
+        (experiment._POINTS_HEAD + " ", "Expecting property name enclosed in double quotes at offset 41"),
     ])
-    def test_malformed_raises_spec_error(self, tmp_path, text, what):
+    def test_malformed_raises_spec_error(self, tmp_path, monkeypatch, text, what):
         out = tmp_path / "m.csv"
         out.write_text("")
         sidecar_path(out).write_text(text)
-        with pytest.raises(SpecError, match=f"m.csv.meta.json: {what}"):
-            read_sidecar(out)
+        for chunk in (1, 7, experiment._READ_CHUNK):
+            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
+            with pytest.raises(SpecError, match=re.escape(f"m.csv.meta.json: {what}")):
+                read_sidecar(out)
 
 
 class TestCliSurface:
@@ -818,15 +834,12 @@ class TestCliSurface:
         # 1 MiB read chunk cost as much again
         record = _big_points_record(tmp_path / "big.csv")
         experiment.write_record(record)
-        tracemalloc.start()
-        try:
-            rows = plotdata.emit_plotdata(record.spec.out, "intensity", tmp_path / "i.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        table = tmp_path / "i.csv"
+        peak = _traced_peak(lambda: plotdata.emit_plotdata(record.spec.out, "intensity", table))
         points = record.extras["points_final_generation"].values()
         float_bytes = sum(p.nbytes for p in points)
-        assert sidecar_path(record.spec.out).stat().st_size > 9_000_000 and rows == 10
+        assert sidecar_path(record.spec.out).stat().st_size > 9_000_000
+        assert len(read_rows(table)[1]) == 10
         assert peak < 0.35 * float_bytes
 
     def test_plotdata_intensity_at_huge_negative_floor_exits_2(self, tmp_path, capsys):
@@ -917,6 +930,54 @@ class TestCliSurface:
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
                      "--out", str(tmp_path / "i.csv")]) == 2
         assert f"malformed sidecar {meta}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("read", ["streamed", "whole"])
+    @pytest.mark.parametrize("points, what", [
+        ({"0": [0.5], "x": [1.5]}, "replica 'x' is not an integer"),
+        ({"0": [0.5], "1": "abc"}, "replica 1: not a list of numbers"),
+        ({"0": [0.5], "1": [[1.0]], "2": [1.5]}, "replica 1: not a list of numbers"),
+        ({"0": [0.5], "1": 5, "2": [1.5]}, "replica 1: not a list of numbers"),
+        ({"0": [0.5], "1": [True]}, "replica 1: not a list of numbers"),
+        ({"0": [0.5], "1": [10**400]}, "replica 1: a point is too large"),
+        ([0.5, 1.5], "its points are not a JSON object"),
+    ], ids=["key-x", "string", "nested-list", "number", "bool", "huge-int", "points-list"])
+    def test_plotdata_malformed_points_exit_2(self, tmp_path, capsys, read, points, what):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        data = json.loads(meta.read_text())
+        data["extras"]["points_final_generation"] = points
+        text = json.dumps(data, sort_keys=True, indent=2 if read == "whole" else None)
+        if isinstance(points, dict):
+            assert text.startswith(experiment._POINTS_HEAD) == (read == "streamed")
+        meta.write_text(text)
+        table = tmp_path / "i.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert f"malformed sidecar {meta}: {what}" in capsys.readouterr().err
+
+    def test_plotdata_intensity_below_exp_range(self, tmp_path, capsys):
+        # e^1000 overflows a float: the lowest bins expect inf points, and
+        # the bins of the default floor read as they do there
+        low, default = tmp_path / "low.csv", tmp_path / "default.csv"
+        argv = ["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1"]
+        assert main(argv + ["--floor=-1000", "--out", str(low)]) == 0
+        assert main(argv + ["--out", str(default)]) == 0
+        tables = []
+        for record in (low, default):
+            tables.append(tmp_path / f"i-{record.name}")
+            assert main(["plotdata", "--in", str(record), "--kind", "intensity",
+                         "--out", str(tables[-1])]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows, default_rows = read_rows(tables[0])[1], read_rows(tables[1])[1]
+        assert len(rows) == 1005
+        for _, lo, _, _, expected in rows:
+            # (e^-lo - e^-(lo + 1)) / phi_inf(1/2) is more than a float holds
+            # for lo < -708, and less above
+            assert math.isinf(float(expected)) == (float(lo) < -708)
+        assert rows[-len(default_rows):] == default_rows
 
     @pytest.mark.parametrize("kind", plotdata.KINDS)
     def test_plotdata_missing_csv_exits_2(self, tmp_path, capsys, kind):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from fragsim.brw import sweep_replicas
 from fragsim.errors import DomainError
@@ -83,6 +84,22 @@ class TestIntensityProfile:
     def test_empty_error(self):
         with pytest.raises(DomainError):
             intensity_profile([], [(0.0, 1.0)], 0.5)
+
+    def test_expected_mass_where_exp_overflows(self):
+        # e^-lo overflows a float below lo = -709.78; the mass on [lo, hi)
+        # is then inf only where it exceeds a float itself. Above, the
+        # formula is unchanged, bit for bit.
+        q = 0.01
+        phi = qpochhammer_limit(q)
+        intervals = [(-1000.0, -999.0), (-710.0, -709.5), (-709.9, -709.0), (-700.0, math.inf)]
+        reports = intensity_profile([[0.0]], intervals, q)
+        assert reports[0].expected == math.inf
+        with mp.workdps(40):
+            for (lo, hi), report in zip(intervals[1:3], reports[1:3]):
+                exact = float((mp.exp(-mpf(lo)) - mp.exp(-mpf(hi))) / mpf(phi))
+                assert math.isfinite(report.expected)
+                assert report.expected == pytest.approx(exact, rel=1e-12)
+        assert reports[3].expected == math.exp(700.0) / phi
 
 
 class TestFactorialMoment:
