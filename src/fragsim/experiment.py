@@ -92,7 +92,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        """Unknown, missing and ill-typed fields raise SpecError."""
+        """A non-object, and unknown, missing and ill-typed fields, raise
+        SpecError."""
+        if not isinstance(data, dict):
+            raise SpecError(f"spec must be a JSON object, got {data!r}")
         fields = dataclasses.fields(cls)
         unknown = set(data) - {f.name for f in fields}
         if unknown:
@@ -112,9 +115,13 @@ _CONFIG_TYPES = dict(
 
 
 def read_config(path: str | Path) -> dict[str, Any]:
-    """Read the [experiment] section of a key=value config file."""
-    parser = configparser.ConfigParser()
-    loaded = parser.read(str(path))
+    """Read the [experiment] section of a UTF-8 key=value config file, its
+    values raw (a % is a %)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        loaded = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise SpecError(f"config file {path!r}: {exc}") from None
     if not loaded:
         raise SpecError(f"config file {path!r} not found or unreadable")
     if "experiment" not in parser:

@@ -14,16 +14,19 @@ Term j of each series is ``num_j * exp(-rate_j t) / den_j``, and only the
 exponential depends on t. The (num, rate, den) triples are therefore built
 once per (q, n) for the finite-n survival and density, and once per q for
 the full perpetuity, and cached as immutable tuples, so a t grid pays for
-them once. The finite-n tables are built only as deep as the stop below has
-needed yet. Every law then runs one loop, ``_sum_terms``, that forms each
-term with the same float operations in the same order as a term-by-term
-evaluation and adds it into the compensated sum.
+them once. A finite-n table ends at its last numerator q^{j(j+1)/2 - j shift}
+that is not 0.0: the q-power stays 0.0 once it underflows, so every later
+term is +-0.0 at every t, t = 0 included. Its length is therefore bounded by
+q whatever n is: 46 survival rows at q = 0.5, 170 at 0.95, 385 at 0.99 (one
+more for the density). Every law then runs one loop, ``_sum_terms``, that
+forms each term with the same float operations in the same order as a
+term-by-term evaluation and adds it into the compensated sum.
 
 That loop stops at the first term whose exponential ``exp(-q^{-j} t)`` is
 exactly 0.0. For t > 0 the rate q^{-j} only grows with j, so every later
 term is +-0.0 as well. Adding +-0.0 leaves both the compensated sum and the
-sum of |terms| bit-for-bit unchanged, so the stop changes no value and no
-error bound; it only skips work. At q = 0.5 and n = 200 it leaves 6 to 16
+sum of |terms| bit-for-bit unchanged, so neither stop changes a value or an
+error bound; they only skip work. At q = 0.5 and n = 200 it leaves 6 to 16
 of the 201 terms on t in [0.02, 20].
 """
 
@@ -66,52 +69,27 @@ def _tail(value: float, abs_error: float) -> TailEval:
     return TailEval(min(max(value, 0.0), 1.0), max(abs_error, 0.0))
 
 
-class _SeriesTable:
-    """Term table of the finite-n series: one (numerator, rate, denominator)
-    triple per j = 0..n, with numerator (-1)^j q^{j(j+1)/2 - j*shift}, rate
-    q^{-j} and denominator phi_j phi_{n-j}.
-
-    shift=0 gives the survival series, shift=1 the density series. The
-    terms are built only as deep as a t has needed yet, and extended with
-    the same recurrences when a smaller t needs more, so a one-off (q, n)
-    at large n builds the few terms its t reads, not all n+1.
-    """
-
-    def __init__(self, q: float, n: int, exponent_shift: int):
-        self.q, self.n, self.shift = q, n, exponent_shift
-        self.phis = qpochhammer_factors(q, n)
-        # the terms built so far, then sign, q^{j(j+1)/2 - j*shift} and
-        # q^{-j} of the next one: replaced as one value, so they always agree
-        self.built = ((), 1.0, 1.0, 1.0)
-
-    def upto(self, t: float) -> tuple:
-        """The terms, built through the first whose exponential at t is
-        exactly 0.0 (where _sum_terms stops), or all n+1."""
-        terms, sign, qpow, rate = self.built
-        if len(terms) > self.n or (
-            terms and t > 0.0 and math.exp(-terms[-1][1] * t) == 0.0
-        ):
-            return terms
-        q, n, phis = self.q, self.n, self.phis
-        new = []
-        for j in range(len(terms), n + 1):
-            new.append((sign * qpow, rate, phis[j] * phis[n - j]))
-            sign = -sign
-            qpow *= q ** (j + 1 - self.shift)
-            rate /= q
-            if t > 0.0 and math.exp(-new[-1][1] * t) == 0.0:
-                break
-        terms += tuple(new)
-        self.built = (terms, sign, qpow, rate)
-        return terms
-
-
 @lru_cache(maxsize=256, typed=True)
-def _series_coeffs(q: float, n: int, exponent_shift: int) -> _SeriesTable:
-    """The _SeriesTable of (q, n, shift), cached so that a t grid builds each
-    term once. The cache is typed, so that its entry for n=1 does not answer
-    n=True, which ``qpochhammer_factors`` refuses."""
-    return _SeriesTable(q, n, exponent_shift)
+def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
+    """Term table of the finite-n series: (numerator, rate, denominator) for
+    each j <= n up to the last numerator that is not 0.0, with numerator
+    (-1)^j q^{j(j+1)/2 - j*shift}, rate q^{-j} and denominator phi_j phi_{n-j}.
+    shift=0 gives the survival series, shift=1 the density series. The cache
+    is typed, so that its entry for n=1 does not answer n=True, which
+    ``qpochhammer_factors`` refuses."""
+    phis = qpochhammer_factors(q, n)
+    table = []
+    sign = 1.0
+    qpow = 1.0  # q^{j(j+1)/2 - j*shift}
+    rate = 1.0  # q^{-j}
+    for j in range(n + 1):
+        if qpow == 0.0:
+            break
+        table.append((sign * qpow, rate, phis[j] * phis[n - j]))
+        sign = -sign
+        qpow *= q ** (j + 1 - exponent_shift)
+        rate /= q
+    return tuple(table)
 
 
 @lru_cache(maxsize=256)
@@ -176,12 +154,18 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
     _check_nt(n, t)
     if t == 0.0:
         return _tail(1.0, 0.0)
-    return _survival(q, n, t)
+    return _series(q, n, 0, t)
 
 
-def _survival(q: float, n: int, t: float) -> TailEval:
-    """perpetuity_survival for arguments already checked, and t > 0."""
-    value, absum = _sum_terms(_series_coeffs(q, n, 0).upto(t), t)
+def _series(q: float, n: int, exponent_shift: int, t: float) -> TailEval:
+    """The finite-n survival (shift=0, t > 0) or density (shift=1) for
+    arguments already checked. Past q ~ 0.996 a denominator phi_j phi_{n-j}
+    underflows to 0.0 at large n; reaching its term raises DomainError."""
+    table = _series_coeffs(q, n, exponent_shift)
+    try:
+        value, absum = _sum_terms(table, t)
+    except ZeroDivisionError:
+        raise DomainError(f"(q;q)_j (q;q)_(n-j) underflows at q={q!r}, n={n}") from None
     return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
 
 
@@ -189,8 +173,7 @@ def perpetuity_density(q_or_params, n: int, t: float) -> TailEval:
     """Density of sum_{i=0..n} q^i W_i; equals -d/dt of the survival."""
     q = as_q(q_or_params)
     _check_nt(n, t)
-    value, absum = _sum_terms(_series_coeffs(q, n, 1).upto(t), t)
-    return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
+    return _series(q, n, 1, t)
 
 
 def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
@@ -220,7 +203,7 @@ def perpetuity_cdf(q_or_params, n: int, t: float) -> TailEval:
     _check_nt(n, t)
     if t == 0.0:
         return _tail(0.0, 0.0)
-    surv = _survival(q, n, t)
+    surv = _series(q, n, 0, t)
     raw = 1.0 - surv.value
     if raw > 0.0 and surv.abs_error <= REL_ERR_SWITCH * raw:
         return _tail(raw, surv.abs_error)
@@ -249,7 +232,7 @@ def split_time_survival(q_or_params, n: int, t: float) -> TailEval:
         return _tail(1.0, 0.0)
     x = (q**n) * t
     if x > 0.0:
-        return _survival(q, n, x)
+        return _series(q, n, 0, x)
     log_up = log_simplex_upper(q, n + 1, n * math.log(q) + math.log(t))
     return _tail(1.0, math.exp(log_up) if log_up < 0.0 else 1.0)
 

@@ -80,7 +80,10 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     # reduced before the table's bins are known
     sidecar = sidecar_path(in_path)
     meta = read_sidecar(in_path, points=partial(_unit_bin_counts, sidecar))
-    spec = ExperimentSpec.from_dict(meta.get("spec", {}))
+    try:
+        spec = ExperimentSpec.from_dict(meta.get("spec", {}))
+    except SpecError as exc:
+        raise SpecError(f"malformed sidecar {sidecar}: {exc}") from None
     if spec.engine != _KIND_ENGINE[kind]:
         raise SpecError(
             f"kind {kind!r} needs a {_KIND_ENGINE[kind]!r} record, got {spec.engine!r}"
@@ -105,7 +108,10 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
             ]
     else:  # intensity
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
-        binned = meta.get("extras", {}).get("points_final_generation", {})
+        extras = meta.get("extras", {})
+        if not isinstance(extras, dict):
+            raise SpecError(f"malformed sidecar {sidecar}: its extras are not a JSON object")
+        binned = extras.get("points_final_generation", {})
         if not isinstance(binned, dict):
             raise SpecError(f"malformed sidecar {sidecar}: its points are not a JSON object")
         out_rows = _intensity_rows(spec, [binned[r] for r in sorted(binned, key=int)])

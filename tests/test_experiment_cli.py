@@ -137,6 +137,28 @@ class TestConfig:
         assert read_sidecar(out)["spec"]["n_max"] == 4
         assert {int(r[2]) for r in rows} == set(range(5))
 
+    @pytest.mark.parametrize("text, what", [
+        (b"[experiment]\nk = 2\nk = 3\n", "option 'k' in section 'experiment' already exists"),
+        (b"k = 2\n", "File contains no section headers"),
+        (b"[experiment]\nalpha = 1%\n", "config key 'alpha': could not convert string to float: '1%'"),
+        (b"\xff[experiment]\n", "codec can't decode byte 0xff"),
+    ], ids=["duplicate-key", "no-header", "percent", "not-utf8"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, what):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(text)
+        out = tmp_path / "a.csv"
+        argv = ["simulate", "brw", "--n-max", "2", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert what in capsys.readouterr().err
+
+    def test_percent_in_config_value_is_raw(self, tmp_path):
+        out = tmp_path / "run%1.csv"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nn_max = 2\nout = {out}\n")
+        assert main(["simulate", "brw", "--config", str(cfg)]) == 0
+        assert out.is_file()
+
     def test_config_types_name_the_spec_fields(self):
         fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
         assert set(experiment._CONFIG_TYPES) == fields
@@ -691,6 +713,14 @@ class TestCliSurface:
         err = capsys.readouterr().err
         assert "t=1.0" in err and "no file written" in err
 
+    def test_tails_underflowed_denominator_exits_2(self, tmp_path, capsys):
+        # (q;q)_j (q;q)_(n-j) is 0.0 for some j at q=0.999, n=2000
+        out = tmp_path / "tails.csv"
+        argv = ["tails", "--q", "0.999", "--n", "2000", "--t-grid", "1:2:0.5", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "underflows at q=0.999, n=2000" in capsys.readouterr().err
+
     def test_bad_grid_exits_2(self, capsys):
         for grid in ("oops", "0:nan:1", "0:inf:1", "0:1:0", "2:1:1"):
             assert main(["tails", "--q", "0.5", "--n", "1", "--t-grid", grid, "--out", "x.csv"]) == 2
@@ -952,6 +982,24 @@ class TestCliSurface:
         if isinstance(points, dict):
             assert text.startswith(experiment._POINTS_HEAD) == (read == "streamed")
         meta.write_text(text)
+        table = tmp_path / "i.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert f"malformed sidecar {meta}: {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, what", [
+        ("spec", "spec must be a JSON object, got 5"),
+        ("extras", "its extras are not a JSON object"),
+    ])
+    def test_plotdata_spec_or_extras_not_an_object_exits_2(self, tmp_path, capsys, key, what):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        data = json.loads(meta.read_text())
+        data[key] = 5
+        meta.write_text(json.dumps(data, sort_keys=True))
         table = tmp_path / "i.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
                      "--out", str(table)]) == 2

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -205,27 +205,28 @@ class TestTermTables:
             assert got == [_reprs(fn(q, n, t)) for fn in fns]
 
     def test_tables_are_immutable_tuples(self):
-        for table in (laws._series_coeffs(0.5, 40, 0).upto(0.0), laws._limit_coeffs(0.5)):
+        for table in (laws._series_coeffs(0.5, 40, 0), laws._limit_coeffs(0.5)):
             assert isinstance(table, tuple)
             assert all(isinstance(row, tuple) and len(row) == 3 for row in table)
-        assert len(laws._series_coeffs(0.5, 40, 1).upto(0.0)) == 41
+        assert len(laws._series_coeffs(0.5, 40, 1)) == 41
+        # past the numerator underflow the length no longer grows with n
+        for shift in (0, 1):
+            assert len(laws._series_coeffs(0.5, 10**6, shift)) <= 47
 
-    @pytest.mark.parametrize("q, n", [(0.3, 400), (0.5, 200), (0.95, 100)])
-    def test_table_extended_only_as_deep_as_used(self, q, n):
-        # descending t makes every call extend the table its predecessor built
-        laws._series_coeffs.cache_clear()
-        depths = []
+    @pytest.mark.parametrize("q, n", [(0.3, 400), (0.5, 200), (0.95, 100), (0.5, 10**5)])
+    def test_tables_end_at_numerator_underflow(self, q, n):
         for t in (1e300, 800.0, 20.0, 1.0, 0.02, 1e-9, 5e-324):
             _same(perpetuity_survival(q, n, t), series_reference(q, n, t, 0))
             _same(perpetuity_density(q, n, t), series_reference(q, n, t, 1))
-            depths.append(len(laws._series_coeffs(q, n, 0).built[0]))
-        assert depths == sorted(depths) and depths[0] == 1
         _same(perpetuity_density(q, n, 0.0), series_reference(q, n, 0.0, 1))
-        assert len(laws._series_coeffs(q, n, 1).built[0]) == n + 1
-        # an earlier, deeper table serves a larger t as it is
-        table = laws._series_coeffs(q, n, 0).built[0]
-        _same(perpetuity_survival(q, n, 20.0), series_reference(q, n, 20.0, 0))
-        assert laws._series_coeffs(q, n, 0).built[0] is table
+        for shift in (0, 1):
+            # q^{j(j+1)/2 - j*shift} is 0.0 once its exponent passes 1076 bits
+            first_zero = next(
+                j for j in range(n + 2)
+                if j > n or (j * (j + 1) / 2 - j * shift) * -math.log2(q) > 1076
+            )
+            table = laws._series_coeffs(q, n, shift)
+            assert len(table) <= first_zero and all(row[0] != 0.0 for row in table)
 
     def test_cache_clear_changes_no_value(self):
         def values():
@@ -258,6 +259,36 @@ class TestTermTables:
         for shift in (0, 1):
             with pytest.raises(DomainError):
                 laws._series_coeffs(0.5, True, shift)
+
+
+class TestErrorContract:
+    """Every finite-n law returns a TailEval or raises DomainError, up to q
+    near 1 where a denominator (q;q)_j (q;q)_(n-j) underflows to 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=0.9999),
+        st.integers(min_value=0, max_value=3000),
+        st.one_of(st.sampled_from((0.0, 5e-324)), st.floats(min_value=0.0, max_value=1000.0)),
+    )
+    @example(0.999, 2000, 1.0)
+    def test_tail_eval_or_domain_error(self, q, n, t):
+        for fn in (
+            perpetuity_survival,
+            perpetuity_density,
+            perpetuity_cdf,
+            split_time_survival,
+            tagged_depth_pmf,
+        ):
+            try:
+                assert isinstance(fn(q, n, t), TailEval)
+            except DomainError:
+                pass
+
+    def test_underflowed_denominator_names_q_and_n(self):
+        for fn in (perpetuity_survival, perpetuity_density, perpetuity_cdf):
+            with pytest.raises(DomainError, match=r"underflows at q=0\.999, n=2000"):
+                fn(0.999, 2000, 1.0)
 
 
 class TestSurvivalLimit:
