@@ -13,16 +13,23 @@ Every sweep runs on one kernel that advances a block of R replicas one
 generation at a time, each replica drawing from its own stream, and a
 generation one chunk of leaves at a time. A chunk is R rows of at most
 BLOCK_CAP_BYTES (1 MiB) of leaves, a multiple of k wide, and goes through
-all of its steps while it is in cache: draw, add q times its parents (scaled
-in place), reduce to extremes, take its points. Generations before the last
-alternate between two buffers; the last is drawn a chunk at a time into the
-second buffer, which by then is free, and never held whole. A block thus
-holds R*k^(n_max-1) doubles plus the larger of R*k^(n_max-2) and one chunk.
-R is the number of replicas whose buffers fit in BLOCK_CAP_BYTES and in the
-memory budget, and at least one: with k=2 it is 341 at n_max=8, 21 at
-n_max=12 and 1 from n_max=16 up. When R > 1 a chunk is a whole generation,
-so the buffers hold R*(k^n_max + k^(n_max-1)) doubles, a frame and its
-parents; once generation n_max-2 fills a chunk, they hold 1/k of that.
+all of its steps while it is in cache: draw, add q times its parents,
+reduce to extremes, take its points. A block holds two buffers. Generations
+before the last grow in place in the first, ``held``, of R*k^(n_max-1)
+doubles: generation n fills its last R*k^n doubles, over its parents in the
+last R*k^(n-1). Before a chunk is drawn, its parents times q are set aside
+in the second, ``scratch``, of R*min(k^n_max, chunk width) doubles, since
+the chunk may be drawn over them; parents that later chunks still need lie
+beyond the chunk's end (see _generations). The last generation is drawn a
+chunk at a time into ``scratch`` and never held whole; its parents are
+scaled where they lie. R is the number of replicas whose buffers fit in
+BLOCK_CAP_BYTES and in the memory budget, and at least one: with k=2 it is
+341 at n_max=8, 21 at n_max=12 and 1 from n_max=16 up. When R > 1,
+8*R*k^n_max <= BLOCK_CAP_BYTES, so a chunk is a whole generation and every
+parent is set aside before any of its children is drawn; the buffers then
+hold R*(k^n_max + k^(n_max-1)) doubles, a frame and its parents. Once the
+last generation spans more than one chunk, a block (R = 1) holds
+generation n_max-1 and one chunk, the least a breadth-first sweep can.
 
 Where the last generation spans more than one chunk, blocks run on a pool
 of threads (the draws and the ufuncs release the GIL), each thread with its
@@ -79,10 +86,12 @@ def _chunk_width(k: int, rows: int) -> int:
 
 
 def _block_doubles(k: int, n_max: int, rows: int, width: int) -> tuple[int, int]:
-    """Sizes of a block's two buffers: the first holds generation n_max-1,
-    the second generation n_max-2 and then one chunk of generation n_max."""
+    """Sizes of a block's two buffers: ``held`` grows generations 0..n_max-1
+    in place and ends holding generation n_max-1; ``scratch`` holds one
+    chunk of generation n_max, and before that the scaled parents of one
+    chunk of an earlier generation."""
     held = rows * k ** (n_max - 1) if n_max else 0
-    return held, rows * max(k ** max(n_max - 2, 0), min(k**n_max, width))
+    return held, rows * min(k**n_max, width)
 
 
 def _worker_bytes(k: int, n_max: int, rows: int) -> int:
@@ -118,26 +127,35 @@ def _generations(
     ``draw`` fills a chunk with standard exponentials, each row in leaf
     order, so a row's generation-n frame takes k^n draws, chunk after chunk,
     before its generation n+1 starts.
+
+    Generation n < n_max is the (rows, k^n) matrix in the last rows*k^n
+    doubles of ``held``, right-aligned over its parents. Leaf c is child
+    c mod k of parent c // k. With one row of S parents ending at H, chunk
+    [a, a+w) of the children ends at H - kS + a + w <= H - S + (a+w)/k, the
+    first parent a later chunk needs, for every a + w <= kS: drawing a chunk
+    overwrites only parents of it and of earlier chunks. Its own parents, q
+    times over, go to the front of ``scratch`` first. A block of more rows
+    draws each generation as one chunk (see the module docstring), so all
+    its parents are set aside before any child is drawn. Generation n_max is
+    drawn into ``scratch``; its parents in ``held`` are scaled in place.
     """
     k, q = params.k, params.q
     parents = None
     for n in range(n_max + 1):
         size = k**n
-        # generation n_max-1 lands in ``held`` and n_max-2 in ``scratch``
-        frame = None
-        if n < n_max:
-            buffer = held if (n_max - 1 - n) % 2 == 0 else scratch
-            frame = buffer[: rows * size].reshape(rows, size)
+        frame = held[held.size - rows * size :].reshape(rows, size) if n < n_max else None
         for a in range(0, size, width):
             w = min(width, size - a)
-            chunk = scratch[: rows * w].reshape(rows, w) if frame is None else frame[:, a : a + w]
-            draw(chunk)
             if parents is not None:
                 # children of parent p occupy slots p*k .. p*k+k-1
                 up = parents[:, a // k : (a + w) // k]
-                up *= q
+                scaled = up if frame is None else scratch[: up.size].reshape(up.shape)
+                np.multiply(up, q, out=scaled)
+            chunk = scratch[: rows * w].reshape(rows, w) if frame is None else frame[:, a : a + w]
+            draw(chunk)
+            if parents is not None:
                 for j in range(k):
-                    chunk[:, j::k] += up
+                    chunk[:, j::k] += scaled
             yield n, a, chunk
         parents = frame
 
@@ -278,13 +296,26 @@ def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:
     """Strictly increasing split times S_0 < ... < S_n of the tagged fragment.
 
     S_i = sum_{j<=i} q^{-j} W_j with i.i.d. standard exponentials W_j, so
-    q^n S_n reproduces the generation-n walk value in law.
+    q^n S_n reproduces the generation-n walk value in law. An n whose weight
+    q^{-n} overflows a float (past 1023 at q = 1/2) is refused before any
+    draw, and so is a draw whose S_n overflows.
     """
     check_int("n", n)
-    rng = seed.rng()
-    w = rng.standard_exponential(n + 1)
-    weights = params.q ** (-np.arange(n + 1, dtype=float))
-    return np.cumsum(weights * w)
+    # the draws, the weights, their products and the sums
+    ensure_within_budget(8 * 4 * (n + 1), f"spine sample n={n}")
+    q = params.q
+    with np.errstate(over="ignore"):
+        weights = q ** (-np.arange(n + 1, dtype=float))
+        if np.isinf(weights[-1]):
+            limit = np.isfinite(weights).sum() - 1
+            raise DomainError(
+                f"n must be at most {limit} at q={q!r}, beyond which q^-n overflows a float, "
+                f"got {n}"
+            )
+        times = np.cumsum(weights * seed.rng().standard_exponential(n + 1))
+    if np.isinf(times[-1]):
+        raise DomainError(f"split time S_{n} overflows a float at q={q!r}; lower n")
+    return times
 
 
 def spine_sum_samples(

@@ -39,7 +39,7 @@ from functools import lru_cache
 from .errors import DomainError, check_int, check_real
 from .lefttail import left_tail_sandwich, log_simplex_upper
 from .params import as_q
-from .qseries import qpochhammer_factors, qpochhammer_limit
+from .qseries import qpochhammer_limit, qpochhammer_prefix
 
 _EPS = 2.0 ** -52
 # Per-term rounding allowance: exp, two q-powers and the two product factors.
@@ -74,10 +74,12 @@ def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
     """Term table of the finite-n series: (numerator, rate, denominator) for
     each j <= n up to the last numerator that is not 0.0, with numerator
     (-1)^j q^{j(j+1)/2 - j*shift}, rate q^{-j} and denominator phi_j phi_{n-j}.
-    shift=0 gives the survival series, shift=1 the density series. The cache
-    is typed, so that its entry for n=1 does not answer n=True, which
-    ``qpochhammer_factors`` refuses."""
-    phis = qpochhammer_factors(q, n)
+    shift=0 gives the survival series, shift=1 the density series. phi_i is
+    read off the prefix that stops where the products stop changing. The
+    cache is typed, so that its entry for n=1 does not answer n=True, which
+    ``qpochhammer_prefix`` refuses."""
+    phis = qpochhammer_prefix(q, n)
+    last = len(phis) - 1
     table = []
     sign = 1.0
     qpow = 1.0  # q^{j(j+1)/2 - j*shift}
@@ -85,7 +87,7 @@ def _series_coeffs(q: float, n: int, exponent_shift: int) -> tuple:
     for j in range(n + 1):
         if qpow == 0.0:
             break
-        table.append((sign * qpow, rate, phis[j] * phis[n - j]))
+        table.append((sign * qpow, rate, phis[min(j, last)] * phis[min(n - j, last)]))
         sign = -sign
         qpow *= q ** (j + 1 - exponent_shift)
         rate /= q

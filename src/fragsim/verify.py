@@ -18,7 +18,7 @@ import numpy as np
 
 from . import goldens
 from .brw import sweep_replicas
-from .errors import SpecError
+from .errors import SpecError, check_int
 from .laws import (
     perpetuity_cdf,
     perpetuity_density,
@@ -186,6 +186,8 @@ SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, master_seed: int = 42) -> list[CheckResult]:
+    # checked here, as SeedSpec checks it, so no suite runs on a bad seed
+    check_int("master_seed", master_seed, below=1 << 64, error=SpecError)
     if name == "all":
         return [res for suite in _SUITE_FUNCS.values() for res in suite(master_seed)]
     if name not in _SUITE_FUNCS:

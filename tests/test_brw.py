@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -106,12 +107,11 @@ class TestBrwSweep:
             assert (np.diff(points) >= 0).all()
 
     def test_budget_guard_before_allocation(self, monkeypatch):
-        # generation 23 plus generation 22, into which generation 24 is
-        # drawn a chunk at a time
+        # generation 23, grown in place, plus one 1 MiB chunk of generation 24
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
         with pytest.raises(BudgetError) as err:
             sweep_replicas(P21, 24, [SeedSpec(0, 0)])
-        assert err.value.required_bytes == 8 * (2**23 + 2**22)
+        assert err.value.required_bytes == 8 * (2**23 + 2**17)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -178,12 +178,36 @@ class TestKernelParity:
 
     def test_block_size(self):
         assert [block_rows(2, n) for n in (8, 12, 13, 16, 17, 20)] == [341, 21, 10, 1, 1, 1]
-        # one replica's buffers: a frame and its parents while the last
-        # generation fits in one 1 MiB chunk, else generation n-1 and the
-        # larger of generation n-2 and a chunk
+        # one replica's buffers: generation n-1 and the smaller of generation
+        # n and one 1 MiB chunk
         assert [brw._worker_bytes(2, n, 1) for n in (8, 17, 18, 20)] == [
-            8 * (2**8 + 2**7), 8 * (2**17 + 2**16), 8 * (2**17 + 2**17), 8 * (2**19 + 2**18)
+            8 * (2**8 + 2**7), 8 * (2**17 + 2**16), 8 * (2**17 + 2**17), 8 * (2**19 + 2**17)
         ]
+        assert brw._block_doubles(3, 13, 2, 1000) == (2 * 3**12, 2 * 1000)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_batched_blocks_draw_whole_generations(self, k, monkeypatch):
+        # generations grow in place over their parents, which is safe for a
+        # block of several rows only if each generation is one chunk
+        for budget in (None, 1 << 16):
+            if budget is not None:
+                monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(budget))
+            for n_max in range(26):
+                rows = block_rows(k, n_max)
+                if rows > 1:
+                    assert k**n_max <= brw._chunk_width(k, rows)
+
+    def test_deep_sweep_holds_one_generation_and_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(brw, "usable_cpus", lambda: 1)
+        seeds = [SeedSpec(1, r) for r in range(2)]
+        sweep_replicas(P21, 3, seeds)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            sweep_replicas(P21, 20, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2**19 + 2**17) + (64 << 10)
 
     def test_budget_shrinks_the_block(self, monkeypatch):
         seeds = [SeedSpec(5, r) for r in range(7)]
@@ -196,23 +220,25 @@ class TestKernelParity:
         for a, b in zip(shrunk.points[8], full.points[8], strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("n_max", [8, 10])
     @pytest.mark.parametrize("params", [P21, P31], ids=["k2", "k3"])
-    def test_chunks_match_oracle(self, params, monkeypatch):
-        # chunks of 64 leaves, 63 at k=3: generations 7 and 8 at k=2 and 4 to
-        # 8 at k=3 cross chunk edges, and generation 8 spans 4 chunks at k=2
-        # and 105 at k=3
+    def test_chunks_match_oracle(self, params, n_max, monkeypatch):
+        # chunks of 64 leaves, 63 at k=3: generations from 7 at k=2 and from
+        # 4 at k=3 cross chunk edges, those before n_max while growing in
+        # place over their parents; generation 8 spans 4 chunks at k=2 and
+        # 105 at k=3, generation 10 spans 16 and 938
         monkeypatch.setattr(brw, "BLOCK_CAP_BYTES", 8 * 64)
         seeds = [SeedSpec(13, r) for r in range(3)]
-        frames = [brw_frames_oracle(params.k, params.q, 8, s.rng()) for s in seeds]
+        frames = [brw_frames_oracle(params.k, params.q, n_max, s.rng()) for s in seeds]
         for floor in (-math.inf, 0.0, math.inf):
             sweeps = []
             for workers in (1, 2):
                 monkeypatch.setattr(brw, "usable_cpus", lambda: workers)
-                sweeps.append(sweep_replicas(params, 8, seeds, floor, range(9)))
+                sweeps.append(sweep_replicas(params, n_max, seeds, floor, range(n_max + 1)))
             one, two = sweeps
             for a, b in ((one.k_min, two.k_min), (one.k_max, two.k_max), (one.tau, two.tau)):
                 assert a.tobytes() == b.tobytes()
-            for n in range(9):
+            for n in range(n_max + 1):
                 for a, b in zip(one.points[n], two.points[n], strict=True):
                     assert a.tobytes() == b.tobytes()
             for r, fs in enumerate(frames):
@@ -299,6 +325,20 @@ class TestSpine:
     def test_strictly_increasing(self):
         split_times = spine_sample(P21, 20, SeedSpec(8, 0))
         assert (np.diff(split_times) > 0).all()
+
+    def test_refuses_what_a_float_cannot_hold(self):
+        # the weights 2^i are floats up to i = 1023, where S_1023 overflows
+        # whenever W_1023 + W_1022/2 + ... exceeds 2; no RuntimeWarning leaks
+        with pytest.raises(DomainError, match="n must be at most 1023 at q=0.5"):
+            spine_sample(P21, 1024, SeedSpec(1, 0))
+        overflowed = 0
+        for r in range(8):
+            try:
+                assert np.isfinite(spine_sample(P21, 1023, SeedSpec(1, r))).all()
+            except DomainError as err:
+                assert "split time S_1023 overflows a float at q=0.5" in str(err)
+                overflowed += 1
+        assert 0 < overflowed < 8
 
     @pytest.mark.parametrize("n, replicas", [(-1, 5), (-3, 5), (3, 0)])
     def test_sum_samples_reject_bad_sizes(self, n, replicas):

@@ -737,6 +737,36 @@ class TestCliSurface:
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "bogus"]) == 2
 
+    @pytest.mark.parametrize("suite, seed", [
+        ("leftail", str(1 << 64)), ("tails", "-1"), ("all", "-5"), ("extremes", str(1 << 70)),
+    ])
+    def test_verify_seed_out_of_range_exits_2(self, capsys, suite, seed):
+        # the seed is checked before any suite runs, tails and leftail
+        # included, though they draw nothing
+        assert main(["verify", "--suite", suite, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"master_seed must be an integer in [0, {1 << 64}), got {seed}" in captured.err
+
+    def test_spine_charged_to_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "spine", "--n-max", "100000", "--replicas", "1", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "spine sample n=100000 requires 3200032 bytes" in capsys.readouterr().err
+
+    def test_spine_past_float_range_exits_2(self, tmp_path, capsys):
+        # q^-n overflows a float from n = 1024 at q = 1/2; at the parent this
+        # wrote rows of inf with a numpy warning and exit 0
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "spine", "--n-max", "1100", "--replicas", "1", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "n must be at most 1023 at q=0.5" in capsys.readouterr().err
+
     def test_verify_tails_passes(self, capsys):
         assert main(["verify", "--suite", "tails"]) == 0
         captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -212,6 +213,19 @@ class TestTermTables:
         # past the numerator underflow the length no longer grows with n
         for shift in (0, 1):
             assert len(laws._series_coeffs(0.5, 10**6, shift)) <= 47
+
+    def test_huge_n_costs_what_the_table_needs(self):
+        # every (q;q)_j past j = 53 is one float at q = 0.5, so n = 10^9 reads
+        # the products n = 10^5 reads, without building a billion of them
+        expected = repr(perpetuity_survival(0.5, 10**5, 1.0))
+        tracemalloc.start()
+        try:
+            got = repr(perpetuity_survival(0.5, 10**9, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("q, n", [(0.3, 400), (0.5, 200), (0.95, 100), (0.5, 10**5)])
     def test_tables_end_at_numerator_underflow(self, q, n):

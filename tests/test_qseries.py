@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 from fragsim.errors import DomainError
 from fragsim.laws import gumbel_limit_cdf, perpetuity_survival_limit
-from fragsim.qseries import qpochhammer, qpochhammer_factors, qpochhammer_limit
+from fragsim.qseries import (
+    qpochhammer,
+    qpochhammer_factors,
+    qpochhammer_limit,
+    qpochhammer_prefix,
+)
 from fragsim.stats import intensity_profile, ks_gumbel
 
 
@@ -52,6 +57,17 @@ def test_decreasing_in_n(q, n):
     for j, (a, b) in enumerate(zip(factors, factors[1:]), start=1):
         if q**j > 1e-12:
             assert b < a
+
+
+@pytest.mark.parametrize("q", [1e-300, 0.3, 0.5, 0.95])
+def test_prefix_stops_where_products_stop_changing(q):
+    prefix = qpochhammer_prefix(q, 10**9)
+    assert len(prefix) < 1000 and prefix[-2:] != (prefix[-1],) * 2
+    full = qpochhammer_factors(q, len(prefix) + 50)
+    assert full[: len(prefix)] == prefix
+    assert set(full[len(prefix) - 1 :]) == {prefix[-1]}
+    assert qpochhammer(q, 10**9) == qpochhammer(q, len(prefix) + 50) == prefix[-1]
+    assert qpochhammer_prefix(q, 3) == qpochhammer_factors(q, 3)[: len(prefix)]
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
