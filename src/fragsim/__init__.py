@@ -53,7 +53,7 @@ from .predictors import (
     smallest_depth_window,
     solve_min_leaf_center,
 )
-from .qseries import qpochhammer, qpochhammer_factors, qpochhammer_limit
+from .qseries import qpochhammer, qpochhammer_limit
 from .seeds import SeedSpec, stream_seed
 from .stats import (
     CorrelationReport,

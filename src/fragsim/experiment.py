@@ -264,27 +264,16 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".meta.json")
 
 
-def _write_json(value: Any, write) -> None:
-    """Write value as json.dumps(value, sort_keys=True,
-    default=np.ndarray.tolist) spells it, one dict entry at a time, so that
-    each array is listed only when its turn comes. Dict keys are strings."""
-    if isinstance(value, dict):
-        write("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                write(", ")
-            write(json.dumps(key) + ": ")
-            _write_json(value[key], write)
-        write("}")
-    else:
-        write(json.dumps(value, default=np.ndarray.tolist))
-
-
-# write_record's sorted keys put the points first: every brw sidecar it writes begins so
+# the first line of a brw sidecar with points: sorted keys put them first
 _POINTS_HEAD = '{"extras": {"points_final_generation": {'
 
 
 def write_record(record: ResultRecord) -> None:
+    """Write the CSV and its sidecar, json.dumps(..., sort_keys=True) of it
+    with arrays listed, on one line; but a brw sidecar's points go one
+    replica per line after the _POINTS_HEAD line, each '"r": [...],' (the
+    last with no comma), before '}}, ' and the rest. Only one replica's
+    points are held as listed floats or as text at a time."""
     out = Path(record.spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, _COLUMNS[record.spec.engine], record.rows)
@@ -293,13 +282,19 @@ def write_record(record: ResultRecord) -> None:
         "spec": record.spec.to_dict(),
         "git_describe": record.version_tag,
         "wall_clock_s": record.wall_clock_s,
-        "extras": record.extras,
     }
-    # one line, streamed: only one point array is held as listed floats or
-    # as text at a time, never the whole sidecar
+    points = record.extras.get("points_final_generation")
     with sidecar_path(out).open("w") as f:
-        _write_json(sidecar, f.write)
-        f.write("\n")
+        if not points or record.extras.keys() != {"points_final_generation"}:
+            sidecar["extras"] = record.extras
+            f.write(json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n")
+            return
+        f.write(_POINTS_HEAD)
+        sep = "\n"
+        for r in sorted(points):
+            f.write(f"{sep}{json.dumps(r)}: {json.dumps(points[r], default=np.ndarray.tolist)}")
+            sep = ",\n"
+        f.write("\n}}, " + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
 
 
 def read_rows(
@@ -325,74 +320,48 @@ def read_rows(
     return header, rows
 
 
-# characters of sidecar text read at a time, or as many as are held if more
-_READ_CHUNK = 1 << 16
-_decode = json.JSONDecoder().decode
-_skip_space = json.decoder.WHITESPACE.match
-# points hold no "]": the first one past an entry's start ends its list
-_find = str.find
-
-
-def _malformed(path: Path, what: str, offset: int) -> SpecError:
-    return SpecError(f"malformed sidecar {path}: {what} at offset {offset}")
-
-
-def _stream_points(f, path: Path, points) -> tuple[dict, str, int]:
-    """Read a sidecar on from its _POINTS_HEAD, each entry '"r": [...]' as
-    soon as the "]" that ends it is read. Returns each replica's points(r,
-    list), then _POINTS_HEAD and the rest, and the file offset of its [0]."""
-    text, pos, scan, base = "", 0, 0, len(_POINTS_HEAD)  # base: offset of text[0]
-    out: dict[str, Any] = {}
-    while True:
-        while (close := _find(text, "]", scan)) < 0 and (
-            more := f.read(max(_READ_CHUNK, len(text) - pos))
-        ):
-            text, base, scan, pos = text[pos:] + more, base + pos, len(text) - pos, 0
-        at = _skip_space(text, pos).end()
-        # the end of the points, or of a cut file, which json.loads then reports
-        if at == len(text) or text.startswith("}", at):
-            return out, _POINTS_HEAD + text[at:], base + at - len(_POINTS_HEAD)
-        if out and not text.startswith(",", at):
-            raise _malformed(path, "Expecting ',' delimiter", base + at)
-        start = _skip_space(text, at + 1).end() if out else at
-        if text.startswith("}", start):
-            what = "Expecting property name enclosed in double quotes"
-            raise _malformed(path, what, base + start)
-        scan = pos = close + 1 if close >= 0 else len(text)
-        try:
-            entry = _decode("{" + text[start:pos] + "}")
-        except json.JSONDecodeError:  # not a list of numbers, or a cut: json.loads reads on
-            return out, _POINTS_HEAD + text[start:], base + start - len(_POINTS_HEAD)
-        for replica, value in entry.items():
-            out[replica] = points(replica, value) if points else value
-
-
 def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None = None) -> dict:
-    """Metadata of the record written at csv_path, {} if it has no sidecar:
-    json.loads of it, each replica r's points replaced by points(r, list)
-    if given. The CSV must exist, although only the sidecar is read. One
-    that begins with _POINTS_HEAD, as write_record's brw ones do, is read a
-    replica at a time, each replica's points passed to ``points`` as soon as
-    parsed. A malformed sidecar raises SpecError naming file and offset."""
+    """Metadata of the record written at csv_path: json.loads of its
+    sidecar, each replica r's points replaced by points(r, list) if given.
+    The CSV must exist, although only the sidecar is read. One whose first
+    line is _POINTS_HEAD is read a line at a time: a line '"r": [...],' is
+    decoded, and passed to ``points``, once the next line ends in ',' too.
+    The head, the line that stopped this and the rest go through json.loads,
+    as does any other sidecar, so every layout reads as json.loads reads it.
+    A malformed sidecar raises SpecError naming file and line."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
     path = sidecar_path(csv_path)
-    if not path.exists():
-        return {}
+    by_replica: dict[str, Any] = {}
+    skipped = 0  # lines decoded on their own, not in the text json.loads reads
     with path.open() as f:
-        text, by_replica, offset = f.read(len(_POINTS_HEAD)), {}, 0
-        if text == _POINTS_HEAD:
-            by_replica, text, offset = _stream_points(f, path, points)
+        text = f.readline()
+        if text == _POINTS_HEAD + "\n":
+            # a held line keeps its comma until the next line is an entry
+            # too, lest '"r": [...],' then '}}' read as valid; it starts
+            # with a key, lest a bare ',' decode to no replica at all
+            held, line = f.readline(), ""
+            while held[:1] == '"' and held[-2:] == ",\n" and (line := f.readline())[-2:] == ",\n":
+                try:
+                    entry = json.loads("{" + held[:-2] + "}")
+                except json.JSONDecodeError:
+                    break
+                for replica, value in entry.items():
+                    by_replica[replica] = points(replica, value) if points else value
+                skipped += 1
+                held, line = line, ""
+            text += held + line
         try:
-            meta = _decode(text + f.read())
+            meta = json.loads(text + f.read())
         except json.JSONDecodeError as exc:
-            raise _malformed(path, exc.msg, offset + exc.pos) from None
+            where = f"line {exc.lineno + skipped} column {exc.colno}"
+            raise SpecError(f"malformed sidecar {path}: {exc.msg} at {where}") from None
     if not isinstance(meta, dict):
-        raise _malformed(path, "expecting a JSON object", 0)
+        raise SpecError(f"malformed sidecar {path}: not a JSON object")
     extras = meta.get("extras")
     loaded = extras.get("points_final_generation") if isinstance(extras, dict) else None
-    if isinstance(loaded, dict):  # the points not streamed, if any
+    if isinstance(loaded, dict):  # the points not read line by line, if any
         by_replica.update((r, points(r, value) if points else value) for r, value in loaded.items())
         extras["points_final_generation"] = by_replica
     return meta

@@ -34,13 +34,6 @@ def qpochhammer_prefix(q: float, n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def qpochhammer_factors(q: float, n: int) -> tuple[float, ...]:
-    """Partial products ((q;q)_0, ..., (q;q)_n), i.e. prod_{j<=i}(1 - q^j):
-    qpochhammer_prefix, its last product repeated up to index n."""
-    prefix = qpochhammer_prefix(q, n)
-    return prefix + prefix[-1:] * (n + 1 - len(prefix))
-
-
 def qpochhammer(q: float, n: int) -> float:
     """prod_{j=1..n} (1 - q^j); equals 1 for n = 0, decreasing in n."""
     return qpochhammer_prefix(q, n)[-1]

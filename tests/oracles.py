@@ -30,7 +30,7 @@ from mpmath import mp, mpf
 from scipy.interpolate import CubicSpline
 
 from fragsim.laws import _EPS, _TERM_ULPS, LIMIT_SERIES_TOL
-from fragsim.qseries import qpochhammer_factors, qpochhammer_limit
+from fragsim.qseries import qpochhammer_limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # exp(-u) beyond this carries less mass than any tolerance used here
@@ -98,7 +98,10 @@ def series_reference(q: float, n: int, t: float, shift: int, stop: bool = True):
     (shift=1) series, term by term. With ``stop`` the sum ends at the first
     zero exponential, as the package does; without it all n+1 terms are
     added."""
-    phis = qpochhammer_factors(q, n)
+    phis, qj = [1.0], 1.0  # (q;q)_0, ..., (q;q)_n
+    for _ in range(n):
+        qj *= q
+        phis.append(phis[-1] * (1.0 - qj))
     sign, qpow, rate = 1.0, 1.0, 1.0
     terms = []
     for j in range(n + 1):

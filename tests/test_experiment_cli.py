@@ -276,7 +276,8 @@ class TestRunRecord:
         run_experiment(ExperimentSpec(**spec, out=str(a)), jobs=1)
         run_experiment(ExperimentSpec(**spec, out=str(b)), jobs=2)
         assert a.read_bytes() == b.read_bytes()
-        assert sidecar_path(a).read_text().count("\n") == 1
+        # the head line, one line per replica, and the rest
+        assert sidecar_path(a).read_text().count("\n") == 5 + 2
 
     @pytest.fixture
     def recorder(self, monkeypatch):
@@ -416,9 +417,9 @@ class TestRunRecord:
         points = run_experiment(spec).extras["points_final_generation"]
         assert list(points) == [str(r) for r in range(12)]
         assert all(isinstance(p, np.ndarray) for p in points.values())
-        listed = {"points_final_generation": {r: p.tolist() for r, p in points.items()}}
-        encoded = '"extras": ' + json.dumps(listed, sort_keys=True) + ", "
-        assert encoded in sidecar_path(out).read_text()
+        entries = [json.dumps({r: points[r].tolist()})[1:-1] for r in sorted(points)]
+        encoded = _HEAD + ",\n".join(entries) + "\n}}, "
+        assert sidecar_path(out).read_text().startswith(encoded)
 
     @pytest.mark.parametrize("fields, empty_extras", [
         ({"engine": "brw", "n_max": 5, "replicas": 40}, False),
@@ -446,11 +447,14 @@ class TestRunRecord:
             "wall_clock_s": record.wall_clock_s,
             "extras": record.extras,
         }
-        expected = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n"
-        assert sidecar_path(out).read_text() == expected
-        # read_sidecar streams the points of a sidecar that starts so
-        streamed = fields["engine"] == "brw" and not empty_extras
-        assert expected.startswith(experiment._POINTS_HEAD) == streamed
+        one_line = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist)
+        text = sidecar_path(out).read_text()
+        # a brw sidecar with points is one_line with a line per replica
+        by_line = fields["engine"] == "brw" and not empty_extras
+        assert text == (_line_layout(json.loads(one_line)) if by_line else one_line + "\n")
+        assert text.replace(",\n", ", ").replace("\n", "") == one_line
+        assert len(text) == len(one_line + "\n") + (2 if by_line else 0)
+        assert text.startswith(_HEAD) == by_line
 
     def test_sidecar_written_in_bounded_memory(self, tmp_path):
         # about 10 MB of points: the whole-text json.dumps held three copies
@@ -514,19 +518,32 @@ _POINT_EDITS = {
     "non-finite-points": lambda points: points["0"].extend([math.inf, -math.inf, math.nan]),
     "int-points": lambda points: points.update({"3": [-6, -4, 0, 2, 4, 5, 7]}),
 }
-# sidecars of each engine, brw ones with a "]" in the spec after the
-# points, with no point above the floor and with no replicas' points, and
-# brw ones rewritten in other valid layouts
-_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "brw-bracket-path", "brw-no-points",
-                    "empty-points", "gillespie", "spine", "indent-2", "floor-infinity",
+# sidecars of each engine, brw ones with no point above the floor and with
+# no replicas' points, and brw ones rewritten in other valid layouts: two
+# replicas on a line, a replica over two lines, and whole JSON
+_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "brw-no-points", "empty-points", "gillespie",
+                    "spine", "two-per-line", "split-replica", "indent-2", "floor-infinity",
                     "empty-extras", *_POINT_EDITS)
+
+
+# the first line of a brw sidecar with points
+_HEAD = experiment._POINTS_HEAD + "\n"
+
+
+def _line_layout(data: dict) -> str:
+    """A brw sidecar's data laid out as write_record lays it out: the
+    _HEAD line, one line per replica, and then the rest."""
+    points = data["extras"]["points_final_generation"]
+    rest = json.dumps({key: data[key] for key in data if key != "extras"}, sort_keys=True)
+    entries = [json.dumps({r: points[r]})[1:-1] for r in sorted(points)]
+    return _HEAD + ",\n".join(entries) + "\n}}, " + rest[1:] + "\n"
 
 
 def _sidecar_in_layout(tmp_path, layout):
     engine = layout if layout in ("gillespie", "spine") else "brw"
     horizon = {"t_end": 30.0} if engine == "gillespie" else {"n_max": 4}
     floor = {"brw-high-floor": {"floor": 2.0}, "brw-no-points": {"floor": 1e9}}.get(layout, {})
-    out = tmp_path / ("r]0.csv" if layout == "brw-bracket-path" else "r.csv")
+    out = tmp_path / "r.csv"
     run_experiment(ExperimentSpec(
         k=3, alpha=0.6, engine=engine, replicas=5, master_seed=8, out=str(out),
         **horizon, **floor,
@@ -543,10 +560,16 @@ def _sidecar_in_layout(tmp_path, layout):
     elif layout == "empty-points":
         text = json.dumps({**json.loads(text), "extras": {"points_final_generation": {}}},
                           sort_keys=True)
+    elif layout == "two-per-line":
+        text = text.replace('],\n"1": ', '], "1": ')
+    elif layout == "split-replica":
+        text = re.sub(r'\n("2": \[[^,\]]*), ', r'\n\1,\n', text, count=1)
     elif layout in _POINT_EDITS:
         data = json.loads(text)
         _POINT_EDITS[layout](data["extras"]["points_final_generation"])
-        text = json.dumps(data, sort_keys=True)
+        text = _line_layout(data)
+    unchanged = ("brw", "brw-high-floor", "brw-no-points", "gillespie", "spine")
+    assert (text == meta.read_text()) == (layout in unchanged)
     meta.write_text(text)
     return out
 
@@ -569,21 +592,15 @@ def _loaded_intensity_table(out) -> str:
 
 
 class TestReadSidecar:
-    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
-    def test_reads_as_json_loads(self, tmp_path, monkeypatch, layout, chunk):
-        # small chunks cut every key, string and number at some chunk edge;
+    def test_reads_as_json_loads(self, tmp_path, layout):
         # reprs, so that NaN points compare equal
         out = _sidecar_in_layout(tmp_path, layout)
-        if chunk:
-            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
         assert repr(read_sidecar(out)) == repr(json.loads(sidecar_path(out).read_text()))
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
-    def test_streamed_intensity_matches_loaded_points(self, tmp_path, monkeypatch, layout, chunk):
+    def test_streamed_intensity_matches_loaded_points(self, tmp_path, layout):
         out = _sidecar_in_layout(tmp_path, layout)
-        monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
         loaded = json.loads(sidecar_path(out).read_text())
         bin_counts = partial(plotdata._unit_bin_counts, sidecar_path(out))
         reduced = read_sidecar(out, points=bin_counts)
@@ -601,80 +618,65 @@ class TestReadSidecar:
         plotdata.emit_plotdata(out, "intensity", table)
         assert table.read_text() == _loaded_intensity_table(out)
 
-    def test_long_replica_decoded_once(self, tmp_path, monkeypatch):
-        # one decode for the replica's entry and one for the rest; the "]"
-        # scan goes on from where the last one stopped, so it passes each
-        # character once, not once more for every read
-        values = np.random.default_rng(1).standard_normal(1_000_000)
-        out = tmp_path / "long.csv"
-        experiment.write_record(ResultRecord(
-            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=20, out=str(out)),
-            rows=[], wall_clock_s=0.0, version_tag="v",
-            extras={"points_final_generation": {"0": values}},
+    def test_each_replica_passed_once_in_order(self, tmp_path):
+        out = tmp_path / "r.csv"
+        run_experiment(ExperimentSpec(
+            k=2, alpha=1.0, engine="brw", n_max=3, replicas=12, master_seed=4, out=str(out),
         ))
-        decoded, scanned = [], []
-        decode = experiment._decode
-
-        def counted_decode(text):
-            decoded.append(len(text))
-            return decode(text)
-
-        def counted_find(text, sub, start):
-            found = text.find(sub, start)
-            scanned.append((found + 1 if found >= 0 else len(text)) - start)
-            return found
-
-        monkeypatch.setattr(experiment, "_decode", counted_decode)
-        monkeypatch.setattr(experiment, "_find", counted_find)
-        meta = read_sidecar(out)
-        assert meta["extras"]["points_final_generation"] == {"0": values.tolist()}
-        size = sidecar_path(out).stat().st_size
-        assert len(decoded) == 2 and decoded[0] > 0.99 * size
-        assert sum(scanned) <= size
+        seen = []
+        meta = read_sidecar(out, points=lambda r, value: seen.append(r) or len(value))
+        assert seen == sorted(map(str, range(12)))
+        assert list(meta["extras"]["points_final_generation"]) == seen
 
     @pytest.mark.parametrize("points", [
-        '"0": [0.5], "1": [[1.0], [2.0]], "2": [1.5]',
-        '"0": [0.5], "1": "a]b"',
-        '"a]": [0.5]',
-    ], ids=["nested-list", "bracket-in-string", "bracket-in-key"])
-    def test_points_that_are_no_list_read_as_json_loads(self, tmp_path, monkeypatch, points):
-        # the first "]" of such an entry ends no list: the rest is read whole
+        '"0": [0.5],\n"1": [[1.0], [2.0]],\n"2": [1.5]',
+        '"0": [0.5],\n"1": "a,b",\n"2": {"c": [1.5]},\n"3": [2.5]',
+    ], ids=["nested-list", "string-and-object"])
+    def test_points_that_are_no_list_read_as_json_loads(self, tmp_path, points):
         out = tmp_path / "n.csv"
         out.write_text("")
-        text = experiment._POINTS_HEAD + points + '}}, "spec": {"out": "x]"}}'
+        text = _HEAD + points + '\n}}, "spec": {"out": "x"}}\n'
         sidecar_path(out).write_text(text)
-        for chunk in (1, 7, experiment._READ_CHUNK):
-            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
-            assert read_sidecar(out) == json.loads(text)
+        assert read_sidecar(out) == json.loads(text)
 
     @pytest.mark.parametrize("text, what", [
-        ('{"spec": {"k": 2}', "Expecting ',' delimiter at offset 17"),
-        ('{"spec": [1.0, 2.', "Expecting ',' delimiter at offset 16"),
-        ('{"spec" {}}', "Expecting ':' delimiter at offset 8"),
-        ('{"a": 1,}', "Expecting property name enclosed in double quotes at offset 8"),
-        ("[]", "expecting a JSON object at offset 0"),
-        ("", "Expecting value at offset 0"),
-        ('{"a": 1} {}', "Extra data at offset 9"),
-        # points first, as write_record writes them, in the 40 characters of
-        # _POINTS_HEAD: cut in a number, no comma, a key without a list or
-        # without a colon, a comma before the end, and no entry at all
-        (experiment._POINTS_HEAD + '"0": [0.5, 1.2', "Expecting ',' delimiter at offset 54"),
-        (experiment._POINTS_HEAD + '"0": [0.5] "1": [1.5]}}}',
-         "Expecting ',' delimiter at offset 51"),
-        (experiment._POINTS_HEAD + '"0": , "1": [1.5]}}}', "Expecting value at offset 45"),
-        (experiment._POINTS_HEAD + '"0" [0.5]}}}', "Expecting ':' delimiter at offset 44"),
-        (experiment._POINTS_HEAD + '"0": [0.5], }}}',
-         "Expecting property name enclosed in double quotes at offset 52"),
-        (experiment._POINTS_HEAD + " ", "Expecting property name enclosed in double quotes at offset 41"),
+        ('{"spec": {"k": 2}', "Expecting ',' delimiter at line 1 column 18"),
+        ('{"spec": [1.0, 2.', "Expecting ',' delimiter at line 1 column 17"),
+        ('{"spec" {}}', "Expecting ':' delimiter at line 1 column 9"),
+        ('{"a": 1,}', "Expecting property name enclosed in double quotes at line 1 column 9"),
+        ('{\n  "a": 1\n  "b": 2\n}', "Expecting ',' delimiter at line 3 column 3"),
+        ("[]", "not a JSON object"),
+        ("", "Expecting value at line 1 column 1"),
+        ('{"a": 1} {}', "Extra data at line 1 column 10"),
+        # the line layout write_record writes: a cut in an entry, no comma
+        # between entries, a comma before the close, a file that ends after
+        # the head line or after an entry, no colon, and a bare comma
+        (_HEAD + '"0": [0.5],\n"1": [0.5, 1.2', "Expecting ',' delimiter at line 3 column 15"),
+        (_HEAD + '"0": [0.5]\n"1": [1.5]\n}}}\n', "Expecting ',' delimiter at line 3 column 1"),
+        (_HEAD + '"0": [0.5],\n"1": [1.5],\n}}}\n',
+         "Expecting property name enclosed in double quotes at line 4 column 1"),
+        (_HEAD, "Expecting property name enclosed in double quotes at line 2 column 1"),
+        (_HEAD + '"0": [0.5],\n',
+         "Expecting property name enclosed in double quotes at line 3 column 1"),
+        (_HEAD + '"0": [0.5],\n"1": [1.5]\n', "Expecting ',' delimiter at line 4 column 1"),
+        (_HEAD + '"0": [0.5],\n"1" [1.5],\n"2": [2.5]\n}}}\n',
+         "Expecting ':' delimiter at line 3 column 5"),
+        (_HEAD + '"0": [0.5],\n,\n"2": [2.5]\n}}}\n',
+         "Expecting property name enclosed in double quotes at line 3 column 1"),
     ])
-    def test_malformed_raises_spec_error(self, tmp_path, monkeypatch, text, what):
+    def test_malformed_raises_spec_error(self, tmp_path, text, what):
         out = tmp_path / "m.csv"
         out.write_text("")
         sidecar_path(out).write_text(text)
-        for chunk in (1, 7, experiment._READ_CHUNK):
-            monkeypatch.setattr(experiment, "_READ_CHUNK", chunk)
-            with pytest.raises(SpecError, match=re.escape(f"m.csv.meta.json: {what}")):
-                read_sidecar(out)
+        with pytest.raises(SpecError, match=re.escape(f"m.csv.meta.json: {what}")):
+            read_sidecar(out)
+        # json's own message, at json's own line and column
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            assert what == f"{exc.msg} at line {exc.lineno} column {exc.colno}"
+        else:
+            assert what == "not a JSON object"
 
 
 class TestCliSurface:
@@ -1008,9 +1010,10 @@ class TestCliSurface:
         meta = sidecar_path(out)
         data = json.loads(meta.read_text())
         data["extras"]["points_final_generation"] = points
-        text = json.dumps(data, sort_keys=True, indent=2 if read == "whole" else None)
-        if isinstance(points, dict):
-            assert text.startswith(experiment._POINTS_HEAD) == (read == "streamed")
+        if read == "streamed" and isinstance(points, dict):
+            text = _line_layout(data)
+        else:
+            text = json.dumps(data, sort_keys=True, indent=2 if read == "whole" else None)
         meta.write_text(text)
         table = tmp_path / "i.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
@@ -1057,17 +1060,20 @@ class TestCliSurface:
             assert math.isinf(float(expected)) == (float(lo) < -708)
         assert rows[-len(default_rows):] == default_rows
 
+    @pytest.mark.parametrize("missing", ["csv", "sidecar"])
     @pytest.mark.parametrize("kind", plotdata.KINDS)
-    def test_plotdata_missing_csv_exits_2(self, tmp_path, capsys, kind):
-        # the sidecar stays, so only the missing record can refuse the run
+    def test_plotdata_missing_csv_exits_2(self, tmp_path, capsys, kind, missing):
+        # the other file stays, so only the missing one can refuse the run
         out = tmp_path / "r.csv"
         horizon = ["--n-max", "3"] if kind == "intensity" else ["--t-end", "20"]
         engine = "brw" if kind == "intensity" else "gillespie"
         assert main(["simulate", engine, *horizon, "--out", str(out)]) == 0
-        out.unlink()
+        gone = out if missing == "csv" else sidecar_path(out)
+        gone.unlink()
         assert main(["plotdata", "--in", str(out), "--kind", kind,
                      "--out", str(tmp_path / "p.csv")]) == 2
-        assert "No such file or directory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"I/O error: [Errno 2] No such file or directory: '{gone}'" in err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,7 @@ from fragsim.predictors import (
     min_leaf_center,
     smallest_depth_envelope_inverse,
 )
-from fragsim.qseries import qpochhammer_factors
+from fragsim.qseries import qpochhammer_prefix
 from fragsim.seeds import SeedSpec
 
 
@@ -91,9 +91,10 @@ _P = ModelParams(2, 1.0)
     (lambda: SeedSpec(1, True), DomainError),
     (lambda: left_tail_sandwich(0.5, True, 0.1), DomainError),
     (lambda: min_leaf_center(_P, True), DomainError),
-    (lambda: qpochhammer_factors(0.5, 2.5), DomainError),
-    # a cached (0.5, 1) entry must not answer n=True
-    (lambda: (qpochhammer_factors(0.5, 1), qpochhammer_factors(0.5, True)), DomainError),
+    (lambda: qpochhammer_prefix(0.5, 2.5), DomainError),
+    # a cached (0.5, 1) term table must not answer n=True
+    (lambda: (perpetuity_survival(0.5, 1, 1.0), perpetuity_survival(0.5, True, 1.0)),
+     DomainError),
     (lambda: ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=True), SpecError),
     (lambda: ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1, replicas=True), SpecError),
     (lambda: ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=1, master_seed=True), SpecError),

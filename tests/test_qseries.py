@@ -4,12 +4,7 @@ from hypothesis import strategies as st
 
 from fragsim.errors import DomainError
 from fragsim.laws import gumbel_limit_cdf, perpetuity_survival_limit
-from fragsim.qseries import (
-    qpochhammer,
-    qpochhammer_factors,
-    qpochhammer_limit,
-    qpochhammer_prefix,
-)
+from fragsim.qseries import qpochhammer, qpochhammer_limit, qpochhammer_prefix
 from fragsim.stats import intensity_profile, ks_gumbel
 
 
@@ -52,7 +47,7 @@ def test_limit_below_partials_exactly_at_example_values():
 @given(st.floats(min_value=0.01, max_value=0.95), st.integers(min_value=1, max_value=60))
 def test_decreasing_in_n(q, n):
     # strictly decreasing while 1 - q^j is representable below 1.0
-    factors = qpochhammer_factors(q, n)
+    factors = [qpochhammer(q, i) for i in range(n + 1)]
     assert all(b <= a for a, b in zip(factors, factors[1:]))
     for j, (a, b) in enumerate(zip(factors, factors[1:]), start=1):
         if q**j > 1e-12:
@@ -63,11 +58,14 @@ def test_decreasing_in_n(q, n):
 def test_prefix_stops_where_products_stop_changing(q):
     prefix = qpochhammer_prefix(q, 10**9)
     assert len(prefix) < 1000 and prefix[-2:] != (prefix[-1],) * 2
-    full = qpochhammer_factors(q, len(prefix) + 50)
-    assert full[: len(prefix)] == prefix
+    full, qj = [1.0], 1.0  # every product up to n = len(prefix) + 50, factor by factor
+    for _ in range(len(prefix) + 50):
+        qj *= q
+        full.append(full[-1] * (1.0 - qj))
+    assert tuple(full[: len(prefix)]) == prefix
     assert set(full[len(prefix) - 1 :]) == {prefix[-1]}
     assert qpochhammer(q, 10**9) == qpochhammer(q, len(prefix) + 50) == prefix[-1]
-    assert qpochhammer_prefix(q, 3) == qpochhammer_factors(q, 3)[: len(prefix)]
+    assert qpochhammer_prefix(q, 3) == tuple(full[: min(4, len(prefix))])
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
