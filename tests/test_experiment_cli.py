@@ -529,6 +529,17 @@ _SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "brw-no-points", "empty-points", "g
 # the first line of a brw sidecar with points
 _HEAD = experiment._POINTS_HEAD + "\n"
 
+# edits of a sidecar at one of its lines, given that line and the lines
+# after it: the file cut before or after the line's newline or in its
+# middle, the line dropped, or the line joined to the next
+_LINE_EDITS = {
+    "cut-before-newline": lambda line, rest: line.rstrip("\n"),
+    "cut-after-newline": lambda line, rest: line,
+    "cut-mid-line": lambda line, rest: line[:len(line) // 2],
+    "dropped": lambda line, rest: rest,
+    "joined": lambda line, rest: line.rstrip("\n") + " " + rest,
+}
+
 
 def _line_layout(data: dict) -> str:
     """A brw sidecar's data laid out as write_record lays it out: the
@@ -617,6 +628,39 @@ class TestReadSidecar:
         table = tmp_path / "i.csv"
         plotdata.emit_plotdata(out, "intensity", table)
         assert table.read_text() == _loaded_intensity_table(out)
+
+    @pytest.mark.parametrize("reduce", [False, True], ids=["loaded", "reduced"])
+    @pytest.mark.parametrize("edit", _LINE_EDITS)
+    @pytest.mark.parametrize("line", range(7))
+    def test_each_line_edit_reads_as_json_loads(self, tmp_path, line, edit, reduce):
+        # the line layout of 5 replicas is the head, 5 entries and the close;
+        # each line cut short, dropped or joined to the next reads as
+        # json.loads reads it: the same value, or json's own error
+        out = tmp_path / "e.csv"
+        run_experiment(ExperimentSpec(
+            k=3, alpha=0.6, engine="brw", n_max=4, replicas=5, master_seed=8, out=str(out),
+        ))
+        lines = sidecar_path(out).read_text().splitlines(keepends=True)
+        assert len(lines) == 7 and lines[0] == _HEAD
+        text = "".join(lines[:line]) + _LINE_EDITS[edit](lines[line], "".join(lines[line + 1:]))
+        sidecar_path(out).write_text(text)
+        seen = []
+        reduced = (lambda r, value: seen.append(r) or ("reduced", value)) if reduce else None
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as exc:
+            what = f"e.csv.meta.json: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            with pytest.raises(SpecError, match=re.escape(what)):
+                read_sidecar(out, points=reduced)
+            return
+        meta = read_sidecar(out, points=reduced)
+        points = loaded.get("extras", {}).get("points_final_generation")
+        if reduce and isinstance(points, dict):
+            assert seen == list(points)
+            loaded["extras"]["points_final_generation"] = {
+                r: ("reduced", value) for r, value in points.items()
+            }
+        assert repr(meta) == repr(loaded)
 
     def test_each_replica_passed_once_in_order(self, tmp_path):
         out = tmp_path / "r.csv"
