@@ -6,9 +6,7 @@ from .brw import (
     DEFAULT_POINT_FLOOR,
     ReplicaSweep,
     spine_sample,
-    spine_sum_samples,
     sweep_replicas,
-    tree_matrices,
 )
 from .errors import (
     BudgetError,
@@ -60,7 +58,6 @@ from .stats import (
     CoverageReport,
     IntervalCountReport,
     KSReport,
-    factorial_moment_samples,
     generation_count_correlation,
     intensity_profile,
     ks_gumbel,

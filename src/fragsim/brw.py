@@ -36,9 +36,6 @@ of threads (the draws and the ufuncs release the GIL), each thread with its
 own buffers and its own rows of the result; below that size threads cost
 more than they gain. Every stream makes the same draws in the same order
 whatever the chunk and thread count, so results are byte-identical.
-tree_matrices runs the same kernel on one block of all its replicas, drawn
-from a single stream in one chunk per generation, and keeps every
-generation.
 """
 
 from __future__ import annotations
@@ -85,24 +82,20 @@ def _chunk_width(k: int, rows: int) -> int:
     return max(k, BLOCK_CAP_BYTES // (8 * rows) // k * k)
 
 
-def _block_doubles(k: int, n_max: int, rows: int, width: int) -> tuple[int, int]:
+def _block_doubles(k: int, n_max: int, rows: int) -> tuple[int, int]:
     """Sizes of a block's two buffers: ``held`` grows generations 0..n_max-1
     in place and ends holding generation n_max-1; ``scratch`` holds one
     chunk of generation n_max, and before that the scaled parents of one
     chunk of an earlier generation."""
     held = rows * k ** (n_max - 1) if n_max else 0
-    return held, rows * min(k**n_max, width)
-
-
-def _worker_bytes(k: int, n_max: int, rows: int) -> int:
-    return 8 * sum(_block_doubles(k, n_max, rows, _chunk_width(k, rows)))
+    return held, rows * min(k**n_max, _chunk_width(k, rows))
 
 
 def block_rows(k: int, n_max: int) -> int:
     """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
     budget admit the buffers of, and at least one."""
     check_int("n_max", n_max)
-    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // _worker_bytes(k, n_max, 1))
+    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // (8 * sum(_block_doubles(k, n_max, 1))))
 
 
 def sweep_threads(k: int, n_max: int, rows: int) -> bool:
@@ -114,19 +107,18 @@ def sweep_threads(k: int, n_max: int, rows: int) -> bool:
 def _generations(
     params: ModelParams,
     n_max: int,
-    rows: int,
-    width: int,
-    draw: Callable[[np.ndarray], None],
+    rngs: Sequence[np.random.Generator],
     held: np.ndarray,
     scratch: np.ndarray,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (n, a, chunk) for generations n = 0..n_max in turn, chunk being
-    the (rows, w) view of leaves a..a+w-1 of generation n, w <= ``width``.
-    The kernel reuses a chunk's memory once the next one is asked for.
+    the (rows, w) view of leaves a..a+w-1 of generation n, one row per
+    stream in ``rngs`` and w at most _chunk_width(k, rows). The kernel
+    reuses a chunk's memory once the next one is asked for.
 
-    ``draw`` fills a chunk with standard exponentials, each row in leaf
-    order, so a row's generation-n frame takes k^n draws, chunk after chunk,
-    before its generation n+1 starts.
+    Each row of a chunk is filled with standard exponentials from its own
+    stream, in leaf order, so a row's generation-n frame takes k^n draws,
+    chunk after chunk, before its generation n+1 starts.
 
     Generation n < n_max is the (rows, k^n) matrix in the last rows*k^n
     doubles of ``held``, right-aligned over its parents. Leaf c is child
@@ -139,7 +131,8 @@ def _generations(
     its parents are set aside before any child is drawn. Generation n_max is
     drawn into ``scratch``; its parents in ``held`` are scaled in place.
     """
-    k, q = params.k, params.q
+    k, q, rows = params.k, params.q, len(rngs)
+    width = _chunk_width(k, rows)
     parents = None
     for n in range(n_max + 1):
         size = k**n
@@ -152,7 +145,8 @@ def _generations(
                 scaled = up if frame is None else scratch[: up.size].reshape(up.shape)
                 np.multiply(up, q, out=scaled)
             chunk = scratch[: rows * w].reshape(rows, w) if frame is None else frame[:, a : a + w]
-            draw(chunk)
+            for rng, row in zip(rngs, chunk):
+                rng.standard_exponential(out=row)
             if parents is not None:
                 for j in range(k):
                     chunk[:, j::k] += scaled
@@ -163,7 +157,6 @@ def _generations(
 def _sweep_block(
     params: ModelParams,
     n_max: int,
-    width: int,
     rngs: Sequence[np.random.Generator],
     buffers: tuple[np.ndarray, np.ndarray],
     k_min: np.ndarray,
@@ -173,13 +166,8 @@ def _sweep_block(
 ) -> dict[int, list[np.ndarray]]:
     """Run one block, one replica per stream in ``rngs``: write its extremes
     into the rows ``k_min`` and ``k_max`` and return its points."""
-
-    def draw(chunk: np.ndarray) -> None:
-        for rng, row in zip(rngs, chunk):
-            rng.standard_exponential(out=row)
-
     parts: dict[int, list[list[np.ndarray]]] = {n: [[] for _ in rngs] for n in wanted}
-    for n, a, chunk in _generations(params, n_max, len(rngs), width, draw, *buffers):
+    for n, a, chunk in _generations(params, n_max, rngs, *buffers):
         if a == 0:
             chunk.min(axis=1, out=k_min[:, n])
             chunk.max(axis=1, out=k_max[:, n])
@@ -236,8 +224,7 @@ def sweep_replicas(
     if floor not in (-np.inf, np.inf):  # -inf keeps every point, +inf none
         check_real("floor", floor)
     rows = min(count, block_rows(k, n_max))
-    width = _chunk_width(k, rows)
-    held, scratch = _block_doubles(k, n_max, rows, width)
+    held, scratch = _block_doubles(k, n_max, rows)
     per_worker = 8 * (held + scratch)
     ensure_within_budget(
         per_worker, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
@@ -254,7 +241,7 @@ def sweep_replicas(
     def run(i: int, rngs: list, own: tuple[np.ndarray, np.ndarray]) -> None:
         lo, hi = starts[i], starts[i] + len(rngs)
         points[i] = _sweep_block(
-            params, n_max, width, rngs, own, k_min[lo:hi], k_max[lo:hi], floor, wanted
+            params, n_max, rngs, own, k_min[lo:hi], k_max[lo:hi], floor, wanted
         )
 
     # a block's streams are made when a thread takes it
@@ -262,34 +249,6 @@ def sweep_replicas(
     _on_threads(run, jobs, workers, lambda: (np.empty(held), np.empty(scratch)))
     tau = k_max - gamma * np.arange(n_max + 1)
     return ReplicaSweep(k_min, k_max, tau, {n: [p for b in points for p in b[n]] for n in wanted})
-
-
-def tree_matrices(
-    params: ModelParams, n_max: int, replicas: int, seed: SeedSpec
-) -> list[np.ndarray]:
-    """All generations 0..n_max for many replicas at once.
-
-    Returns one (replicas, k^n) matrix per generation, drawn from a single
-    stream; meant for small trees (joint-law and tuple-counting checks) where
-    every generation must be retained.
-    """
-    check_int("n_max", n_max)
-    check_int("replicas", replicas, 1)
-    k = params.k
-    width = k**n_max
-    held, scratch = _block_doubles(k, n_max, replicas, width)
-    kept = 8 * replicas * sum(k**n for n in range(n_max + 1))
-    ensure_within_budget(
-        8 * (held + scratch) + kept,
-        f"tree matrices to generation {n_max} x {replicas} replicas",
-    )
-    rng = seed.rng()
-
-    def draw(frames: np.ndarray) -> None:
-        rng.standard_exponential(out=frames)
-
-    buffers = np.empty(held), np.empty(scratch)
-    return [c.copy() for _, _, c in _generations(params, n_max, replicas, width, draw, *buffers)]
 
 
 def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:
@@ -317,17 +276,3 @@ def spine_sample(params: ModelParams, n: int, seed: SeedSpec) -> np.ndarray:
         raise DomainError(f"split time S_{n} overflows a float at q={q!r}; lower n")
     return times
 
-
-def spine_sum_samples(
-    params: ModelParams, n: int, replicas: int, seed: SeedSpec
-) -> np.ndarray:
-    """replicas spine-derived samples of q^n S_n, one row of draws each."""
-    check_int("n", n)
-    check_int("replicas", replicas, 1)
-    ensure_within_budget(
-        8 * replicas * (n + 1), f"spine samples n={n} x {replicas} replicas"
-    )
-    rng = seed.rng()
-    w = rng.standard_exponential((replicas, n + 1))
-    weights = params.q ** (n - np.arange(n + 1, dtype=float))
-    return w @ weights

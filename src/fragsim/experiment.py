@@ -19,6 +19,7 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass
+from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -320,6 +321,17 @@ def read_rows(
     return header, rows
 
 
+def _distinct_keys(path: Path, pairs: list[tuple[str, Any]]) -> dict:
+    """json.loads' object_pairs_hook for the sidecar at ``path``: a key that
+    one object repeats, whose last value json.loads would keep, is a SpecError."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError(f"malformed sidecar {path}: duplicated key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None = None) -> dict:
     """Metadata of the record written at csv_path: json.loads of its
     sidecar, each replica r's points replaced by points(r, list) if given.
@@ -328,12 +340,15 @@ def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None 
     decoded, and passed to ``points``, once the next line ends in ',' too.
     The head, the line that stopped this and the rest go through json.loads,
     as does any other sidecar, so every layout reads as json.loads reads it.
-    A malformed sidecar raises SpecError naming file and line."""
+    A malformed sidecar raises SpecError naming file and line, or the key
+    that an object repeats or the replica whose points come twice."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
     path = sidecar_path(csv_path)
-    by_replica: dict[str, Any] = {}
+    unique = partial(_distinct_keys, path)
+    keep = points or (lambda replica, value: value)
+    decoded: list[tuple[str, Any]] = []  # (replica, points) in file order
     skipped = 0  # lines decoded on their own, not in the text json.loads reads
     with path.open() as f:
         text = f.readline()
@@ -344,16 +359,15 @@ def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None 
             held, line = f.readline(), ""
             while held[:1] == '"' and held[-2:] == ",\n" and (line := f.readline())[-2:] == ",\n":
                 try:
-                    entry = json.loads("{" + held[:-2] + "}")
+                    entry = json.loads("{" + held[:-2] + "}", object_pairs_hook=unique)
                 except json.JSONDecodeError:
                     break
-                for replica, value in entry.items():
-                    by_replica[replica] = points(replica, value) if points else value
+                decoded += ((r, keep(r, value)) for r, value in entry.items())
                 skipped += 1
                 held, line = line, ""
             text += held + line
         try:
-            meta = json.loads(text + f.read())
+            meta = json.loads(text + f.read(), object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             where = f"line {exc.lineno + skipped} column {exc.colno}"
             raise SpecError(f"malformed sidecar {path}: {exc.msg} at {where}") from None
@@ -362,6 +376,6 @@ def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None 
     extras = meta.get("extras")
     loaded = extras.get("points_final_generation") if isinstance(extras, dict) else None
     if isinstance(loaded, dict):  # the points not read line by line, if any
-        by_replica.update((r, points(r, value) if points else value) for r, value in loaded.items())
-        extras["points_final_generation"] = by_replica
+        decoded += ((r, keep(r, value)) for r, value in loaded.items())
+        extras["points_final_generation"] = unique(decoded)
     return meta

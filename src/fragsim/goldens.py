@@ -1,5 +1,6 @@
-"""Recorded golden values for bound constants and seeded Monte Carlo rates,
-each next to the function that computes it.
+"""Recorded golden values for the bound constants and seeded Monte Carlo
+rates that ``fragsim verify`` computes, each next to its function; a
+golden that only a test computes is recorded in that test.
 
 The underlying statements assert only that certain ratios stay bounded, so
 the observed constants on the fixed parameter grids below are fitted once,
@@ -16,7 +17,7 @@ about phi * e^(t/q): at q=0.5 the perpetuity limit's own abs_error maps to
 q=0.5 entries are rounding-limited and only the 1 percent check on them
 means anything.
 
-Regenerate with: python -m fragsim.goldens
+Regenerate every constant in this module with: python -m fragsim.goldens
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ import numpy as np
 
 from .brw import ReplicaSweep, sweep_replicas
 from .gillespie import gillespie_run
-from .laws import perpetuity_density, perpetuity_survival, perpetuity_survival_limit
+from .laws import perpetuity_survival, perpetuity_survival_limit
 from .lefttail import critical_term_count, left_tail_exponent, log_left_tail_upper
 from .params import ModelParams
-from .predictors import min_leaf_center, solve_min_leaf_center
 from .qseries import qpochhammer
 from .seeds import SeedSpec
 from .stats import largest_window_coverage, min_concentration
@@ -66,23 +66,6 @@ ENVELOPE_MAX: dict[tuple[float, int | None], float] = {
 }
 
 
-def crude_density_max(q: float) -> float:
-    """max over t in [0, 20] step 0.25, n in {1..6, 12, 20} of
-    density * e^t."""
-    return max(
-        perpetuity_density(q, n, float(t)).value * math.exp(t)
-        for n in (1, 2, 3, 4, 5, 6, 12, 20)
-        for t in np.arange(0.0, 20.0 + 1e-9, 0.25)
-    )
-
-
-CRUDE_DENSITY_MAX: dict[float, float] = {
-    0.3: 1.6322582433456045,
-    0.5: 3.4627433028491206,
-    0.8: 274.09534565565207,
-}
-
-
 def left_tail_log_gap_max(js: Iterable[int]) -> float:
     """max over s = e^-j, j in js, of |log(upper(m(s))) + F(s)| at q=0.5,
     with m(s) the critical term count. LEFT_TAIL_LOG_GAP_MAX is its value
@@ -96,20 +79,6 @@ def left_tail_log_gap_max(js: Iterable[int]) -> float:
 
 
 LEFT_TAIL_LOG_GAP_MAX: float = 1.950769330061643
-
-
-def center_gap_fit() -> float:
-    """max over n in {100, 1000, 10000, 100000} of |z_n - w_n| *
-    sqrt(n)/log(n), k=2, alpha=1."""
-    return max(
-        abs(solve_min_leaf_center(_P21, n) - min_leaf_center(_P21, n))
-        * math.sqrt(n)
-        / math.log(n)
-        for n in (100, 1000, 10_000, 100_000)
-    )
-
-
-CENTER_GAP_FIT: float = 0.48558058802852694
 
 
 def largest_coverage_rate(t_end: float, replicas: int, master_seed: int) -> float:
@@ -153,10 +122,7 @@ MIN_CONCENTRATION_RATE: float = 0.7868421052631579
 def _main() -> None:  # pragma: no cover - regeneration utility
     for key in ENVELOPE_MAX:
         print(f"ENVELOPE_MAX[{key}] = {envelope_max(*key)!r}")
-    for q in CRUDE_DENSITY_MAX:
-        print(f"CRUDE_DENSITY_MAX[{q}] = {crude_density_max(q)!r}")
     print(f"LEFT_TAIL_LOG_GAP_MAX = {left_tail_log_gap_max(range(5, 31, 5))!r}")
-    print(f"CENTER_GAP_FIT = {center_gap_fit()!r}")
     print(f"COVERAGE_RATE_FULL = {largest_coverage_rate(math.e**12, 100, 42)!r}")
     print(f"COVERAGE_RATE_VERIFY = {largest_coverage_rate(math.e**9, 30, 42)!r}")
     print(f"MIN_CONCENTRATION_RATE = {min_concentration_sample(42)[0]!r}")

@@ -53,19 +53,28 @@ def _unit_bin_counts(sidecar: Path, replica: str, points) -> tuple[int, np.ndarr
 
 def _staircases(in_path: str | Path) -> list[tuple[int, list[tuple[float, int]]]]:
     """Each replica of a gillespie record with its (event_time, m_t) steps,
-    by replica. A staircase must start at t = 0.0, as the engine writes it."""
+    by replica. As the engine writes them, a replica's rows must be
+    contiguous, and its staircase must start at t = 0.0 and never go back
+    in time; else SpecError names the file and the line."""
     _, rows = read_rows(in_path, _COLUMNS["gillespie"])
     out: dict[int, list[tuple[float, int]]] = {}
+    last = None
     for line, (_, replica, t, m_t, _) in enumerate(rows, 2):
         try:
             replica, t, m_t = int(replica), float(t), int(m_t)
         except ValueError as exc:
             raise SpecError(f"record {in_path} line {line}: {exc}") from None
-        if replica not in out and t != 0.0:
-            raise SpecError(
-                f"record {in_path} line {line}: replica {replica} starts at t = {t!r}, not 0.0"
-            )
-        out.setdefault(replica, []).append((t, m_t))
+        steps = out.setdefault(replica, [])
+        fault = (
+            f"starts at t = {t!r}, not 0.0" if not steps and t != 0.0
+            else "resumes after another replica's rows" if steps and replica != last
+            else f"goes back in time to t = {t!r}" if steps and not t >= steps[-1][0]
+            else None
+        )
+        if fault:
+            raise SpecError(f"record {in_path} line {line}: replica {replica} {fault}")
+        steps.append((t, m_t))
+        last = replica
     return sorted(out.items())
 
 

@@ -1,8 +1,7 @@
 """Statistical reductions of simulator output against the analytic laws.
 
 Every function here is a pure reduction of its input samples; nothing draws
-randomness except the tuple-moment estimator, which is handed an explicit
-SeedSpec. Acceptance numbers probed against limit laws are golden values:
+randomness. Acceptance numbers probed against limit laws are golden values:
 computed once under a recorded seed and re-asserted within a stored
 tolerance thereafter.
 """
@@ -15,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brw import tree_matrices
 from .errors import DomainError
 from .gillespie import GillespieTrajectory
 from .laws import gumbel_limit_cdf
@@ -27,7 +25,6 @@ from .predictors import (
     smallest_depth_window,
 )
 from .qseries import qpochhammer_limit
-from .seeds import SeedSpec
 
 # Coverage probes t_end/10 * 1.05^i up to t_end; the first tenth is burn-in.
 BURN_IN_FRACTION = 0.1
@@ -141,55 +138,6 @@ def _expected_count(lo: float, hi: float, phi: float) -> float:
             return math.exp(-lo + math.log(-math.expm1(lo - hi)) - math.log(phi))
         except OverflowError:
             return math.inf
-
-
-def _ordered_tuple_count(values: np.ndarray, thresholds: Sequence[float]) -> int:
-    """Ordered tuples of distinct points with point j above thresholds[j].
-
-    With thresholds sorted descending, the j-th pick comes from the
-    exceedance set of the j-th threshold minus the j picks already made;
-    the sets are nested, so the product below counts exactly.
-    """
-    desc = sorted(thresholds, reverse=True)
-    count = 1
-    for j, thr in enumerate(desc):
-        avail = int(np.count_nonzero(values > thr)) - j
-        if avail <= 0:
-            return 0
-        count *= avail
-    return count
-
-
-def factorial_moment_samples(
-    params: ModelParams,
-    n: int,
-    thresholds: Sequence[Sequence[float]],
-    replicas: int,
-    seed: SeedSpec,
-) -> np.ndarray:
-    """Per-replica products of ordered distinct-tuple counts.
-
-    thresholds[i] lists the levels for generation n+i; the replica value is
-    the product over generations of the ordered tuple counts of centred
-    points exceeding those levels. Full-tree enumeration, so the guard
-    k^(n+len(thresholds)) <= 4096 keeps this brute-force honest.
-    """
-    ell = len(thresholds)
-    if ell < 1:
-        raise DomainError("thresholds must list at least one generation")
-    if params.k ** (n + ell) > 4096:
-        raise DomainError(
-            f"k^(n+l) = {params.k ** (n + ell)} exceeds the 4096 full-tree cap"
-        )
-    gens = tree_matrices(params, n + ell - 1, replicas, seed)
-    out = np.ones(replicas, dtype=float)
-    for i, levels in enumerate(thresholds):
-        if not len(levels):
-            continue
-        centred = gens[n + i] - params.gamma * (n + i)
-        for r in range(replicas):
-            out[r] *= _ordered_tuple_count(centred[r], levels)
-    return out
 
 
 def largest_window_coverage(

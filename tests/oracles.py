@@ -1,9 +1,13 @@
-"""Independent oracles for the exact-law and BRW sampler tests.
+"""Independent oracles for the exact-law and BRW sampler tests, and the
+tests' own estimators.
 
 The BRW oracles draw frame by frame, allocating each frame, with the
 recurrence the package's batched kernel must reproduce draw for draw: one
-replica per stream, or all replicas from one stream. For the exact laws, two routes that share no code or formula with the
-package:
+replica per stream, or all replicas from one stream. The estimators the
+acceptance tests sample are here too: ``spine_sum_samples`` draws the
+spine's q^n S_n, and ``factorial_moment_samples`` counts tuples on whole
+small trees drawn by ``tree_matrices_oracle``. For the exact laws, two
+routes that share no code or formula with the package:
 
 * high-precision partial fractions for a sum of independent exponentials
   with distinct rates (mpmath, 60 digits), and
@@ -250,3 +254,49 @@ def brw_summary_oracle(frame: np.ndarray, n: int, gamma: float, floor: float):
     k_max = float(frame.max())
     points = np.sort(frame[frame >= floor + shift] - shift)
     return float(frame.min()), k_max, k_max - shift, points
+
+
+def spine_sum_samples(params, n: int, replicas: int, seed) -> np.ndarray:
+    """``replicas`` samples of q^n S_n = sum_i q^(n-i) W_i from ``seed``'s
+    stream, one row of n + 1 draws each."""
+    w = seed.rng().standard_exponential((replicas, n + 1))
+    weights = params.q ** (n - np.arange(n + 1, dtype=float))
+    return w @ weights
+
+
+def _ordered_tuple_count(values: np.ndarray, thresholds) -> int:
+    """Ordered tuples of distinct points with point j above thresholds[j].
+
+    With thresholds sorted descending, the j-th pick comes from the
+    exceedance set of the j-th threshold minus the j picks already made;
+    the sets are nested, so the product below counts exactly.
+    """
+    count = 1
+    for j, thr in enumerate(sorted(thresholds, reverse=True)):
+        avail = int(np.count_nonzero(values > thr)) - j
+        if avail <= 0:
+            return 0
+        count *= avail
+    return count
+
+
+def factorial_moment_samples(params, n: int, thresholds, replicas: int, seed) -> np.ndarray:
+    """Per-replica products of ordered distinct-tuple counts.
+
+    thresholds[i] lists the levels for generation n+i; the replica value is
+    the product over generations of the ordered tuple counts of centred
+    points exceeding those levels. The trees, to generation
+    n + len(thresholds) - 1, come from tree_matrices_oracle on ``seed``'s
+    stream, so keep k^(n + len(thresholds)) small.
+    """
+    gens = tree_matrices_oracle(
+        params.k, params.q, n + len(thresholds) - 1, replicas, seed.rng()
+    )
+    out = np.ones(replicas, dtype=float)
+    for i, levels in enumerate(thresholds):
+        if not len(levels):
+            continue
+        centred = gens[n + i] - params.gamma * (n + i)
+        for r in range(replicas):
+            out[r] *= _ordered_tuple_count(centred[r], levels)
+    return out

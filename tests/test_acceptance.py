@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fragsim import goldens
-from fragsim.brw import spine_sum_samples, sweep_replicas, tree_matrices
+from fragsim.brw import sweep_replicas
 from fragsim.experiment import ExperimentSpec, run_experiment
 from fragsim.gillespie import gillespie_run
 from fragsim.laws import perpetuity_cdf, perpetuity_survival
@@ -22,14 +22,15 @@ from fragsim.params import ModelParams
 from fragsim.predictors import min_leaf_center
 from fragsim.qseries import qpochhammer_limit
 from fragsim.seeds import SeedSpec
-from fragsim.stats import (
-    factorial_moment_samples,
-    generation_count_correlation,
-    intensity_profile,
-    ks_gumbel,
-)
+from fragsim.stats import generation_count_correlation, intensity_profile, ks_gumbel
 
-from oracles import ConvolutionSurvival, hypoexp_cdf_mp
+from oracles import (
+    ConvolutionSurvival,
+    factorial_moment_samples,
+    hypoexp_cdf_mp,
+    spine_sum_samples,
+    tree_matrices_oracle,
+)
 
 P21 = ModelParams(2, 1.0)
 
@@ -250,7 +251,7 @@ def test_c10_min_concentration():
 def test_c11_fkg_and_decoupling():
     with criterion(11, "positive association and pairwise decoupling hold empirically"):
         reps = 100_000
-        gens = tree_matrices(P21, 3, reps, SeedSpec(SEED_FKG, 0))
+        gens = tree_matrices_oracle(P21.k, P21.q, 3, reps, SeedSpec(SEED_FKG, 0).rng())
         leaves = gens[3]
         # positive association: all eight leaves jointly exceed a level at
         # least as often as independence would allow

@@ -723,6 +723,27 @@ class TestReadSidecar:
             assert what == "not a JSON object"
 
 
+    @pytest.mark.parametrize("text, key", [
+        # the rest of the file repeats extras after three replicas
+        (_HEAD + '"0": [0.5],\n"1": [1.5],\n"2": [2.5]\n'
+         '}}, "extras": {"points_final_generation": {"9": [9.5]}}}\n', "extras"),
+        # a replica on two lines read one at a time, or read so and again
+        # in the rest, or twice in one line
+        (_HEAD + '"0": [0.5],\n"0": [1.5],\n"2": [2.5],\n"3": [3.5]\n}}}\n', "0"),
+        (_HEAD + '"0": [0.5],\n"1": [1.5],\n"0": [2.5]\n}}}\n', "0"),
+        (_HEAD + '"0": [0.5], "0": [1.5],\n"1": [2.5],\n"2": [3.5]\n}}}\n', "0"),
+        ('{"spec": {"k": 2, "k": 3}}', "k"),
+    ], ids=["extras", "two-lines", "line-and-rest", "one-line", "whole-file"])
+    def test_duplicated_key_raises_spec_error(self, tmp_path, text, key):
+        # json.loads would keep the last value of the key
+        out = tmp_path / "d.csv"
+        out.write_text("")
+        sidecar_path(out).write_text(text)
+        json.loads(text)
+        with pytest.raises(SpecError, match=re.escape(f"d.csv.meta.json: duplicated key {key!r}")):
+            read_sidecar(out)
+
+
 class TestCliSurface:
     def test_tails_table(self, tmp_path):
         out = tmp_path / "tails.csv"
@@ -1002,6 +1023,9 @@ class TestCliSurface:
         ("schema_version 2", "line 2: expected 5 cells with schema_version 1, got '2,0,0.0,0,0'"),
         ("late first row", "replica 1 starts at t = "),
         ("bad cell", "line 2: could not convert string to float: 'x'"),
+        # a replica's rows are one run in event-time order, as written
+        ("times go down", "line 5: replica 0 goes back in time to t = 3.071809616207692"),
+        ("replica split", "line 21: replica 0 resumes after another replica's rows"),
     ])
     def test_plotdata_malformed_record_exits_2(self, tmp_path, capsys, kind, fault, where):
         out = tmp_path / "g.csv"
@@ -1019,12 +1043,27 @@ class TestCliSurface:
             first = lines.index("1,1,0.0,0,0\n")
             del lines[first]
             where = f"line {first + 1}: " + where
+        elif fault == "times go down":
+            lines[3], lines[4] = lines[4], lines[3]
+        elif fault == "replica split":
+            lines.append(lines.pop(4))
         else:
             lines[1] = "1,0,x,0,0\n"
         out.write_text("".join(lines))
         assert main(["plotdata", "--in", str(out), "--kind", kind,
                      "--out", str(tmp_path / "p.csv")]) == 2
         assert f"record {out} {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["staircase", "windows"])
+    def test_plotdata_equal_event_times_are_a_staircase(self, tmp_path, kind):
+        out = tmp_path / "g.csv"
+        assert main(["simulate", "gillespie", "--t-end", "20", "--replicas", "2",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        lines.insert(4, lines[4])
+        out.write_text("".join(lines))
+        assert main(["plotdata", "--in", str(out), "--kind", kind,
+                     "--out", str(tmp_path / "p.csv")]) == 0
 
     def test_plotdata_truncated_sidecar_exits_2(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -1064,6 +1103,21 @@ class TestCliSurface:
                      "--out", str(table)]) == 2
         assert not table.exists()
         assert f"malformed sidecar {meta}: {what}" in capsys.readouterr().err
+
+    def test_plotdata_repeated_extras_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["simulate", "brw", "--n-max", "3", "--replicas", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        meta = sidecar_path(out)
+        text = meta.read_text()
+        assert text.count("\n}}, ") == 1
+        extra = '"extras": {"points_final_generation": {"9": [9.5]}}, '
+        meta.write_text(text.replace("\n}}, ", "\n}}, " + extra))
+        table = tmp_path / "i.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert f"malformed sidecar {meta}: duplicated key 'extras'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, what", [
         ("spec", "spec must be a JSON object, got 5"),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragsim import goldens
 from fragsim.errors import DomainError
 from fragsim.params import ModelParams
 from fragsim.predictors import (
@@ -28,6 +27,21 @@ P21 = ModelParams(2, 1.0)
 PARAM_GRID = [ModelParams(2, 1.0), ModelParams(2, 0.5), ModelParams(3, 1.0), ModelParams(5, 2.0)]
 # Away from alpha = 1, gamma * kappa != 1, so a gamma written for 1/kappa shows.
 K_ALPHA_GRID = [(k, alpha) for k in (2, 3, 5) for alpha in (0.5, 1.0, 2.0)]
+
+
+def center_gap_fit() -> float:
+    """max over n in {100, 1000, 10000, 100000} of |z_n - w_n| *
+    sqrt(n)/log(n), k=2, alpha=1."""
+    return max(
+        abs(solve_min_leaf_center(P21, n) - min_leaf_center(P21, n))
+        * math.sqrt(n)
+        / math.log(n)
+        for n in (100, 1000, 10_000, 100_000)
+    )
+
+
+# center_gap_fit(), recorded; regenerate by printing it
+CENTER_GAP_FIT: float = 0.48558058802852694
 
 
 def test_ceil_strict_is_least_integer_above():
@@ -181,8 +195,8 @@ class TestMinLeafCenter:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_recorded_gap_fit(self):
-        observed = goldens.center_gap_fit()
-        assert observed == pytest.approx(goldens.CENTER_GAP_FIT, rel=1e-6)
+        observed = center_gap_fit()
+        assert observed == pytest.approx(CENTER_GAP_FIT, rel=1e-6)
 
     def test_bracket(self):
         s_minus, s_plus = min_leaf_bracket(P21, 100)

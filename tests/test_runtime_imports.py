@@ -1,8 +1,10 @@
-"""The package imports only the standard library, numpy and itself.
+"""The package imports only the standard library, numpy and itself, and
+holds no code that only the tests call.
 
 numpy is the one runtime dependency (pyproject.toml); scipy, mpmath and
 hypothesis serve the tests alone. Parsing the sources catches a stray
-import without running any of them.
+import, or a public definition nothing in the package, the benchmark or
+the demos uses, without running any of them.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fragsim").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "fragsim").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -30,3 +33,44 @@ def _absolute_imports(path: Path) -> set[str]:
 def test_imports_stdlib_numpy_or_relative(path):
     extra = _absolute_imports(path) - ALLOWED
     assert not extra, f"{path.name} imports {sorted(extra)}"
+
+
+# Public definitions kept without a caller, each with its reason.
+UNCALLED = {
+    # ROADMAP item 2 audits the depth windows against the exact laws by
+    # these inverses of the window envelopes
+    "largest_depth_envelope_inverses",
+    "smallest_depth_envelope_inverse",
+    # the paper's left-tail exponent, against which the sandwich is read
+    "stirling_exponent",
+}
+
+
+def _used_names(statement: ast.AST) -> set[str]:
+    """Names a statement uses, as a variable or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(statement)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_has_a_caller():
+    # a use counts from any top-level statement of the package (its
+    # re-exports in __init__.py aside), the benchmark or the demos, but not
+    # from the definition's own body
+    users = [p for p in SOURCES if p.name != "__init__.py"]
+    users += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    uses: dict[str, set[tuple[Path, int]]] = {}
+    for path in users:
+        for i, statement in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
+            for name in _used_names(statement):
+                uses.setdefault(name, set()).add((path, i))
+    uncalled = set()
+    for path in SOURCES:
+        for i, statement in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                name = statement.name
+                if not name.startswith("_") and not uses.get(name, set()) - {(path, i)}:
+                    uncalled.add(name)
+    assert uncalled == UNCALLED
