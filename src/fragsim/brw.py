@@ -104,6 +104,17 @@ def sweep_threads(k: int, n_max: int, rows: int) -> bool:
     return k**n_max > _chunk_width(k, rows)
 
 
+def block_threads(k: int, n_max: int, rows: int) -> int:
+    """Threads sweep_replicas runs blocks of ``rows`` replicas on, given that
+    many blocks: where sweep_threads holds, as many as there are usable CPUs
+    and as the memory budget holds one block's buffers for, else one; and
+    at least one."""
+    if not sweep_threads(k, n_max, rows):
+        return 1
+    per_thread = 8 * sum(_block_doubles(k, n_max, rows))
+    return max(1, min(usable_cpus(), budget_bytes() // per_thread))
+
+
 def _generations(
     params: ModelParams,
     n_max: int,
@@ -214,9 +225,9 @@ def sweep_replicas(
     """Extremes of generations 0..n_max for every seed, and the centred points
     at or above ``floor`` for the generations in ``point_generations`` only.
 
-    Replicas run in blocks of block_rows(k, n_max), on min(blocks, usable
-    CPUs, budget // one block's buffers) threads if sweep_threads says so,
-    else one. Each replica's values are those of a sweep of its seed alone.
+    Replicas run in blocks of block_rows(k, n_max), on min(blocks,
+    block_threads) threads. Each replica's values are those of a sweep of
+    its seed alone.
     """
     k, gamma, count = params.k, params.gamma, len(seeds)
     if count < 1:
@@ -225,14 +236,12 @@ def sweep_replicas(
         check_real("floor", floor)
     rows = min(count, block_rows(k, n_max))
     held, scratch = _block_doubles(k, n_max, rows)
-    per_worker = 8 * (held + scratch)
     ensure_within_budget(
-        per_worker, f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)"
+        8 * (held + scratch),
+        f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)",
     )
     starts = range(0, count, rows)
-    workers = 1
-    if sweep_threads(k, n_max, rows):
-        workers = min(len(starts), usable_cpus(), budget_bytes() // per_worker)
+    workers = min(len(starts), block_threads(k, n_max, rows))
     wanted = sorted(set(point_generations))
     k_min = np.empty((count, n_max + 1))
     k_max = np.empty((count, n_max + 1))

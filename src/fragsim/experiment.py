@@ -6,6 +6,10 @@ replica derives its stream from (master_seed, replica_index) and rows are
 emitted in replica-index order. CSV floats use the shortest round-trip
 decimal representation; run metadata that legitimately varies (wall clock)
 lives in the JSON sidecar, never in the CSV.
+
+A persisted run is written as it goes: each slice of replicas has its
+points written to the sidecar, in replica order, as soon as it is swept,
+and only its rows are kept until the CSV is written at the end.
 """
 
 from __future__ import annotations
@@ -18,15 +22,23 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, nullcontext
 from dataclasses import MISSING, dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .brw import DEFAULT_POINT_FLOOR, block_rows, spine_sample, sweep_replicas, sweep_threads
+from .brw import (
+    DEFAULT_POINT_FLOOR,
+    block_rows,
+    block_threads,
+    spine_sample,
+    sweep_replicas,
+    sweep_threads,
+)
 from .budget import usable_cpus
 from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
@@ -140,7 +152,10 @@ def read_config(path: str | Path) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Spec echo plus the rows that went into the CSV body."""
+    """Spec echo plus the rows that went into the CSV body. extras hold a
+    brw run's final-generation points, {replica: array} in replica order,
+    unless the run was persisted: its points are then in the sidecar alone
+    and extras are empty."""
 
     spec: ExperimentSpec
     rows: list[tuple]
@@ -183,24 +198,38 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
-    """Rows and sidecar extras for replicas lo..hi-1; top-level for pickling."""
-    params = spec.params()
-    replicas = range(lo, hi)
+def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[list[tuple], dict[str, Any]]:
+    """Rows and final-generation points of the brw replicas in ``replicas``,
+    from one sweep_replicas call."""
+    n_max = spec.n_max
     seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
+    sweep = sweep_replicas(spec.params(), n_max, seeds, spec.floor, (n_max,))
     rows: list[tuple] = []
+    # .tolist() gives Python floats, whose repr the CSV cells rely on
+    for r, k_min, k_max, tau in zip(replicas, sweep.k_min, sweep.k_max, sweep.tau):
+        rows.extend(
+            zip(repeat(r), range(n_max + 1), k_min.tolist(), k_max.tolist(), tau.tolist())
+        )
+    # float64 arrays, listed only as the sidecar is written
+    return rows, dict(zip(map(str, replicas), sweep.points[n_max]))
+
+
+def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[list[tuple], dict]]:
+    """Rows and points of replicas lo..hi-1, one slice at a time in replica
+    order. A brw slice is one sweep_replicas call over a block on each of
+    its threads, block_rows * block_threads replicas; the other engines
+    have no points and make the range one slice."""
     if spec.engine == "brw":
-        n_max = spec.n_max
-        sweep = sweep_replicas(params, n_max, seeds, spec.floor, (n_max,))
-        # .tolist() gives Python floats, whose repr the CSV cells rely on
-        for r, k_min, k_max, tau in zip(replicas, sweep.k_min, sweep.k_max, sweep.tau):
-            rows.extend(
-                zip(repeat(r), range(n_max + 1), k_min.tolist(), k_max.tolist(), tau.tolist())
-            )
-        # float64 arrays, listed only as write_record encodes them
-        points = dict(zip(map(str, replicas), sweep.points[n_max]))
-        return rows, {"points_final_generation": points}
-    for r, seed in zip(replicas, seeds):
+        per_block = block_rows(spec.k, spec.n_max)
+        size = per_block * block_threads(spec.k, spec.n_max, per_block)
+        for start in range(lo, hi, size):
+            # no local holds a slice while the next one is swept
+            yield _brw_slice(spec, range(start, min(start + size, hi)))
+        return
+    params = spec.params()
+    rows = []
+    for r in range(lo, hi):
+        seed = SeedSpec(spec.master_seed, r)
         if spec.engine == "gillespie":
             traj = gillespie_run(params, spec.t_end, seed)
             rows.extend(
@@ -210,7 +239,13 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int):
         else:
             split_times = spine_sample(params, spec.n_max, seed).tolist()
             rows.extend((r, i, x) for i, x in enumerate(split_times))
-    return rows, {}
+    yield rows, {}
+
+
+def _range_slices(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[list[tuple], dict]]:
+    """Every slice of replicas lo..hi-1, listed: what a pool worker returns
+    by value; top-level for pickling."""
+    return list(_block_payload(spec, lo, hi))
 
 
 def _worker_ranges(spec: ExperimentSpec, jobs: int) -> list[tuple[int, int]]:
@@ -230,34 +265,44 @@ def _worker_ranges(spec: ExperimentSpec, jobs: int) -> list[tuple[int, int]]:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     """Execute every replica, optionally in parallel, and persist if out set.
 
-    Each worker makes one payload call over its range of replicas; one
-    worker runs in this process, more in a process pool. Output ordering is
-    by replica index, and workers communicate by value only, so the CSV
-    body is independent of ``jobs``.
+    Each worker runs one range of replicas; one worker runs in this
+    process, more in a process pool, and each returns its range's slices by
+    value. Slices are taken in replica order, so the CSV and the sidecar do
+    not depend on ``jobs``. With ``out`` set, each slice's points go to the
+    sidecar as soon as the slice is taken and are not kept: the record's
+    extras then hold no points, and a brw run holds its rows and one
+    slice's points. Without ``out``, extras hold every replica's points.
+    wall_clock_s spans the replicas and the writing of their points, not
+    the CSV. A run that raises leaves the files at ``out`` as they were.
     """
     check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
     ranges = _worker_ranges(spec, jobs)
-    if len(ranges) == 1:
-        payloads = [_block_payload(spec, *ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            payloads = list(pool.map(_block_payload, repeat(spec), *zip(*ranges)))
-    rows: list[tuple] = []
-    merged_extras: dict[str, Any] = {}
-    for payload_rows, extras in payloads:
-        rows.extend(payload_rows)
-        for key, value in extras.items():
-            merged_extras.setdefault(key, {}).update(value)
-    record = ResultRecord(
-        spec=spec,
-        rows=rows,
-        wall_clock_s=time.monotonic() - start,
-        version_tag=_git_describe(),
-        extras=merged_extras,
-    )
-    if spec.out is not None:
-        write_record(record)
+    with ExitStack() as stack:
+        if len(ranges) == 1:
+            slices = _block_payload(spec, *ranges[0])
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(ranges)))
+            slices = chain.from_iterable(pool.map(_range_slices, repeat(spec), *zip(*ranges)))
+        sidecar = None if spec.out is None else stack.enter_context(_Sidecar(spec.out))
+        rows: list[tuple] = []
+        points: dict[str, Any] = {}
+        for slice_rows, slice_points in slices:
+            rows.extend(slice_rows)
+            if sidecar is None:
+                points.update(slice_points)
+            else:
+                sidecar.points(slice_points.items())
+            del slice_points  # let the next slice's sweep run without it
+        record = ResultRecord(
+            spec=spec,
+            rows=rows,
+            wall_clock_s=time.monotonic() - start,
+            version_tag=_git_describe(),
+            extras={"points_final_generation": points} if points else {},
+        )
+        if sidecar is not None:
+            write_record(record, sidecar)
     return record
 
 
@@ -269,33 +314,75 @@ def sidecar_path(csv_path: str | Path) -> Path:
 _POINTS_HEAD = '{"extras": {"points_final_generation": {'
 
 
-def write_record(record: ResultRecord) -> None:
-    """Write the CSV and its sidecar, json.dumps(..., sort_keys=True) of it
-    with arrays listed, on one line; but a brw sidecar's points go one
-    replica per line after the _POINTS_HEAD line, each '"r": [...],' (the
-    last with no comma), before '}}, ' and the rest. Only one replica's
-    points are held as listed floats or as text at a time."""
-    out = Path(record.spec.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, _COLUMNS[record.spec.engine], record.rows)
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": record.spec.to_dict(),
-        "git_describe": record.version_tag,
-        "wall_clock_s": record.wall_clock_s,
-    }
-    points = record.extras.get("points_final_generation")
-    with sidecar_path(out).open("w") as f:
-        if not points or record.extras.keys() != {"points_final_generation"}:
+class _Sidecar:
+    """The sidecar of the record at ``csv_path``, written front to back into
+    a temporary file beside it, which close() moves over the sidecar. Used
+    as a context manager, it deletes the temporary file on the way out, so
+    a sidecar that is not closed leaves no trace.
+
+    Points given to points() come first, one replica per line after the
+    _POINTS_HEAD line, each '"r": [...],' (the last with no comma), and
+    then '}}, ' and the rest of the keys; only one replica's points are
+    held as listed floats or as text at a time. A sidecar given no points
+    is json.dumps(..., sort_keys=True) of it on one line. Either way its
+    values are those json.dumps gives, with sorted keys but for the
+    replicas, which come in the order they were given."""
+
+    def __init__(self, csv_path: str | Path):
+        self.path = sidecar_path(csv_path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        self.file = self.temp.open("w")
+        self.replicas = 0  # replicas whose points are written
+
+    def __enter__(self) -> "_Sidecar":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+        self.temp.unlink(missing_ok=True)
+
+    def points(self, points: Iterable[tuple[str, Any]]) -> None:
+        """Write each (replica, points) pair on a line of its own."""
+        for r, values in points:
+            lead = ",\n" if self.replicas else _POINTS_HEAD + "\n"
+            listed = json.dumps(values, default=np.ndarray.tolist)
+            self.file.write(f"{lead}{json.dumps(r)}: {listed}")
+            self.replicas += 1
+
+    def close(self, record: ResultRecord) -> None:
+        """Write the rest of the sidecar: ``record``'s spec, tag and wall
+        clock, and its extras if no points were written; then move the
+        file over the sidecar."""
+        sidecar = {
+            "schema_version": SCHEMA_VERSION,
+            "spec": record.spec.to_dict(),
+            "git_describe": record.version_tag,
+            "wall_clock_s": record.wall_clock_s,
+        }
+        if self.replicas:
+            self.file.write("\n}}, " + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
+        else:
             sidecar["extras"] = record.extras
-            f.write(json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n")
-            return
-        f.write(_POINTS_HEAD)
-        sep = "\n"
-        for r in sorted(points):
-            f.write(f"{sep}{json.dumps(r)}: {json.dumps(points[r], default=np.ndarray.tolist)}")
-            sep = ",\n"
-        f.write("\n}}, " + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
+            self.file.write(json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n")
+        self.file.close()
+        os.replace(self.temp, self.path)
+
+
+def write_record(record: ResultRecord, sidecar: _Sidecar | None = None) -> None:
+    """Write the CSV and then the sidecar, laid out as _Sidecar lays it out.
+    A record whose extras are its points alone, and not none, has them
+    written one replica per line in replica order; any other record's
+    extras go on the one line. ``sidecar``, if given, is one that
+    run_experiment wrote the points into already, and the record's extras
+    hold none. The sidecar is moved into place once the CSV is written."""
+    out = Path(record.spec.out)
+    with _Sidecar(out) if sidecar is None else nullcontext(sidecar) as sidecar:
+        points = record.extras.get("points_final_generation")
+        if points and record.extras.keys() == {"points_final_generation"}:
+            sidecar.points(sorted(points.items(), key=lambda item: int(item[0])))
+        write_csv(out, _COLUMNS[record.spec.engine], record.rows)
+        sidecar.close(record)
 
 
 def read_rows(

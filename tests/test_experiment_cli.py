@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -344,18 +345,18 @@ class TestRunRecord:
         bodies = set()
         for jobs in (1, 2, 3):
             out = tmp_path / f"jobs{jobs}.csv"
-            run_experiment(ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=7,
+            run_experiment(ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=12,
                                           master_seed=5, out=str(out), **horizon), jobs=jobs)
             meta = sidecar_path(out).read_text().replace(json.dumps(str(out)), '"OUT"')
             meta = re.sub(r'"wall_clock_s": [^,}]+', "", meta)
             bodies.add((out.read_bytes(), meta))
         assert len(bodies) == 1
 
-    def test_one_worker_runs_one_sweep(self, monkeypatch):
+    def test_one_worker_sweeps_its_range_a_slice_at_a_time(self, monkeypatch):
         calls = []
 
         def counted(params, n_max, seeds, *args):
-            calls.append(len(seeds))
+            calls.append([seed.replica_index for seed in seeds])
             return sweep_replicas(params, n_max, seeds, *args)
 
         monkeypatch.setattr(experiment, "sweep_replicas", counted)
@@ -363,7 +364,11 @@ class TestRunRecord:
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
         assert len(experiment._worker_ranges(spec, 64)) == 3  # three blocks
         run_experiment(spec, jobs=1)
-        assert calls == [200]
+        # a slice is one block: the last generation fits one chunk
+        size = brw.block_rows(2, 10)
+        assert size == 85 and not brw.sweep_threads(2, 10, size)
+        assert [len(c) for c in calls] == [85, 85, 30]
+        assert [r for c in calls for r in c] == list(range(200))
 
     def test_threaded_sweep_starts_no_pool(self, monkeypatch, recorder):
         """A deep brw run spreads its blocks over the sweep's threads, which
@@ -411,15 +416,42 @@ class TestRunRecord:
     def test_sidecar_points_encode_as_lists(self, tmp_path):
         out = tmp_path / "p.csv"
         spec = ExperimentSpec(
-            k=2, alpha=1.0, engine="brw", n_max=6, replicas=12,
-            master_seed=3, out=str(out),
+            k=2, alpha=1.0, engine="brw", n_max=6, replicas=12, master_seed=3,
         )
         points = run_experiment(spec).extras["points_final_generation"]
         assert list(points) == [str(r) for r in range(12)]
         assert all(isinstance(p, np.ndarray) for p in points.values())
-        entries = [json.dumps({r: points[r].tolist()})[1:-1] for r in sorted(points)]
+        # a persisted run keeps no points: they are in the sidecar alone
+        assert run_experiment(dataclasses.replace(spec, out=str(out))).extras == {}
+        written = read_sidecar(out)["extras"]["points_final_generation"]
+        assert list(written) == list(points)
+        assert {r: p.tolist() for r, p in points.items()} == written
+        entries = [json.dumps({r: points[r].tolist()})[1:-1] for r in points]
         encoded = _HEAD + ",\n".join(entries) + "\n}}, "
         assert sidecar_path(out).read_text().startswith(encoded)
+
+    @pytest.mark.parametrize("fields", [
+        {"engine": "brw", "n_max": 6, "replicas": 12},
+        {"engine": "gillespie", "t_end": 30.0, "replicas": 3},
+        {"engine": "spine", "n_max": 6, "replicas": 3},
+    ], ids=lambda fields: fields["engine"])
+    def test_streamed_sidecar_is_write_record_of_held_run(self, tmp_path, monkeypatch, fields):
+        if fields["engine"] == "brw":
+            # blocks of two n=6 replicas: 12 replicas are 6 slices, and
+            # replica order is not sorted-key order past 10
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+            assert brw.block_rows(2, 6) == 2 and not brw.sweep_threads(2, 6, 2)
+        monkeypatch.setattr(experiment, "_git_describe", lambda: "v1.0-3-gabcdef")
+        monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: 1.25))
+        out = tmp_path / "s.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, master_seed=9, **fields)
+        streamed = run_experiment(dataclasses.replace(spec, out=str(out)))
+        files = {path: path.read_bytes() for path in (out, sidecar_path(out))}
+        held = run_experiment(spec)
+        assert streamed.rows == held.rows and streamed.wall_clock_s == held.wall_clock_s == 0.0
+        experiment.write_record(dataclasses.replace(held, spec=streamed.spec))
+        assert {path: path.read_bytes() for path in files} == files
+        assert sorted(tmp_path.iterdir()) == sorted(files)
 
     @pytest.mark.parametrize("fields, empty_extras", [
         ({"engine": "brw", "n_max": 5, "replicas": 40}, False),
@@ -440,14 +472,17 @@ class TestRunRecord:
         if empty_extras:
             record = dataclasses.replace(record, extras={})
         experiment.write_record(record)
+        # sorted keys, but the points in replica order
         sidecar = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": record.spec.to_dict(),
-            "git_describe": record.version_tag,
-            "wall_clock_s": record.wall_clock_s,
             "extras": record.extras,
+            "git_describe": record.version_tag,
+            "schema_version": SCHEMA_VERSION,
+            "spec": dict(sorted(record.spec.to_dict().items())),
+            "wall_clock_s": record.wall_clock_s,
         }
-        one_line = json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist)
+        points = record.extras.get("points_final_generation", {})
+        assert list(points) == [str(r) for r in range(len(points))]
+        one_line = json.dumps(sidecar, default=np.ndarray.tolist)
         text = sidecar_path(out).read_text()
         # a brw sidecar with points is one_line with a line per replica
         by_line = fields["engine"] == "brw" and not empty_extras
@@ -463,6 +498,47 @@ class TestRunRecord:
         size = sidecar_path(record.spec.out).stat().st_size
         assert size > 9_000_000
         assert peak < 0.1 * size
+
+    def test_streamed_run_in_bounded_memory(self, tmp_path, monkeypatch):
+        # a budget of one n=10 replica a block makes each slice one replica
+        # of 1024 points at floor -1e300: 8 kB of the 1.2 MB of points; a
+        # run that held them all peaked 1.5 MB above its rows
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(8 * (2**10 + 2**9)))
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=10, replicas=150,
+                              master_seed=5, floor=-1e300, out=str(tmp_path / "m.csv"))
+        assert brw.block_rows(2, 10) == 1 and not brw.sweep_threads(2, 10, 1)
+        tracemalloc.start()
+        try:
+            rows = run_experiment(spec).rows
+            held, peak = tracemalloc.get_traced_memory()  # held: the rows
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 150 * 11
+        assert peak - held < 450_000
+
+    def test_run_that_raises_leaves_out_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=6, replicas=12,
+                              master_seed=3, out=str(out))
+        run_experiment(dataclasses.replace(spec, master_seed=4))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        # blocks of two n=6 replicas: the second slice raises once the
+        # first one's points are in the temporary sidecar
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        calls = []
+
+        def failing(*args):
+            calls.append(len(args[2]))
+            if len(calls) == 2:
+                assert len(list(tmp_path.glob("*.tmp"))) == 1
+                raise RuntimeError("second slice")
+            return sweep_replicas(*args)
+
+        monkeypatch.setattr(experiment, "sweep_replicas", failing)
+        with pytest.raises(RuntimeError, match="second slice"):
+            run_experiment(spec)
+        assert calls == [2, 2]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_spine_rows(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -543,10 +619,11 @@ _LINE_EDITS = {
 
 def _line_layout(data: dict) -> str:
     """A brw sidecar's data laid out as write_record lays it out: the
-    _HEAD line, one line per replica, and then the rest."""
+    _HEAD line, one line per replica in the order of ``data``, which is
+    replica order in data read from a written sidecar, and then the rest."""
     points = data["extras"]["points_final_generation"]
     rest = json.dumps({key: data[key] for key in data if key != "extras"}, sort_keys=True)
-    entries = [json.dumps({r: points[r]})[1:-1] for r in sorted(points)]
+    entries = [json.dumps({r: points[r]})[1:-1] for r in points]
     return _HEAD + ",\n".join(entries) + "\n}}, " + rest[1:] + "\n"
 
 
@@ -669,7 +746,7 @@ class TestReadSidecar:
         ))
         seen = []
         meta = read_sidecar(out, points=lambda r, value: seen.append(r) or len(value))
-        assert seen == sorted(map(str, range(12)))
+        assert seen == list(map(str, range(12)))
         assert list(meta["extras"]["points_final_generation"]) == seen
 
     @pytest.mark.parametrize("points", [
