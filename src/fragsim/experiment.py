@@ -7,9 +7,10 @@ emitted in replica-index order. CSV floats use the shortest round-trip
 decimal representation; run metadata that legitimately varies (wall clock)
 lives in the JSON sidecar, never in the CSV.
 
-A persisted run is written as it goes: each slice of replicas has its
-points written to the sidecar, in replica order, as soon as it is swept,
-and only its rows are kept until the CSV is written at the end.
+A run's points live in its sidecar alone. A persisted run is written as
+it goes: each slice of replicas has its points written to the sidecar, in
+replica order, as soon as it is swept, and only its rows are kept until the
+CSV is written at the end. A run without an output path computes no points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -152,16 +153,14 @@ def read_config(path: str | Path) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Spec echo plus the rows that went into the CSV body. extras hold a
-    brw run's final-generation points, {replica: array} in replica order,
-    unless the run was persisted: its points are then in the sidecar alone
-    and extras are empty."""
+    """Spec echo plus the rows that go into the CSV body, with the run's
+    wall clock and version tag. A brw run's points are not held: they go to
+    the sidecar, and a run without ``out`` computes none."""
 
     spec: ExperimentSpec
     rows: list[tuple]
     wall_clock_s: float
     version_tag: str
-    extras: dict[str, Any]
 
 
 # CSV lines formatted and written at a time
@@ -199,11 +198,13 @@ def _git_describe() -> str:
 
 
 def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[list[tuple], dict[str, Any]]:
-    """Rows and final-generation points of the brw replicas in ``replicas``,
-    from one sweep_replicas call."""
+    """Rows of the brw replicas in ``replicas``, from one sweep_replicas
+    call, and their final-generation points if the run is persisted (else
+    none are computed)."""
     n_max = spec.n_max
     seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
-    sweep = sweep_replicas(spec.params(), n_max, seeds, spec.floor, (n_max,))
+    wanted = () if spec.out is None else (n_max,)
+    sweep = sweep_replicas(spec.params(), n_max, seeds, spec.floor, wanted)
     rows: list[tuple] = []
     # .tolist() gives Python floats, whose repr the CSV cells rely on
     for r, k_min, k_max, tau in zip(replicas, sweep.k_min, sweep.k_max, sweep.tau):
@@ -211,7 +212,7 @@ def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[list[tuple], dict
             zip(repeat(r), range(n_max + 1), k_min.tolist(), k_max.tolist(), tau.tolist())
         )
     # float64 arrays, listed only as the sidecar is written
-    return rows, dict(zip(map(str, replicas), sweep.points[n_max]))
+    return rows, dict(zip(map(str, replicas), sweep.points.get(n_max, ())))
 
 
 def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[list[tuple], dict]]:
@@ -269,11 +270,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     process, more in a process pool, and each returns its range's slices by
     value. Slices are taken in replica order, so the CSV and the sidecar do
     not depend on ``jobs``. With ``out`` set, each slice's points go to the
-    sidecar as soon as the slice is taken and are not kept: the record's
-    extras then hold no points, and a brw run holds its rows and one
-    slice's points. Without ``out``, extras hold every replica's points.
-    wall_clock_s spans the replicas and the writing of their points, not
-    the CSV. A run that raises leaves the files at ``out`` as they were.
+    sidecar as soon as the slice is taken and are not kept, so a brw run
+    holds its rows and one slice's points. Without ``out``, no points are
+    computed and nothing is written. wall_clock_s spans the replicas and the
+    writing of their points, not the CSV. A run that raises leaves the files
+    at ``out`` as they were.
     """
     check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
@@ -286,12 +287,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
             slices = chain.from_iterable(pool.map(_range_slices, repeat(spec), *zip(*ranges)))
         sidecar = None if spec.out is None else stack.enter_context(_Sidecar(spec.out))
         rows: list[tuple] = []
-        points: dict[str, Any] = {}
         for slice_rows, slice_points in slices:
             rows.extend(slice_rows)
-            if sidecar is None:
-                points.update(slice_points)
-            else:
+            if sidecar is not None:
                 sidecar.points(slice_points.items())
             del slice_points  # let the next slice's sweep run without it
         record = ResultRecord(
@@ -299,7 +297,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
             rows=rows,
             wall_clock_s=time.monotonic() - start,
             version_tag=_git_describe(),
-            extras={"points_final_generation": points} if points else {},
         )
         if sidecar is not None:
             write_record(record, sidecar)
@@ -316,21 +313,25 @@ _POINTS_HEAD = '{"extras": {"points_final_generation": {'
 
 class _Sidecar:
     """The sidecar of the record at ``csv_path``, written front to back into
-    a temporary file beside it, which close() moves over the sidecar. Used
-    as a context manager, it deletes the temporary file on the way out, so
-    a sidecar that is not closed leaves no trace.
+    a temporary file beside it, while write_record writes the CSV into
+    ``csv_temp``, another one; close() moves both into place once both are
+    whole. Used as a context manager, it deletes both temporary files on the
+    way out, so a record that is not closed leaves no trace.
 
     Points given to points() come first, one replica per line after the
     _POINTS_HEAD line, each '"r": [...],' (the last with no comma), and
     then '}}, ' and the rest of the keys; only one replica's points are
-    held as listed floats or as text at a time. A sidecar given no points
-    is json.dumps(..., sort_keys=True) of it on one line. Either way its
-    values are those json.dumps gives, with sorted keys but for the
-    replicas, which come in the order they were given."""
+    held as listed floats or as text at a time. A sidecar given no points,
+    a gillespie or spine one, is json.dumps(..., sort_keys=True) of it on
+    one line with empty extras. Either way its values are those json.dumps
+    gives, with sorted keys but for the replicas, which come in the order
+    they were given."""
 
     def __init__(self, csv_path: str | Path):
+        self.csv = Path(csv_path)
         self.path = sidecar_path(csv_path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.csv_temp = self.csv.with_name(f"{self.csv.name}.{os.getpid()}.tmp")
         self.temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         self.file = self.temp.open("w")
         self.replicas = 0  # replicas whose points are written
@@ -341,6 +342,7 @@ class _Sidecar:
     def __exit__(self, *exc) -> None:
         self.file.close()
         self.temp.unlink(missing_ok=True)
+        self.csv_temp.unlink(missing_ok=True)
 
     def points(self, points: Iterable[tuple[str, Any]]) -> None:
         """Write each (replica, points) pair on a line of its own."""
@@ -351,9 +353,8 @@ class _Sidecar:
             self.replicas += 1
 
     def close(self, record: ResultRecord) -> None:
-        """Write the rest of the sidecar: ``record``'s spec, tag and wall
-        clock, and its extras if no points were written; then move the
-        file over the sidecar."""
+        """Write the rest of the sidecar, ``record``'s spec, tag and wall
+        clock; then move the CSV and the sidecar into place."""
         sidecar = {
             "schema_version": SCHEMA_VERSION,
             "spec": record.spec.to_dict(),
@@ -363,26 +364,18 @@ class _Sidecar:
         if self.replicas:
             self.file.write("\n}}, " + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
         else:
-            sidecar["extras"] = record.extras
-            self.file.write(json.dumps(sidecar, sort_keys=True, default=np.ndarray.tolist) + "\n")
+            self.file.write(json.dumps({**sidecar, "extras": {}}, sort_keys=True) + "\n")
         self.file.close()
+        os.replace(self.csv_temp, self.csv)
         os.replace(self.temp, self.path)
 
 
-def write_record(record: ResultRecord, sidecar: _Sidecar | None = None) -> None:
-    """Write the CSV and then the sidecar, laid out as _Sidecar lays it out.
-    A record whose extras are its points alone, and not none, has them
-    written one replica per line in replica order; any other record's
-    extras go on the one line. ``sidecar``, if given, is one that
-    run_experiment wrote the points into already, and the record's extras
-    hold none. The sidecar is moved into place once the CSV is written."""
-    out = Path(record.spec.out)
-    with _Sidecar(out) if sidecar is None else nullcontext(sidecar) as sidecar:
-        points = record.extras.get("points_final_generation")
-        if points and record.extras.keys() == {"points_final_generation"}:
-            sidecar.points(sorted(points.items(), key=lambda item: int(item[0])))
-        write_csv(out, _COLUMNS[record.spec.engine], record.rows)
-        sidecar.close(record)
+def write_record(record: ResultRecord, sidecar: _Sidecar) -> None:
+    """Write ``record``'s CSV and the rest of ``sidecar``, which
+    run_experiment wrote its points into, and move both into place; a raise
+    before that leaves the files at ``out`` as they were."""
+    write_csv(sidecar.csv_temp, _COLUMNS[record.spec.engine], record.rows)
+    sidecar.close(record)
 
 
 def read_rows(

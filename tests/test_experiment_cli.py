@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -17,7 +19,6 @@ from fragsim.errors import DomainError, SpecError
 from fragsim.experiment import (
     SCHEMA_VERSION,
     ExperimentSpec,
-    ResultRecord,
     read_config,
     read_rows,
     read_sidecar,
@@ -234,15 +235,10 @@ class TestRunRecord:
         # the whole-text format held the lines and their join, 3.9x the file
         rng = np.random.default_rng(0)
         values = rng.standard_normal((60_000, 3)).tolist()
-        record = ResultRecord(
-            spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(tmp_path / "c.csv")),
-            rows=[(i // 9, i % 9, *v) for i, v in enumerate(values)],
-            wall_clock_s=0.0,
-            version_tag="v",
-            extras={},
-        )
-        peak = _traced_peak(lambda: experiment.write_record(record))
-        size = (tmp_path / "c.csv").stat().st_size
+        rows = [(i // 9, i % 9, *v) for i, v in enumerate(values)]
+        out = tmp_path / "c.csv"
+        peak = _traced_peak(lambda: write_csv(out, experiment._COLUMNS["brw"], rows))
+        size = out.stat().st_size
         assert size > 3_000_000
         assert peak < 0.25 * size
 
@@ -352,6 +348,33 @@ class TestRunRecord:
             bodies.add((out.read_bytes(), meta))
         assert len(bodies) == 1
 
+    @pytest.mark.parametrize("engine, horizon", [
+        ("spine", {"n_max": 8}), ("gillespie", {"t_end": 20.0}), ("brw", {"n_max": 6}),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unpersisted_run_has_the_rows_and_computes_no_points(
+        self, tmp_path, monkeypatch, recorder, engine, horizon, jobs
+    ):
+        if engine == "brw":  # blocks of two n=6 replicas: three slices
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        wanted = []
+
+        def recording(params, n_max, seeds, floor, point_generations):
+            wanted.append(tuple(point_generations))
+            return sweep_replicas(params, n_max, seeds, floor, point_generations)
+
+        monkeypatch.setattr(experiment, "sweep_replicas", recording)
+        out = tmp_path / "r.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=5, master_seed=5,
+                              **horizon)
+        rows = run_experiment(spec, jobs=jobs).rows
+        assert not list(tmp_path.iterdir())
+        assert run_experiment(dataclasses.replace(spec, out=str(out)), jobs=jobs).rows == rows
+        assert out.read_text() == _joined_csv(experiment._COLUMNS[engine], rows)
+        assert wanted == ([()] * 3 + [(6,)] * 3 if engine == "brw" else [])
+        assert recorder[0] == ([2, 2] if jobs == 2 else [])
+
     def test_one_worker_sweeps_its_range_a_slice_at_a_time(self, monkeypatch):
         calls = []
 
@@ -416,88 +439,59 @@ class TestRunRecord:
     def test_sidecar_points_encode_as_lists(self, tmp_path):
         out = tmp_path / "p.csv"
         spec = ExperimentSpec(
-            k=2, alpha=1.0, engine="brw", n_max=6, replicas=12, master_seed=3,
+            k=2, alpha=1.0, engine="brw", n_max=6, replicas=12, master_seed=3, out=str(out),
         )
-        points = run_experiment(spec).extras["points_final_generation"]
-        assert list(points) == [str(r) for r in range(12)]
-        assert all(isinstance(p, np.ndarray) for p in points.values())
-        # a persisted run keeps no points: they are in the sidecar alone
-        assert run_experiment(dataclasses.replace(spec, out=str(out))).extras == {}
+        seeds = [SeedSpec(3, r) for r in range(12)]
+        sweep = sweep_replicas(spec.params(), 6, seeds, spec.floor, (6,))
+        points = {str(r): p.tolist() for r, p in enumerate(sweep.points[6])}
+        run_experiment(spec)
         written = read_sidecar(out)["extras"]["points_final_generation"]
-        assert list(written) == list(points)
-        assert {r: p.tolist() for r, p in points.items()} == written
-        entries = [json.dumps({r: points[r].tolist()})[1:-1] for r in points]
+        assert list(written) == [str(r) for r in range(12)]
+        assert written == points
+        entries = [json.dumps({r: points[r]})[1:-1] for r in points]
         encoded = _HEAD + ",\n".join(entries) + "\n}}, "
         assert sidecar_path(out).read_text().startswith(encoded)
 
-    @pytest.mark.parametrize("fields", [
-        {"engine": "brw", "n_max": 6, "replicas": 12},
-        {"engine": "gillespie", "t_end": 30.0, "replicas": 3},
-        {"engine": "spine", "n_max": 6, "replicas": 3},
-    ], ids=lambda fields: fields["engine"])
-    def test_streamed_sidecar_is_write_record_of_held_run(self, tmp_path, monkeypatch, fields):
-        if fields["engine"] == "brw":
-            # blocks of two n=6 replicas: 12 replicas are 6 slices, and
-            # replica order is not sorted-key order past 10
-            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+    @pytest.mark.parametrize("fields, budget", [
+        ({"k": 3, "engine": "brw", "n_max": 5, "replicas": 40}, None),
+        ({"k": 3, "engine": "brw", "n_max": 4, "replicas": 3, "floor": -1e300}, None),
+        # blocks of two n=6 replicas: 12 replicas are 6 slices, and replica
+        # order is not sorted-key order past 10
+        ({"k": 2, "engine": "brw", "n_max": 6, "replicas": 12}, 2 * 8 * (2**6 + 2**5)),
+        ({"k": 3, "engine": "gillespie", "t_end": 30.0, "replicas": 2}, None),
+        ({"k": 3, "engine": "spine", "n_max": 6, "replicas": 2}, None),
+    ], ids=["brw", "brw-low-floor", "brw-slices", "gillespie", "spine"])
+    def test_sidecar_bytes_match_json_dumps(self, tmp_path, monkeypatch, fields, budget):
+        if budget:
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(budget))
             assert brw.block_rows(2, 6) == 2 and not brw.sweep_threads(2, 6, 2)
         monkeypatch.setattr(experiment, "_git_describe", lambda: "v1.0-3-gabcdef")
         monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: 1.25))
-        out = tmp_path / "s.csv"
-        spec = ExperimentSpec(k=2, alpha=1.0, master_seed=9, **fields)
-        streamed = run_experiment(dataclasses.replace(spec, out=str(out)))
-        files = {path: path.read_bytes() for path in (out, sidecar_path(out))}
-        held = run_experiment(spec)
-        assert streamed.rows == held.rows and streamed.wall_clock_s == held.wall_clock_s == 0.0
-        experiment.write_record(dataclasses.replace(held, spec=streamed.spec))
-        assert {path: path.read_bytes() for path in files} == files
-        assert sorted(tmp_path.iterdir()) == sorted(files)
-
-    @pytest.mark.parametrize("fields, empty_extras", [
-        ({"engine": "brw", "n_max": 5, "replicas": 40}, False),
-        ({"engine": "brw", "n_max": 4, "replicas": 3, "floor": -1e300}, False),
-        ({"engine": "brw", "n_max": 3, "replicas": 2}, True),
-        ({"engine": "gillespie", "t_end": 30.0, "replicas": 2}, False),
-        ({"engine": "spine", "n_max": 6, "replicas": 2}, False),
-    ], ids=["brw", "brw-low-floor", "brw-empty-extras", "gillespie", "spine"])
-    def test_sidecar_bytes_match_json_dumps(self, tmp_path, fields, empty_extras):
         out = tmp_path / "r.csv"
-        spec = ExperimentSpec(k=3, alpha=0.6, master_seed=8, **fields)
-        record = dataclasses.replace(
-            run_experiment(spec),
-            spec=dataclasses.replace(spec, out=str(out)),
-            wall_clock_s=1.25,
-            version_tag="v1.0-3-gabcdef",
-        )
-        if empty_extras:
-            record = dataclasses.replace(record, extras={})
-        experiment.write_record(record)
+        spec = ExperimentSpec(alpha=0.6, master_seed=8, out=str(out), **fields)
+        run_experiment(spec)
         # sorted keys, but the points in replica order
         sidecar = {
-            "extras": record.extras,
-            "git_describe": record.version_tag,
+            "extras": {},
+            "git_describe": "v1.0-3-gabcdef",
             "schema_version": SCHEMA_VERSION,
-            "spec": dict(sorted(record.spec.to_dict().items())),
-            "wall_clock_s": record.wall_clock_s,
+            "spec": dict(sorted(spec.to_dict().items())),
+            "wall_clock_s": 0.0,
         }
-        points = record.extras.get("points_final_generation", {})
-        assert list(points) == [str(r) for r in range(len(points))]
-        one_line = json.dumps(sidecar, default=np.ndarray.tolist)
+        by_line = spec.engine == "brw"
+        if by_line:  # the points of one sweep over every seed
+            seeds = [SeedSpec(spec.master_seed, r) for r in range(spec.replicas)]
+            sweep = sweep_replicas(spec.params(), spec.n_max, seeds, spec.floor, (spec.n_max,))
+            points = enumerate(sweep.points[spec.n_max])
+            sidecar["extras"] = {"points_final_generation": {str(r): p.tolist() for r, p in points}}
+        one_line = json.dumps(sidecar)
         text = sidecar_path(out).read_text()
-        # a brw sidecar with points is one_line with a line per replica
-        by_line = fields["engine"] == "brw" and not empty_extras
-        assert text == (_line_layout(json.loads(one_line)) if by_line else one_line + "\n")
+        # a brw sidecar is one_line with a line per replica
+        assert text == (_line_layout(sidecar) if by_line else one_line + "\n")
         assert text.replace(",\n", ", ").replace("\n", "") == one_line
         assert len(text) == len(one_line + "\n") + (2 if by_line else 0)
         assert text.startswith(_HEAD) == by_line
-
-    def test_sidecar_written_in_bounded_memory(self, tmp_path):
-        # about 10 MB of points: the whole-text json.dumps held three copies
-        record = _big_points_record(tmp_path / "big.csv")
-        peak = _traced_peak(lambda: experiment.write_record(record))
-        size = sidecar_path(record.spec.out).stat().st_size
-        assert size > 9_000_000
-        assert peak < 0.1 * size
+        assert sorted(tmp_path.iterdir()) == [out, sidecar_path(out)]
 
     def test_streamed_run_in_bounded_memory(self, tmp_path, monkeypatch):
         # a budget of one n=10 replica a block makes each slice one replica
@@ -516,28 +510,72 @@ class TestRunRecord:
         assert len(rows) == 150 * 11
         assert peak - held < 450_000
 
-    def test_run_that_raises_leaves_out_as_it_was(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("where", ["second-slice", "second-csv-batch", "sidecar-tail"])
+    def test_run_that_raises_leaves_out_as_it_was(self, tmp_path, monkeypatch, where):
         out = tmp_path / "r.csv"
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=6, replicas=12,
                               master_seed=3, out=str(out))
         run_experiment(dataclasses.replace(spec, master_seed=4))
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
-        # blocks of two n=6 replicas: the second slice raises once the
-        # first one's points are in the temporary sidecar
+        # blocks of two n=6 replicas: six slices
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        full = OSError(errno.ENOSPC, "No space left on device")
         calls = []
 
-        def failing(*args):
-            calls.append(len(args[2]))
-            if len(calls) == 2:
-                assert len(list(tmp_path.glob("*.tmp"))) == 1
-                raise RuntimeError("second slice")
-            return sweep_replicas(*args)
+        def temporaries() -> int:
+            return len(list(tmp_path.glob("*.tmp")))
 
-        monkeypatch.setattr(experiment, "sweep_replicas", failing)
-        with pytest.raises(RuntimeError, match="second slice"):
+        if where == "second-slice":
+            # the raise comes once the first slice's points are in the
+            # temporary sidecar, before any CSV line is written
+            def failing(*args):
+                calls.append(len(args[2]))
+                if len(calls) == 2:
+                    assert temporaries() == 1
+                    raise full
+                return sweep_replicas(*args)
+
+            monkeypatch.setattr(experiment, "sweep_replicas", failing)
+        elif where == "second-csv-batch":
+            # 84 rows in batches of 32: the raise comes after the first batch
+            monkeypatch.setattr(experiment, "_CSV_BATCH", 32)
+
+            def failing(rows, count):
+                calls.append(count)
+                if len(calls) == 2:
+                    assert temporaries() == 2
+                    raise full
+                return itertools.islice(rows, count)
+
+            monkeypatch.setattr(experiment, "islice", failing)
+        else:
+            # the sidecar's file fills up halfway through its tail
+            class Full:
+                def __init__(self, file):
+                    self.file = file
+
+                def write(self, text):
+                    if text.startswith("\n}}, "):
+                        calls.append(temporaries())
+                        self.file.write(text[: len(text) // 2])
+                        raise full
+                    return self.file.write(text)
+
+                def close(self):
+                    self.file.close()
+
+            opened = experiment._Sidecar.__init__
+
+            def init(sidecar, csv_path):
+                opened(sidecar, csv_path)
+                sidecar.file = Full(sidecar.file)
+
+            monkeypatch.setattr(experiment._Sidecar, "__init__", init)
+        with pytest.raises(OSError) as raised:
             run_experiment(spec)
-        assert calls == [2, 2]
+        assert raised.value is full
+        assert calls == {"second-slice": [2, 2], "second-csv-batch": [32, 32],
+                         "sidecar-tail": [2]}[where]
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_spine_rows(self, tmp_path):
@@ -570,20 +608,6 @@ def _joined_csv(columns, rows) -> str:
     lines = ["schema_version," + ",".join(columns)]
     lines += [f"{SCHEMA_VERSION}," + ",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _big_points_record(out) -> ResultRecord:
-    """A brw record whose sidecar holds about 10 MB of points."""
-    rng = np.random.default_rng(0)
-    return ResultRecord(
-        spec=ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out)),
-        rows=[],
-        wall_clock_s=0.0,
-        version_tag="v",
-        extras={"points_final_generation": {
-            str(r): rng.standard_exponential(256) for r in range(2000)
-        }},
-    )
 
 
 # edits of a brw sidecar's points (floor -5.0): a replica with none, points
@@ -1036,13 +1060,23 @@ class TestCliSurface:
     def test_plotdata_intensity_in_bounded_memory(self, tmp_path):
         # loading the points whole held them as float64 arrays, and the
         # 1 MiB read chunk cost as much again
-        record = _big_points_record(tmp_path / "big.csv")
-        experiment.write_record(record)
+        out = tmp_path / "big.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out))
+        write_csv(out, experiment._COLUMNS["brw"], [])
+        rng = np.random.default_rng(0)
+        sidecar_path(out).write_text(_line_layout({
+            "extras": {"points_final_generation": {
+                str(r): rng.standard_exponential(256).tolist() for r in range(2000)
+            }},
+            "git_describe": "v",
+            "schema_version": SCHEMA_VERSION,
+            "spec": spec.to_dict(),
+            "wall_clock_s": 0.0,
+        }))
         table = tmp_path / "i.csv"
-        peak = _traced_peak(lambda: plotdata.emit_plotdata(record.spec.out, "intensity", table))
-        points = record.extras["points_final_generation"].values()
-        float_bytes = sum(p.nbytes for p in points)
-        assert sidecar_path(record.spec.out).stat().st_size > 9_000_000
+        peak = _traced_peak(lambda: plotdata.emit_plotdata(out, "intensity", table))
+        float_bytes = 8 * 256 * 2000
+        assert sidecar_path(out).stat().st_size > 9_000_000
         assert len(read_rows(table)[1]) == 10
         assert peak < 0.35 * float_bytes
 
