@@ -233,10 +233,9 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[lis
         seed = SeedSpec(spec.master_seed, r)
         if spec.engine == "gillespie":
             traj = gillespie_run(params, spec.t_end, seed)
-            rows.extend(
-                (r, float(t), int(m), int(big))
-                for t, m, big in zip(traj.times, traj.min_depths, traj.max_depths)
-            )
+            rows.extend(zip(
+                repeat(r), traj.times.tolist(), traj.min_depths.tolist(), traj.max_depths.tolist()
+            ))
         else:
             split_times = spine_sample(params, spec.n_max, seed).tolist()
             rows.extend((r, i, x) for i, x in enumerate(split_times))
@@ -378,19 +377,17 @@ def write_record(record: ResultRecord, sidecar: _Sidecar) -> None:
     sidecar.close(record)
 
 
-def read_rows(
-    csv_path: str | Path, columns: tuple[str, ...] | None = None
-) -> tuple[list[str], list[list[str]]]:
+def read_rows(csv_path: str | Path, columns: tuple[str, ...]) -> tuple[list[str], list[list[str]]]:
     """Parse a written CSV into its header and raw rows, row i being line
-    i + 2. The header must be schema_version and then ``columns`` (any
-    names, if None), and every row must hold this SCHEMA_VERSION and one
-    cell per column; else SpecError names the file and the line."""
+    i + 2. The header must be schema_version and then ``columns``, and every
+    row must hold this SCHEMA_VERSION and one cell per column; else
+    SpecError names the file and the line."""
     text = Path(csv_path).read_text()
     if not text:
         raise SpecError(f"record {csv_path} is empty: no header line")
     header, *rows = (line.split(",") for line in text.removesuffix("\n").split("\n"))
-    if header[0] != "schema_version" or columns not in (None, tuple(header[1:])):
-        want = ",".join(("schema_version", *(columns or ("...",))))
+    if header != ["schema_version", *columns]:
+        want = ",".join(("schema_version", *columns))
         raise SpecError(f"record {csv_path} line 1: header {','.join(header)!r}, not {want!r}")
     for line, row in enumerate(rows, 2):
         if row[0] != str(SCHEMA_VERSION) or len(row) != len(header):

@@ -101,14 +101,10 @@ def _projected_bytes(params: ModelParams, t_end: float) -> int:
     )
 
 
-def gillespie_run(
-    params: ModelParams, t_end: float, seed: SeedSpec, on_event=None
-) -> GillespieTrajectory:
-    """Exact continuous-time simulation of the depth census up to t_end.
-
-    on_event, when given, is called as on_event(t, counts) with the live
-    counts list after every event; inspection only, must not mutate.
-    """
+def gillespie_run(params: ModelParams, t_end: float, seed: SeedSpec) -> GillespieTrajectory:
+    """Exact continuous-time simulation of the depth census up to t_end:
+    the trajectory records (m, M) at 0 and at every event that changes it,
+    and the census is the counts at t_end."""
     check_real("t_end", t_end, positive=True)
     ensure_within_budget(
         _projected_bytes(params, t_end), f"gillespie run to t={t_end}"
@@ -169,16 +165,12 @@ def gillespie_run(
                 total_rate = math.fsum(weights[m_cur : max_cur + 1])
 
             if counts[d] == 0 and d == m_cur:
-                while counts[m_cur] == 0:
-                    m_cur += 1
+                m_cur += 1  # this split has just put k fragments at depth d + 1
                 changed = True
             if changed:
                 times.append(t)
                 mins.append(m_cur)
                 maxs.append(max_cur)
-
-            if on_event is not None:
-                on_event(t, counts)
         else:  # a full block: _RATE_REFRESH events
             total_rate = math.fsum(weights[m_cur : max_cur + 1])
             continue

@@ -85,9 +85,7 @@ def largest_coverage_rate(t_end: float, replicas: int, master_seed: int) -> floa
     """largest-fragment window coverage pooled over replicas 0..replicas-1
     of the event-driven engine, k=2 alpha=1, burn-in 0.1, probe ratio 1.05.
 
-    COVERAGE_RATE_FULL is t_end=e^12 with 100 replicas, and
-    COVERAGE_RATE_VERIFY is t_end=e^9 with 30 replicas, both under master
-    seed 42.
+    COVERAGE_RATE_VERIFY is t_end=e^9 with 30 replicas under master seed 42.
     """
     probes = hits = 0
     for r in range(replicas):
@@ -98,8 +96,6 @@ def largest_coverage_rate(t_end: float, replicas: int, master_seed: int) -> floa
         hits += cov.hits
     return hits / probes
 
-
-COVERAGE_RATE_FULL: float = 1.0
 
 COVERAGE_RATE_VERIFY: float = 1.0
 
@@ -123,7 +119,6 @@ def _main() -> None:  # pragma: no cover - regeneration utility
     for key in ENVELOPE_MAX:
         print(f"ENVELOPE_MAX[{key}] = {envelope_max(*key)!r}")
     print(f"LEFT_TAIL_LOG_GAP_MAX = {left_tail_log_gap_max(range(5, 31, 5))!r}")
-    print(f"COVERAGE_RATE_FULL = {largest_coverage_rate(math.e**12, 100, 42)!r}")
     print(f"COVERAGE_RATE_VERIFY = {largest_coverage_rate(math.e**9, 30, 42)!r}")
     print(f"MIN_CONCENTRATION_RATE = {min_concentration_sample(42)[0]!r}")
 

@@ -232,11 +232,16 @@ def test_c08_engine_equivalence():
             assert abs(p_walk - p_event) <= 3.0 * max(se, 1e-4), (n, s, p_walk, p_event)
 
 
+# goldens.largest_coverage_rate(math.e**12, 100, 42), recorded; regenerate by
+# printing it
+COVERAGE_RATE_FULL = 1.0
+
+
 def test_c09_largest_window_coverage():
     with criterion(9, "largest-fragment depth stays in its predictor window"):
         rate = goldens.largest_coverage_rate(math.e**12, 100, SEED_COVERAGE)
         assert rate >= 0.9, rate
-        assert abs(rate - goldens.COVERAGE_RATE_FULL) <= 0.05, rate
+        assert abs(rate - COVERAGE_RATE_FULL) <= 0.05, rate
 
 
 def test_c10_min_concentration():

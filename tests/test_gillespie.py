@@ -75,18 +75,6 @@ def test_draws_pinned(params, t_end, seed, digest):
     assert _trajectory_digest(gillespie_run(params, t_end, seed)) == digest
 
 
-def test_on_event_sequence_pinned():
-    # 7,464 events, so one rate refresh and one block redraw
-    seen = []
-    gillespie_run(
-        P32, 300.0, SeedSpec(1, 0), on_event=lambda t, c: seen.append((float(t), tuple(c)))
-    )
-    assert len(seen) == 7464
-    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
-        "75d981e23aaacb6e7848ab278b47321633474fc93d44dff282f120130720758a"
-    )
-
-
 def test_rate_survives_cancellation_at_large_alpha():
     # k q = 5^-99: the incremental update 1 + 5q - 1 cancelled to a rate of 0
     traj = gillespie_run(ModelParams(5, 100.0), math.e**20, SeedSpec(1, 0))
@@ -115,17 +103,49 @@ def test_projected_depth_covers_observed_at_large_alpha():
     assert _projected_depth(params, t_end) >= observed
 
 
+def _runs_after_every_event(params, seed):
+    """Map each event count n of the run to t=30 to a run of the same stream
+    that ends after exactly its first n events.
+
+    A run to t ends on the state after its last event at or before t, so
+    bisecting the horizon between two runs whose event counts differ by more
+    than one reaches the state after every event."""
+    k, seed = params.k, SeedSpec(seed, 0)
+    runs = {}
+
+    def events_by(t):
+        traj = gillespie_run(params, t, seed)
+        events = (sum(traj.census.counts.values()) - 1) // (k - 1)  # each adds k - 1
+        runs[events] = traj
+        return events
+
+    spans = [(0.0, -1, 30.0, events_by(30.0))]
+    while spans:
+        lo, n_lo, hi, n_hi = spans.pop()
+        if n_hi - n_lo > 1:
+            mid = (lo + hi) / 2
+            assert lo < mid < hi, "two events at one float time"
+            n_mid = events_by(mid)
+            spans += [(lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)]
+    assert sorted(runs) == list(range(len(runs))) and len(runs) > 1
+    return runs
+
+
 @pytest.mark.parametrize("params,seed", [(P21, 3), (P32, 4)])
 def test_mass_conserved_exactly_at_every_event(params, seed):
     k = params.k
-    states = []
-    gillespie_run(
-        params, 30.0, SeedSpec(seed, 0), on_event=lambda t, c: states.append(list(c))
-    )
-    assert states, "expected at least one event"
-    for counts in states:
-        total = sum(Fraction(c, k**d) for d, c in enumerate(counts))
-        assert total == 1
+    for traj in _runs_after_every_event(params, seed).values():
+        assert sum(Fraction(c, k**d) for d, c in traj.census.counts.items()) == 1
+
+
+@pytest.mark.parametrize("params,seed", [(P21, 3), (P32, 4)])
+def test_extreme_depths_match_census_at_every_event(params, seed):
+    # the engine steps the smallest depth by one when a split empties it,
+    # without looking at the census; after every event it must still be the
+    # smallest occupied depth, and the largest depth the largest occupied one
+    for events, traj in _runs_after_every_event(params, seed).items():
+        occupied = sorted(traj.census.counts)
+        assert (traj.min_depths[-1], traj.max_depths[-1]) == (occupied[0], occupied[-1]), events
 
 
 def test_extreme_depths_monotone_and_ordered():

@@ -55,10 +55,25 @@ def _used_names(statement: ast.AST) -> set[str]:
     }
 
 
+def _defined_names(statement: ast.AST) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    constants an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
 def test_every_public_definition_has_a_caller():
-    # a use counts from any top-level statement of the package (its
-    # re-exports in __init__.py aside), the benchmark or the demos, but not
-    # from the definition's own body
+    # a definition is a function, a class or a constant; a use counts from
+    # any top-level statement of the package (its re-exports in __init__.py
+    # aside), the benchmark or the demos, but not from the definition's own
+    # statement
     users = [p for p in SOURCES if p.name != "__init__.py"]
     users += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     uses: dict[str, set[tuple[Path, int]]] = {}
@@ -69,8 +84,7 @@ def test_every_public_definition_has_a_caller():
     uncalled = set()
     for path in SOURCES:
         for i, statement in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                name = statement.name
+            for name in _defined_names(statement):
                 if not name.startswith("_") and not uses.get(name, set()) - {(path, i)}:
                     uncalled.add(name)
     assert uncalled == UNCALLED
