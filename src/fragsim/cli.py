@@ -81,7 +81,7 @@ def _cmd_simulate(args) -> int:
     dest = spec.out if spec.out is not None else "<unpersisted>"
     print(
         f"{spec.engine}: {spec.replicas} replica(s), seed {spec.master_seed}, "
-        f"{len(record.rows)} rows -> {dest} ({record.wall_clock_s:.2f}s)"
+        f"{record.row_count} rows -> {dest} ({record.wall_clock_s:.2f}s)"
     )
     return 0
 

@@ -10,7 +10,8 @@ lives in the JSON sidecar, never in the CSV.
 A run's points live in its sidecar alone. A persisted run is written as
 it goes: each slice of replicas has its points written to the sidecar, in
 replica order, as soon as it is swept, and only its rows are kept until the
-CSV is written at the end. A run without an output path computes no points.
+CSV is written at the end, as one NumPy array per CSV column. A run without
+an output path computes no points.
 """
 
 from __future__ import annotations
@@ -151,19 +152,37 @@ def read_config(path: str | Path) -> dict[str, Any]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultRecord:
     """Spec echo plus the rows that go into the CSV body, with the run's
     wall clock and version tag. A brw run's points are not held: they go to
-    the sidecar, and a run without ``out`` computes none."""
+    the sidecar, and a run without ``out`` computes none.
+
+    ``columns`` lists each slice's rows in replica order as a tuple of 1-D
+    arrays, one per CSV column in _COLUMNS[engine] order: int64 for
+    replica, n, i, m_t and M_t, float64 for the rest. Records compare by
+    identity, since arrays have no single truth value."""
 
     spec: ExperimentSpec
-    rows: list[tuple]
+    columns: list[tuple[np.ndarray, ...]]
     wall_clock_s: float
     version_tag: str
 
+    @property
+    def rows(self) -> Iterator[tuple]:
+        """The CSV body's rows as tuples, built _CSV_BATCH at a time anew on
+        each access; .tolist() gives Python ints and floats, whose str is
+        the CSV cell."""
+        for columns in self.columns:
+            for lo in range(0, len(columns[0]), _CSV_BATCH):
+                yield from zip(*(column[lo : lo + _CSV_BATCH].tolist() for column in columns))
 
-# CSV lines formatted and written at a time
+    @property
+    def row_count(self) -> int:
+        return sum(len(columns[0]) for columns in self.columns)
+
+
+# CSV lines formatted and written at a time, and record rows built at a time
 _CSV_BATCH = 1024
 
 
@@ -197,29 +216,33 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[list[tuple], dict[str, Any]]:
-    """Rows of the brw replicas in ``replicas``, from one sweep_replicas
+def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[tuple, dict[str, Any]]:
+    """Columns of the brw replicas in ``replicas``, from one sweep_replicas
     call, and their final-generation points if the run is persisted (else
     none are computed)."""
     n_max = spec.n_max
     seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
     wanted = () if spec.out is None else (n_max,)
     sweep = sweep_replicas(spec.params(), n_max, seeds, spec.floor, wanted)
-    rows: list[tuple] = []
-    # .tolist() gives Python floats, whose repr the CSV cells rely on
-    for r, k_min, k_max, tau in zip(replicas, sweep.k_min, sweep.k_max, sweep.tau):
-        rows.extend(
-            zip(repeat(r), range(n_max + 1), k_min.tolist(), k_max.tolist(), tau.tolist())
-        )
+    # the sweep's (replicas, n_max + 1) arrays in row-major order: each
+    # replica, then each n
+    columns = (
+        np.repeat(np.arange(replicas.start, replicas.stop), n_max + 1),
+        np.tile(np.arange(n_max + 1), len(replicas)),
+        sweep.k_min.ravel(),
+        sweep.k_max.ravel(),
+        sweep.tau.ravel(),
+    )
     # float64 arrays, listed only as the sidecar is written
-    return rows, dict(zip(map(str, replicas), sweep.points.get(n_max, ())))
+    return columns, dict(zip(map(str, replicas), sweep.points.get(n_max, ())))
 
 
-def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[list[tuple], dict]]:
-    """Rows and points of replicas lo..hi-1, one slice at a time in replica
-    order. A brw slice is one sweep_replicas call over a block on each of
-    its threads, block_rows * block_threads replicas; the other engines
-    have no points and make the range one slice."""
+def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[tuple, dict]]:
+    """Columns and points of replicas lo..hi-1, one slice at a time in
+    replica order. A brw slice is one sweep_replicas call over a block on
+    each of its threads, block_rows * block_threads replicas; the other
+    engines have no points, and their replicas' columns are joined into one
+    slice for the range."""
     if spec.engine == "brw":
         per_block = block_rows(spec.k, spec.n_max)
         size = per_block * block_threads(spec.k, spec.n_max, per_block)
@@ -228,23 +251,23 @@ def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[lis
             yield _brw_slice(spec, range(start, min(start + size, hi)))
         return
     params = spec.params()
-    rows = []
-    for r in range(lo, hi):
-        seed = SeedSpec(spec.master_seed, r)
-        if spec.engine == "gillespie":
-            traj = gillespie_run(params, spec.t_end, seed)
-            rows.extend(zip(
-                repeat(r), traj.times.tolist(), traj.min_depths.tolist(), traj.max_depths.tolist()
-            ))
-        else:
-            split_times = spine_sample(params, spec.n_max, seed).tolist()
-            rows.extend((r, i, x) for i, x in enumerate(split_times))
-    yield rows, {}
+    seeds = (SeedSpec(spec.master_seed, r) for r in range(lo, hi))
+    if spec.engine == "spine":  # split times S_0..S_n_max of each replica
+        width = spec.n_max + 1
+        times = np.concatenate([spine_sample(params, spec.n_max, seed) for seed in seeds])
+        yield (np.repeat(np.arange(lo, hi), width), np.tile(np.arange(width), hi - lo), times), {}
+        return
+    parts = []  # each replica's event times and extreme depths
+    for seed in seeds:
+        traj = gillespie_run(params, spec.t_end, seed)
+        parts.append((traj.times, traj.min_depths, traj.max_depths))
+    replicas = np.repeat(np.arange(lo, hi), [times.size for times, _, _ in parts])
+    yield (replicas, *map(np.concatenate, zip(*parts))), {}
 
 
-def _range_slices(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[list[tuple], dict]]:
+def _range_slices(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[tuple, dict]]:
     """Every slice of replicas lo..hi-1, listed: what a pool worker returns
-    by value; top-level for pickling."""
+    by value, its columns pickled as arrays; top-level for pickling."""
     return list(_block_payload(spec, lo, hi))
 
 
@@ -268,9 +291,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     Each worker runs one range of replicas; one worker runs in this
     process, more in a process pool, and each returns its range's slices by
     value. Slices are taken in replica order, so the CSV and the sidecar do
-    not depend on ``jobs``. With ``out`` set, each slice's points go to the
-    sidecar as soon as the slice is taken and are not kept, so a brw run
-    holds its rows and one slice's points. Without ``out``, no points are
+    not depend on ``jobs``. Each slice's columns are kept for the record.
+    With ``out`` set, each slice's points go to the sidecar as soon as the
+    slice is taken and are not kept, so a brw run holds its rows, 8 bytes a
+    cell, and one slice's points. Without ``out``, no points are
     computed and nothing is written. wall_clock_s spans the replicas and the
     writing of their points, not the CSV. A run that raises leaves the files
     at ``out`` as they were.
@@ -285,15 +309,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(ranges)))
             slices = chain.from_iterable(pool.map(_range_slices, repeat(spec), *zip(*ranges)))
         sidecar = None if spec.out is None else stack.enter_context(_Sidecar(spec.out))
-        rows: list[tuple] = []
-        for slice_rows, slice_points in slices:
-            rows.extend(slice_rows)
+        columns: list[tuple[np.ndarray, ...]] = []
+        for slice_columns, slice_points in slices:
+            columns.append(slice_columns)
             if sidecar is not None:
                 sidecar.points(slice_points.items())
             del slice_points  # let the next slice's sweep run without it
         record = ResultRecord(
             spec=spec,
-            rows=rows,
+            columns=columns,
             wall_clock_s=time.monotonic() - start,
             version_tag=_git_describe(),
         )

@@ -188,7 +188,7 @@ class TestRunRecord:
             master_seed=42, out=str(out),
         )
         record = run_experiment(spec)
-        assert len(record.rows) == 1
+        assert len(list(record.rows)) == 1
         rows = read_rows(out, ("replica", "n", "k_min", "k_max", "tau"))[1]
         draw = SeedSpec(42, 0).rng().standard_exponential(1)[0]
         assert float(rows[0][3]) == draw == float(rows[0][4]) == float(rows[0][5])
@@ -201,7 +201,7 @@ class TestRunRecord:
         )
         record = run_experiment(spec)
         rows = read_rows(out, experiment._COLUMNS["brw"])[1]
-        for row, original in zip(rows, record.rows):
+        for row, original in zip(rows, list(record.rows), strict=True):
             assert float(row[3]) == original[2]
             assert float(row[5]) == original[4]
 
@@ -228,9 +228,17 @@ class TestRunRecord:
         monkeypatch.setattr(experiment, "_CSV_BATCH", 100)
         out = tmp_path / "r.csv"
         record = run_experiment(ExperimentSpec(k=3, alpha=0.6, master_seed=8, out=str(out), **fields))
-        assert len(record.rows) % 100
+        rows = list(record.rows)
+        assert len(rows) % 100
         columns = experiment._COLUMNS[fields["engine"]]
-        assert out.read_text() == _joined_csv(columns, record.rows)
+        assert out.read_text() == _joined_csv(columns, rows)
+        # each access to rows starts over, and the count needs no pass
+        assert list(record.rows) == rows
+        assert record.row_count == len(rows) == out.read_text().count("\n") - 1
+        # Python ints and floats, not numpy scalars: their str is the cell
+        cells = {"brw": (int, int, float, float, float), "gillespie": (int, float, int, int),
+                 "spine": (int, int, float)}[fields["engine"]]
+        assert {(type(row), *map(type, row)) for row in rows} == {(tuple, *cells)}
 
     def test_csv_written_in_bounded_memory(self, tmp_path):
         # the whole-text format held the lines and their join, 3.9x the file
@@ -308,7 +316,7 @@ class TestRunRecord:
                      "--jobs", "5000", "--out", str(tmp_path / "b.csv")]) == 0
         assert pools == []  # one block: no pool at all
         gil = ExperimentSpec(k=2, alpha=1.0, engine="gillespie", t_end=20.0, replicas=3)
-        assert run_experiment(gil, jobs=5000).rows == run_experiment(gil).rows
+        assert list(run_experiment(gil, jobs=5000).rows) == list(run_experiment(gil).rows)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
         run_experiment(gil, jobs=5000)
         assert pools == [3, 2]
@@ -325,10 +333,10 @@ class TestRunRecord:
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
         spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=replicas,
                               master_seed=5, **horizon)
-        rows = run_experiment(spec, jobs=jobs).rows
+        rows = list(run_experiment(spec, jobs=jobs).rows)
         pools, tasks = recorder
         assert pools == tasks == [min(jobs, 3)]
-        assert rows == run_experiment(spec, jobs=1).rows
+        assert rows == list(run_experiment(spec, jobs=1).rows)
         block = 2 if engine == "brw" else 1
         assert max(hi - lo for lo, hi in experiment._worker_ranges(spec, jobs)) > block
 
@@ -369,9 +377,10 @@ class TestRunRecord:
         out = tmp_path / "r.csv"
         spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=5, master_seed=5,
                               **horizon)
-        rows = run_experiment(spec, jobs=jobs).rows
+        rows = list(run_experiment(spec, jobs=jobs).rows)
         assert not list(tmp_path.iterdir())
-        assert run_experiment(dataclasses.replace(spec, out=str(out)), jobs=jobs).rows == rows
+        persisted = run_experiment(dataclasses.replace(spec, out=str(out)), jobs=jobs)
+        assert list(persisted.rows) == rows
         assert out.read_text() == _joined_csv(experiment._COLUMNS[engine], rows)
         assert wanted == ([()] * 3 + [(6,)] * 3 if engine == "brw" else [])
         assert recorder[0] == ([2, 2] if jobs == 2 else [])
@@ -413,7 +422,7 @@ class TestRunRecord:
         assert experiment._worker_ranges(spec, 3) == [(0, 3)]
         rows = run_experiment(spec, jobs=3).rows
         assert recorder[0] == [] and threads == [3]
-        alone = run_experiment(dataclasses.replace(spec, replicas=1)).rows
+        alone = list(run_experiment(dataclasses.replace(spec, replicas=1)).rows)
         assert [row for row in rows if row[0] == 0] == alone
 
     def test_usable_cpus_honours_affinity(self, monkeypatch):
@@ -504,12 +513,27 @@ class TestRunRecord:
         assert brw.block_rows(2, 10) == 1 and not brw.sweep_threads(2, 10, 1)
         tracemalloc.start()
         try:
-            rows = run_experiment(spec).rows
-            held, peak = tracemalloc.get_traced_memory()  # held: the rows
+            record = run_experiment(spec)
+            held, peak = tracemalloc.get_traced_memory()  # held: the rows' columns
         finally:
             tracemalloc.stop()
-        assert len(rows) == 150 * 11
+        assert record.row_count == 150 * 11
         assert peak - held < 450_000
+
+    def test_held_rows_in_bounded_memory(self):
+        # 40 bytes of numbers a row; rows held as tuples of Python ints and
+        # floats took 145 bytes each, and 185 at 4,000 replicas
+        spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, replicas=1000,
+                              master_seed=5)
+        run_experiment(dataclasses.replace(spec, replicas=1))  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            record = run_experiment(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert record.row_count == 1000 * 9
+        assert held < 64 * record.row_count
 
     @pytest.mark.parametrize("where", ["second-slice", "second-csv-batch", "sidecar-tail"])
     def test_run_that_raises_leaves_out_as_it_was(self, tmp_path, monkeypatch, where):
