@@ -195,7 +195,8 @@ def _sweep_block(
 
 def _on_threads(run: Callable, jobs: Iterator[tuple], workers: int, buffers: Callable) -> None:
     """Call run(*job, own) for every job, on ``workers`` threads that each
-    own one set of buffers from buffers(); one worker runs on this thread.
+    own one set of buffers from buffers(). One worker runs on this thread;
+    more than one all run on a pool, and this thread only waits for them.
     Threads take jobs one at a time, so ``jobs`` never runs on two at once."""
     lock = threading.Lock()
 

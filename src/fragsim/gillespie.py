@@ -15,6 +15,13 @@ exactly at the end of every full block, and after any event that leaves it
 below the split fragment's old rate, so runs are bit-reproducible given a
 SeedSpec. Continuous event times make ties measure-zero; if equal floats
 ever occur, events keep draw order.
+
+The loop is arranged for speed without changing a draw or a rounding: a
+block's waiting-time logs come from one lazy ``map(math.log, ...)`` over
+``1 - u`` (exactly rounded in NumPy as in Python), the depth scan stops on an
+infinite sentinel one slot past the deepest depth and is then clamped to it,
+and a split adds its depth's precomputed rate step k q^(d+1) - q^d, the
+float that the update computed inline.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ _RATE_REFRESH = 4096
 _UNIFORM_BLOCK = 2 * _RATE_REFRESH
 # Upper estimates of CPython object sizes. Per listed uniform: its list slot
 # and a float object (24 B, 32 B after pymalloc's rounding). Per depth:
-# counts, qpow and weights entries and the census copy. Per record: the
-# times/mins/maxs entries and their array elements.
+# counts, qpow, weights and delta entries and the census copy. Per record:
+# the times/mins/maxs entries and their array elements.
 _BYTES_PER_LISTED_UNIFORM = 40
 _BYTES_PER_DEPTH = 512
 _BYTES_PER_RECORD = 96
@@ -89,13 +96,15 @@ def _projected_depth(params: ModelParams, t_end: float) -> int:
 
 
 def _projected_bytes(params: ModelParams, t_end: float) -> int:
-    # What the run holds: the uniform block as a list of Python floats (while
-    # its replacement is drawn, the old list, the new list and the float64
-    # array it came from), the per-depth lists and dicts, and one record per
+    # What the run holds: the float64 uniform block, its 1 - u half and two
+    # lists of _RATE_REFRESH Python floats, the waiting-time and the depth
+    # uniforms (both lists are freed when the block ends, before the next
+    # block is drawn), the per-depth lists and dicts, and one record per
     # change of m or M, so at most 2*depth + 1 records.
     depth = _projected_depth(params, t_end)
     return (
-        (2 * _BYTES_PER_LISTED_UNIFORM + 8) * _UNIFORM_BLOCK
+        8 * _UNIFORM_BLOCK
+        + (2 * _BYTES_PER_LISTED_UNIFORM + 8) * _RATE_REFRESH
         + _BYTES_PER_DEPTH * depth
         + _BYTES_PER_RECORD * (2 * depth + 1)
     )
@@ -112,9 +121,13 @@ def gillespie_run(params: ModelParams, t_end: float, seed: SeedSpec) -> Gillespi
     k, q = params.k, params.q
     rng = seed.rng()
 
+    # weights[d] = counts[d] * q^d, with an infinite sentinel one slot past
+    # the deepest depth that stops the depth scan; delta[d] = k q^(d+1) - q^d
+    # is the rate step of a split at depth d
     counts = [1]
     qpow = [1.0]
-    weights = [1.0]
+    weights = [1.0, math.inf]
+    delta = []
     total_rate = 1.0
     m_cur = 0
     max_cur = 0
@@ -124,55 +137,71 @@ def gillespie_run(params: ModelParams, t_end: float, seed: SeedSpec) -> Gillespi
     mins = [0]
     maxs = [0]
 
-    log = math.log
+    log, fsum = math.log, math.fsum
 
     while True:
-        # Python floats: the same IEEE arithmetic as float64 scalars, cheaper
-        it = iter(rng.random(_UNIFORM_BLOCK).tolist())
-        for u_time, u_depth in zip(it, it):
-            dt = -log(1.0 - u_time) / total_rate
-            t_next = t + dt
-            if t_next > t_end:
+        # Python floats: the same IEEE arithmetic as float64 scalars, cheaper.
+        # Event i takes uniform 2i for its waiting time and 2i + 1 for its
+        # depth; 1 - u rounds alike in NumPy, and the logs are taken lazily.
+        u = rng.random(_UNIFORM_BLOCK)
+        logs = map(log, (1.0 - u[0::2]).tolist())
+        for log_u, u_depth in zip(logs, u[1::2].tolist()):
+            # t + (-log(1 - u) / R), bit for bit: IEEE negation commutes
+            # with the division, and a + (-b) == a - b
+            t -= log_u / total_rate
+            if t > t_end:
                 break
-            t = t_next
 
-            # Depth choice proportional to counts[d] * q^d, scanned from the top.
+            # Depth choice proportional to counts[d] * q^d, scanned from the
+            # top; rounding of the incremental rate can leave acc < x at the
+            # deepest depth, where the sentinel stops the scan
             x = u_depth * total_rate
             d = m_cur
             acc = weights[d]
-            while acc < x and d < max_cur:
+            while acc < x:
                 d += 1
                 acc += weights[d]
+            if d > max_cur:
+                d = max_cur
 
-            counts[d] -= 1
-            weights[d] = counts[d] * qpow[d]
-            child = d + 1
-            if child > max_cur:
-                q_child = qpow[d] * q
+            c = counts[d] - 1
+            counts[d] = c
+            q_d = qpow[d]
+            weights[d] = c * q_d
+            if d < max_cur:
+                child = d + 1
+                c_child = counts[child] + k
+                counts[child] = c_child
+                weights[child] = c_child * qpow[child]
+                total_rate += delta[d]
+                if total_rate < q_d:
+                    # k q^(d+1) << q^d (alpha > 1): the update cancelled, so
+                    # the rate may have lost all its digits; never taken at
+                    # alpha <= 1
+                    total_rate = fsum(weights[m_cur : max_cur + 1])
+                if d == m_cur and c == 0:
+                    m_cur += 1  # this split has just put k fragments at depth d + 1
+                    times.append(t)
+                    mins.append(m_cur)
+                    maxs.append(max_cur)
+            else:  # a new depth: the sentinel moves one slot deeper
+                q_child = q_d * q
                 counts.append(k)
                 qpow.append(q_child)
-                weights.append(k * q_child)
-                max_cur = child
-                changed = True
-            else:
-                counts[child] += k
-                weights[child] = counts[child] * qpow[child]
-                changed = False
-            total_rate += k * qpow[child] - qpow[d]
-            if total_rate < qpow[d]:
-                # k q^(d+1) << q^d (alpha > 1): the update cancelled, so the
-                # rate may have lost all its digits; never taken at alpha <= 1
-                total_rate = math.fsum(weights[m_cur : max_cur + 1])
-
-            if counts[d] == 0 and d == m_cur:
-                m_cur += 1  # this split has just put k fragments at depth d + 1
-                changed = True
-            if changed:
+                weights[-1] = k * q_child
+                weights.append(math.inf)
+                delta.append(k * q_child - q_d)
+                max_cur += 1
+                total_rate += delta[d]
+                if total_rate < q_d:
+                    total_rate = fsum(weights[m_cur : max_cur + 1])
+                if d == m_cur and c == 0:
+                    m_cur += 1
                 times.append(t)
                 mins.append(m_cur)
                 maxs.append(max_cur)
         else:  # a full block: _RATE_REFRESH events
-            total_rate = math.fsum(weights[m_cur : max_cur + 1])
+            total_rate = fsum(weights[m_cur : max_cur + 1])
             continue
         break
 

@@ -51,7 +51,7 @@ REL_ERR_SWITCH = 1e-8
 LIMIT_SERIES_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailEval:
     """A probability in [0, 1] together with a numerical-error estimate."""
 

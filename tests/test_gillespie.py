@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +71,12 @@ def _trajectory_digest(traj) -> str:
      "3a852471a59b04d5e8b3e2482a682f4cee8f4bb87498949e4d05476b54332061"),
     (ModelParams(3, 0.5), math.e**4, SeedSpec(3, 1),
      "c47d5f28f52cc761b61da156cd42bd936221531bba0a7ba95971e3098567ecc6"),
-], ids=["P21-e9", "P21-e11", "P32-50", "P32-1000", "P305-e4"])
+    # 26,378 events at k q = 0.87 < 1, where every split lowers the rate;
+    # recorded with the event loop as it stood before its sentinel depth scan,
+    # per-depth rate steps and per-block log pass
+    (ModelParams(2, 1.2), math.e**12, SeedSpec(42, 0),
+     "e3f04bba9f7001ac9e99c35e92f60879e3896b61288a87803b3ebf01188895da"),
+], ids=["P21-e9", "P21-e11", "P32-50", "P32-1000", "P305-e4", "P212-e12"])
 def test_draws_pinned(params, t_end, seed, digest):
     assert _trajectory_digest(gillespie_run(params, t_end, seed)) == digest
 
@@ -203,12 +209,26 @@ def test_budget_charges_held_state(monkeypatch):
 
 
 def test_budget_charges_listed_uniform_blocks():
-    # while a block is replaced the run can hold the old and the new list of
-    # Python floats and the float64 array the new one came from
+    # a block holds its float64 array, the array's 1 - u half and two lists
+    # of half a block of Python floats: the waiting-time and the depth uniforms
     block = SeedSpec(0, 0).rng().random(_UNIFORM_BLOCK)
-    listed = block.tolist()
-    held = 2 * (sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))) + block.nbytes
+    half = 1.0 - block[0::2]
+    held = block.nbytes + half.nbytes
+    for listed in (half.tolist(), block[1::2].tolist()):
+        held += sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))
     assert _projected_bytes(P21, 0.5) >= held
+
+
+def test_projection_covers_traced_peak():
+    # 8,144 events: two uniform blocks, so one block is replaced
+    gillespie_run(P21, 1.0, SeedSpec(0, 0))  # first-call allocations untraced
+    tracemalloc.start()
+    try:
+        gillespie_run(P21, math.e**9, SeedSpec(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _projected_bytes(P21, math.e**9) >= peak
 
 
 def test_domain():

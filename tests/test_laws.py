@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -319,6 +322,22 @@ class TestErrorContract:
         for fn in (perpetuity_survival, perpetuity_density, perpetuity_cdf):
             with pytest.raises(DomainError, match=r"underflows at q=0\.999, n=2000"):
                 fn(0.999, 2000, 1.0)
+
+    def test_tail_eval_is_slotted_and_round_trips(self):
+        # a sweep of exact laws holds tens of thousands of these: no per-instance dict
+        ev = perpetuity_survival(0.8, 20, 0.01)
+        assert not hasattr(ev, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(ev)), copy.deepcopy(ev), dataclasses.replace(ev)):
+            assert copied == ev and type(copied) is TailEval
+            assert (copied.value, copied.abs_error) == (ev.value, ev.abs_error)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.value = 0.5
+        with pytest.raises(DomainError, match="value"):
+            TailEval(1.5, 0.0)
+        with pytest.raises(DomainError, match="value"):
+            dataclasses.replace(ev, value=-0.1)
+        with pytest.raises(DomainError, match="abs_error"):
+            TailEval(0.5, -1.0)
 
 
 class TestSurvivalLimit:
