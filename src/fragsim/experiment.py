@@ -9,9 +9,9 @@ lives in the JSON sidecar, never in the CSV.
 
 A run's points live in its sidecar alone. A persisted run is written as
 it goes: each slice of replicas has its points written to the sidecar, in
-replica order, as soon as it is swept, and only its rows are kept until the
-CSV is written at the end, as one NumPy array per CSV column. A run without
-an output path computes no points.
+replica order, as soon as it is swept, and only its rows and its points'
+unit-bin counts are kept until the CSV and the rest of the sidecar are
+written at the end. A run without an output path computes no points.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import MISSING, dataclass
 from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .brw import (
     sweep_replicas,
     sweep_threads,
 )
-from .budget import usable_cpus
+from .budget import ensure_within_budget, usable_cpus
 from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
 from .params import ModelParams
@@ -293,11 +293,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     value. Slices are taken in replica order, so the CSV and the sidecar do
     not depend on ``jobs``. Each slice's columns are kept for the record.
     With ``out`` set, each slice's points go to the sidecar as soon as the
-    slice is taken and are not kept, so a brw run holds its rows, 8 bytes a
-    cell, and one slice's points. Without ``out``, no points are
-    computed and nothing is written. wall_clock_s spans the replicas and the
-    writing of their points, not the CSV. A run that raises leaves the files
-    at ``out`` as they were.
+    slice is taken and only their bin counts are kept, as text, so a brw
+    run holds its rows, 8 bytes a cell, its counts and one slice's points.
+    Without ``out``, no points are computed and nothing is written.
+    wall_clock_s spans the replicas and the writing of their points, not
+    the CSV. A run that raises leaves the files at ``out`` as they were.
     """
     check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
@@ -333,6 +333,21 @@ def sidecar_path(csv_path: str | Path) -> Path:
 # the first line of a brw sidecar with points: sorted keys put them first
 _POINTS_HEAD = '{"extras": {"points_final_generation": {'
 
+# the upper edge of the intensity table's unit bins [i, i + 1)
+INTENSITY_TOP = 5
+
+
+def _unit_bin_counts(points: np.ndarray) -> tuple[int, np.ndarray]:
+    """One replica's points as (first, counts) in the unit bins [i, i + 1)
+    from first, the floor of its lowest finite point, up to INTENSITY_TOP,
+    NaN and +-inf in none; the counts are charged to the budget first."""
+    floors = np.floor(points[(points > -np.inf) & (points < INTENSITY_TOP)])
+    first = int(floors.min(initial=INTENSITY_TOP))
+    ensure_within_budget(
+        8 * (INTENSITY_TOP - first), f"intensity bins from a point at {first:.6g}"
+    )
+    return first, np.bincount((floors - first).astype(np.intp))
+
 
 class _Sidecar:
     """The sidecar of the record at ``csv_path``, written front to back into
@@ -342,13 +357,14 @@ class _Sidecar:
     way out, so a record that is not closed leaves no trace.
 
     Points given to points() come first, one replica per line after the
-    _POINTS_HEAD line, each '"r": [...],' (the last with no comma), and
-    then '}}, ' and the rest of the keys; only one replica's points are
-    held as listed floats or as text at a time. A sidecar given no points,
-    a gillespie or spine one, is json.dumps(..., sort_keys=True) of it on
-    one line with empty extras. Either way its values are those json.dumps
-    gives, with sorted keys but for the replicas, which come in the order
-    they were given."""
+    _POINTS_HEAD line, each '"r": [...],' (the last with no comma), then
+    the line '}, "unit_bin_counts": {"r":[first,[count,...]],...}}, ' and
+    the rest of the keys. Only one replica's points are held, as floats or
+    text, at a time; their _unit_bin_counts are held as text, one string a
+    slice. A sidecar given no points, a gillespie or spine one, is
+    json.dumps(..., sort_keys=True) of it on one line with empty extras.
+    Either way its values are those json.dumps gives, with sorted keys but
+    for the replicas, which come in the order they were given."""
 
     def __init__(self, csv_path: str | Path):
         self.csv = Path(csv_path)
@@ -358,6 +374,7 @@ class _Sidecar:
         self.temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         self.file = self.temp.open("w")
         self.replicas = 0  # replicas whose points are written
+        self.counts: list[str] = []  # each slice's unit_bin_counts entries
 
     def __enter__(self) -> "_Sidecar":
         return self
@@ -367,17 +384,21 @@ class _Sidecar:
         self.temp.unlink(missing_ok=True)
         self.csv_temp.unlink(missing_ok=True)
 
-    def points(self, points: Iterable[tuple[str, Any]]) -> None:
-        """Write each (replica, points) pair on a line of its own."""
+    def points(self, points: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Write each (replica, points) pair on a line of its own; keep its bin counts."""
+        counts = []
         for r, values in points:
+            first, binned = _unit_bin_counts(values)
+            key = json.dumps(r)
             lead = ",\n" if self.replicas else _POINTS_HEAD + "\n"
-            listed = json.dumps(values, default=np.ndarray.tolist)
-            self.file.write(f"{lead}{json.dumps(r)}: {listed}")
+            self.file.write(f"{lead}{key}: {json.dumps(values, default=np.ndarray.tolist)}")
+            counts.append(f"{key}:[{first},[" + ",".join(map(str, binned.tolist())) + "]]")
             self.replicas += 1
+        self.counts.append(",".join(counts))
 
     def close(self, record: ResultRecord) -> None:
-        """Write the rest of the sidecar, ``record``'s spec, tag and wall
-        clock; then move the CSV and the sidecar into place."""
+        """Write the rest of the sidecar, the counts and ``record``'s spec,
+        tag and wall clock; then move the CSV and the sidecar into place."""
         sidecar = {
             "schema_version": SCHEMA_VERSION,
             "spec": record.spec.to_dict(),
@@ -385,7 +406,8 @@ class _Sidecar:
             "wall_clock_s": record.wall_clock_s,
         }
         if self.replicas:
-            self.file.write("\n}}, " + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
+            counts = '\n}, "unit_bin_counts": {' + ",".join(self.counts) + "}}, "
+            self.file.write(counts + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
         else:
             self.file.write(json.dumps({**sidecar, "extras": {}}, sort_keys=True) + "\n")
         self.file.close()
@@ -433,50 +455,40 @@ def _distinct_keys(path: Path, pairs: list[tuple[str, Any]]) -> dict:
     return out
 
 
-def read_sidecar(csv_path: str | Path, points: Callable[[str, Any], Any] | None = None) -> dict:
+def read_sidecar(csv_path: str | Path) -> dict:
     """Metadata of the record written at csv_path: json.loads of its
-    sidecar, each replica r's points replaced by points(r, list) if given.
-    The CSV must exist, although only the sidecar is read. One whose first
-    line is _POINTS_HEAD is read a line at a time: a line '"r": [...],' is
-    decoded, and passed to ``points``, once the next line ends in ',' too.
-    The head, the line that stopped this and the rest go through json.loads,
-    as does any other sidecar, so every layout reads as json.loads reads it.
-    A malformed sidecar raises SpecError naming file and line, or the key
-    that an object repeats or the replica whose points come twice."""
+    sidecar, less any points_final_generation in its extras, which nothing
+    in the package reads. The CSV must exist, although only the sidecar is
+    read. One whose first line is _POINTS_HEAD is read a line at a time: a
+    line '"r": [...],' is stepped over once the next line ends in ',' too,
+    checked for shape only (a '"' first, '],' last) and not decoded. The
+    head, the line that stopped this and the rest go through json.loads, as
+    does any other sidecar, so a line cut, dropped or joined to the next
+    reads as json.loads reads the file. A malformed sidecar raises
+    SpecError naming file and line, or the key that an object repeats."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(csv_path))
     path = sidecar_path(csv_path)
-    unique = partial(_distinct_keys, path)
-    keep = points or (lambda replica, value: value)
-    decoded: list[tuple[str, Any]] = []  # (replica, points) in file order
-    skipped = 0  # lines decoded on their own, not in the text json.loads reads
+    skipped = 0  # lines stepped over, not in the text json.loads reads
     with path.open() as f:
         text = f.readline()
         if text == _POINTS_HEAD + "\n":
             # a held line keeps its comma until the next line is an entry
             # too, lest '"r": [...],' then '}}' read as valid; it starts
-            # with a key, lest a bare ',' decode to no replica at all
+            # with a key, lest a bare ',' read as no replica at all
             held, line = f.readline(), ""
-            while held[:1] == '"' and held[-2:] == ",\n" and (line := f.readline())[-2:] == ",\n":
-                try:
-                    entry = json.loads("{" + held[:-2] + "}", object_pairs_hook=unique)
-                except json.JSONDecodeError:
-                    break
-                decoded += ((r, keep(r, value)) for r, value in entry.items())
+            while held[:1] == '"' and held[-3:] == "],\n" and (line := f.readline())[-2:] == ",\n":
                 skipped += 1
                 held, line = line, ""
             text += held + line
         try:
-            meta = json.loads(text + f.read(), object_pairs_hook=unique)
+            meta = json.loads(text + f.read(), object_pairs_hook=partial(_distinct_keys, path))
         except json.JSONDecodeError as exc:
             where = f"line {exc.lineno + skipped} column {exc.colno}"
             raise SpecError(f"malformed sidecar {path}: {exc.msg} at {where}") from None
     if not isinstance(meta, dict):
         raise SpecError(f"malformed sidecar {path}: not a JSON object")
-    extras = meta.get("extras")
-    loaded = extras.get("points_final_generation") if isinstance(extras, dict) else None
-    if isinstance(loaded, dict):  # the points not read line by line, if any
-        decoded += ((r, keep(r, value)) for r, value in loaded.items())
-        extras["points_final_generation"] = unique(decoded)
+    if isinstance(meta.get("extras"), dict):
+        meta["extras"].pop("points_final_generation", None)
     return meta

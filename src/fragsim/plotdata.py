@@ -3,52 +3,48 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .budget import ensure_within_budget
 from .errors import SpecError
-from .experiment import _COLUMNS, ExperimentSpec, read_rows, read_sidecar, sidecar_path, write_csv
+from .experiment import (
+    _COLUMNS, INTENSITY_TOP, ExperimentSpec, read_rows, read_sidecar, sidecar_path, write_csv,
+)
 from .predictors import largest_depth_window
 from .stats import PROBE_RATIO, interval_count_reports
 
 _KIND_ENGINE = {"staircase": "gillespie", "windows": "gillespie", "intensity": "brw"}
 KINDS = tuple(_KIND_ENGINE)
 
-# The intensity table's unit bins [i, i + 1) run from floor(spec.floor) up
-# to this edge.
-INTENSITY_TOP = 5
 # Memory per intensity bin besides its 8-byte count per replica: interval,
 # report and row (tracemalloc peak of a 705-bin table, 150 to 260 bytes).
 INTENSITY_BIN_BYTES = 300
 
 
-def _unit_bin_counts(sidecar: Path, replica: str, points) -> tuple[int, np.ndarray]:
-    """One replica's points as its counts in the unit bins [i, i + 1) from
-    the floor of its lowest finite point up to INTENSITY_TOP: (that floor,
-    counts). NaN and +-inf points fall in no bin, as with searchsorted. The
-    counts are charged to the budget before they are allocated. A replica
-    that is not a decimal integer, or points that are not a list of
-    numbers a float can hold, raise SpecError naming the sidecar and the
-    replica."""
-    if not replica.isdecimal():
-        raise SpecError(f"malformed sidecar {sidecar}: replica {replica!r} is not an integer")
-    if not (isinstance(points, list) and set(map(type, points)) <= {int, float}):
-        raise SpecError(f"malformed sidecar {sidecar}: replica {replica}: not a list of numbers")
-    try:
-        values = np.asarray(points, dtype=float)
-    except OverflowError:  # an int past the largest float
-        raise SpecError(
-            f"malformed sidecar {sidecar}: replica {replica}: a point is too large"
-        ) from None
-    floors = np.floor(values[(values > -np.inf) & (values < INTENSITY_TOP)])
-    first = int(floors.min(initial=INTENSITY_TOP))
-    ensure_within_budget(
-        8 * (INTENSITY_TOP - first), f"intensity bins from a point at {first:.6g}"
-    )
-    return first, np.bincount((floors - first).astype(np.intp))
+def _bin_counts(sidecar: Path, extras) -> list[list]:
+    """Each replica's [first, counts] in a brw sidecar's extras, in replica
+    order. No unit_bin_counts object (a sidecar written before them), a
+    replica that is not a decimal integer, or an entry that is not [first,
+    [count, ...]] of ints, counts in [0, 2^63) below INTENSITY_TOP, raise
+    SpecError naming the sidecar and the replica."""
+    fault = f"malformed sidecar {sidecar}: "
+    if not isinstance(extras, dict):
+        raise SpecError(fault + "its extras are not a JSON object")
+    if not isinstance(binned := extras.get("unit_bin_counts"), dict):
+        raise SpecError(fault + "no unit_bin_counts object; re-run the simulation to write them")
+    if bad := [r for r in binned if not r.isdecimal()]:
+        raise SpecError(fault + f"replica {bad[0]!r} is not an integer")
+    entries = sorted(binned.items(), key=lambda item: int(item[0]))
+    for r, entry in entries:
+        if not (
+            type(entry) is list and len(entry) == 2 and type(entry[0]) is int
+            and type(entry[1]) is list and entry[0] + len(entry[1]) <= INTENSITY_TOP
+            and all(type(c) is int and 0 <= c < 2**63 for c in entry[1])
+        ):
+            raise SpecError(fault + f"replica {r}: bin counts are not [first, [count, ...]]")
+    return [entry for _, entry in entries]
 
 
 def _staircases(in_path: str | Path) -> list[tuple[int, list[tuple[float, int]]]]:
@@ -82,13 +78,11 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
     """Write the requested table; returns the number of data rows.
 
     Only staircase and windows parse the CSV rows; intensity reads the
-    sidecar alone, and keeps each replica's points only as its bin counts."""
+    sidecar alone, the bin counts the run wrote there and not its points."""
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}, got {kind!r}")
-    # the sidecar's sorted keys put extras before spec, so the points are
-    # reduced before the table's bins are known
     sidecar = sidecar_path(in_path)
-    meta = read_sidecar(in_path, points=partial(_unit_bin_counts, sidecar))
+    meta = read_sidecar(in_path)
     try:
         spec = ExperimentSpec.from_dict(meta.get("spec", {}))
     except SpecError as exc:
@@ -117,13 +111,7 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
             ]
     else:  # intensity
         columns = ("s_lo", "s_hi", "mean_count", "expected_count")
-        extras = meta.get("extras", {})
-        if not isinstance(extras, dict):
-            raise SpecError(f"malformed sidecar {sidecar}: its extras are not a JSON object")
-        binned = extras.get("points_final_generation", {})
-        if not isinstance(binned, dict):
-            raise SpecError(f"malformed sidecar {sidecar}: its points are not a JSON object")
-        out_rows = _intensity_rows(spec, [binned[r] for r in sorted(binned, key=int)])
+        out_rows = _intensity_rows(spec, _bin_counts(sidecar, meta.get("extras", {})))
 
     write_csv(out_path, columns, out_rows)
     return len(out_rows)
@@ -131,7 +119,7 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
 
 def _intensity_rows(spec: ExperimentSpec, binned: list) -> list[tuple]:
     """Mean count per unit bin [i, i + 1), floor(spec.floor) <= i <
-    INTENSITY_TOP, over the replicas' _unit_bin_counts, against the limit
+    INTENSITY_TOP, over the replicas' [first, counts], against the limit
     intensity; no rows without replicas."""
     lo = math.floor(spec.floor)
     bins = INTENSITY_TOP - lo
@@ -145,7 +133,7 @@ def _intensity_rows(spec: ExperimentSpec, binned: list) -> list[tuple]:
     for r, (first, count) in enumerate(binned):
         kept = count[max(lo - first, 0) :]  # no finite point lies below first
         at = max(first, lo) - lo
-        counts[at : at + kept.size, r] = kept
+        counts[at : at + len(kept), r] = kept
     intervals = [(float(i), float(i + 1)) for i in range(lo, INTENSITY_TOP)]
     return [
         (r.interval[0], r.interval[1], r.mean_count, r.expected)

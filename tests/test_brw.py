@@ -12,7 +12,7 @@ from fragsim import brw
 from fragsim.brw import block_rows, spine_sample, sweep_replicas
 from fragsim.cli import main
 from fragsim.errors import BudgetError, DomainError
-from fragsim.experiment import read_sidecar
+from fragsim.experiment import read_sidecar, sidecar_path
 from fragsim.laws import split_time_survival
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec, stream_seed
@@ -309,9 +309,22 @@ class TestKernelParity:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "541f51c7cd277bfe2432b4a1df433fcaaa5bd8caeb9d1db743be27eec8c2a615"
         )
-        extras = json.dumps(read_sidecar(out)["extras"], sort_keys=True, default=np.ndarray.tolist)
-        assert hashlib.sha256(extras.encode()).hexdigest() == (
+        extras = json.loads(sidecar_path(out).read_text())["extras"]
+        points = json.dumps({"points_final_generation": extras["points_final_generation"]},
+                            sort_keys=True)
+        assert hashlib.sha256(points.encode()).hexdigest() == (
             "f63d513bcd2d6c4fc36033e8021f671eea82c2e0e8fb5d60f52649d7abc48a3d"
+        )
+        # what the package reads: the unit-bin counts, in replica order
+        counts = json.dumps(read_sidecar(out)["extras"])
+        assert hashlib.sha256(counts.encode()).hexdigest() == (
+            "18d15ec6a2712b26e89eb1d979129a4350ad8ed48b28f699ccb2996877091f66"
+        )
+        table = tmp_path / "intensity.csv"
+        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                     "--out", str(table)]) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+            "b50f5891780d8273090300d11d5397d73d2b63ea6321309d9b73f0d4a1bc98f5"
         )
 
 

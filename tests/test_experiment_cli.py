@@ -444,7 +444,7 @@ class TestRunRecord:
         meta = json.loads(sidecar_path(out).read_text())
         assert meta["schema_version"] == SCHEMA_VERSION
         assert meta["spec"]["engine"] == "brw"
-        assert "points_final_generation" in meta["extras"]
+        assert sorted(meta["extras"]) == ["points_final_generation", "unit_bin_counts"]
 
     def test_sidecar_points_encode_as_lists(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -455,11 +455,11 @@ class TestRunRecord:
         sweep = sweep_replicas(spec.params(), 6, seeds, spec.floor, (6,))
         points = {str(r): p.tolist() for r, p in enumerate(sweep.points[6])}
         run_experiment(spec)
-        written = read_sidecar(out)["extras"]["points_final_generation"]
+        written = json.loads(sidecar_path(out).read_text())["extras"]["points_final_generation"]
         assert list(written) == [str(r) for r in range(12)]
         assert written == points
         entries = [json.dumps({r: points[r]})[1:-1] for r in points]
-        encoded = _HEAD + ",\n".join(entries) + "\n}}, "
+        encoded = _HEAD + ",\n".join(entries) + '\n}, "unit_bin_counts": {"0":['
         assert sidecar_path(out).read_text().startswith(encoded)
 
     @pytest.mark.parametrize("fields, budget", [
@@ -480,7 +480,7 @@ class TestRunRecord:
         out = tmp_path / "r.csv"
         spec = ExperimentSpec(alpha=0.6, master_seed=8, out=str(out), **fields)
         run_experiment(spec)
-        # sorted keys, but the points in replica order
+        # sorted keys, but the points and their counts in replica order
         sidecar = {
             "extras": {},
             "git_describe": "v1.0-3-gabcdef",
@@ -492,14 +492,14 @@ class TestRunRecord:
         if by_line:  # the points of one sweep over every seed
             seeds = [SeedSpec(spec.master_seed, r) for r in range(spec.replicas)]
             sweep = sweep_replicas(spec.params(), spec.n_max, seeds, spec.floor, (spec.n_max,))
-            points = enumerate(sweep.points[spec.n_max])
-            sidecar["extras"] = {"points_final_generation": {str(r): p.tolist() for r, p in points}}
-        one_line = json.dumps(sidecar)
+            points = {str(r): p.tolist() for r, p in enumerate(sweep.points[spec.n_max])}
+            sidecar["extras"] = {"points_final_generation": points,
+                                 "unit_bin_counts": _counts_of(points)}
         text = sidecar_path(out).read_text()
-        # a brw sidecar is one_line with a line per replica
-        assert text == (_line_layout(sidecar) if by_line else one_line + "\n")
-        assert text.replace(",\n", ", ").replace("\n", "") == one_line
-        assert len(text) == len(one_line + "\n") + (2 if by_line else 0)
+        # a brw sidecar has a line per replica, and its counts on one line
+        # with compact separators
+        assert text == (_line_layout(sidecar) if by_line else json.dumps(sidecar) + "\n")
+        assert json.loads(text) == sidecar
         assert text.startswith(_HEAD) == by_line
         assert sorted(tmp_path.iterdir()) == [out, sidecar_path(out)]
 
@@ -580,7 +580,7 @@ class TestRunRecord:
                     self.file = file
 
                 def write(self, text):
-                    if text.startswith("\n}}, "):
+                    if text.startswith("\n}, "):
                         calls.append(temporaries())
                         self.file.write(text[: len(text) // 2])
                         raise full
@@ -634,20 +634,33 @@ def _joined_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# edits of a brw sidecar's points (floor -5.0): a replica with none, points
-# below the floor, non-finite points, and ints
+# edits of a brw sidecar's points (floor -5.0), whose counts are then
+# recounted: a replica with none, points below the floor, non-finite
+# points, and ints
 _POINT_EDITS = {
     "replica-without-points": lambda points: points.update({"1": []}),
     "points-below-floor": lambda points: points["2"].extend([-7.5, -12.0, -5.000001]),
     "non-finite-points": lambda points: points["0"].extend([math.inf, -math.inf, math.nan]),
     "int-points": lambda points: points.update({"3": [-6, -4, 0, 2, 4, 5, 7]}),
 }
-# sidecars of each engine, brw ones with no point above the floor and with
-# no replicas' points, and brw ones rewritten in other valid layouts: two
-# replicas on a line, a replica over two lines, and whole JSON
-_SIDECAR_LAYOUTS = ("brw", "brw-high-floor", "brw-no-points", "empty-points", "gillespie",
-                    "spine", "two-per-line", "split-replica", "indent-2", "floor-infinity",
-                    "empty-extras", *_POINT_EDITS)
+# brw runs: k=3, alpha=0.6 at the default floor, at k=2, alpha=1, at a floor
+# below every point, with no point above the floor, in slices of two
+# replicas, and from two workers
+_RUNS = {
+    "brw": {},
+    "brw-k2": {"k": 2, "alpha": 1.0, "n_max": 6, "replicas": 12},
+    "brw-low-floor": {"floor": -1000.0},
+    "brw-high-floor": {"floor": 2.0},
+    "brw-no-points": {"floor": 1e9},
+    "brw-slices": {"k": 2, "alpha": 1.0, "n_max": 6, "replicas": 12},
+    "brw-jobs-2": {"k": 2, "alpha": 1.0, "n_max": 6, "replicas": 12},
+}
+# sidecars of each engine, of those runs, and brw ones rewritten in other
+# valid layouts: two replicas on a line, a replica over two lines, whole
+# JSON, and ones without points or counts, written before the counts were
+_SIDECAR_LAYOUTS = (*_RUNS, "empty-points", "gillespie", "spine", "two-per-line",
+                    "split-replica", "indent-2", "floor-infinity", "empty-extras",
+                    "no-counts", *_POINT_EDITS)
 
 
 # the first line of a brw sidecar with points
@@ -665,25 +678,41 @@ _LINE_EDITS = {
 }
 
 
+def _counts_of(points: dict) -> dict:
+    """The unit_bin_counts a run writes for ``points``, by replica."""
+    out = {}
+    for r, values in points.items():
+        first, counts = experiment._unit_bin_counts(np.asarray(values, dtype=float))
+        out[r] = [first, counts.tolist()]
+    return out
+
+
 def _line_layout(data: dict) -> str:
     """A brw sidecar's data laid out as write_record lays it out: the
     _HEAD line, one line per replica in the order of ``data``, which is
-    replica order in data read from a written sidecar, and then the rest."""
-    points = data["extras"]["points_final_generation"]
+    replica order in data read from a written sidecar, and then the counts,
+    if any, with compact separators and the rest."""
+    extras = data["extras"]
+    points = extras["points_final_generation"]
     rest = json.dumps({key: data[key] for key in data if key != "extras"}, sort_keys=True)
     entries = [json.dumps({r: points[r]})[1:-1] for r in points]
-    return _HEAD + ",\n".join(entries) + "\n}}, " + rest[1:] + "\n"
+    counts = ""
+    if "unit_bin_counts" in extras:
+        counts = ', "unit_bin_counts": ' + json.dumps(extras["unit_bin_counts"], separators=(",", ":"))
+    return _HEAD + ",\n".join(entries) + "\n}" + counts + "}, " + rest[1:] + "\n"
 
 
-def _sidecar_in_layout(tmp_path, layout):
+def _sidecar_in_layout(tmp_path, monkeypatch, layout):
     engine = layout if layout in ("gillespie", "spine") else "brw"
     horizon = {"t_end": 30.0} if engine == "gillespie" else {"n_max": 4}
-    floor = {"brw-high-floor": {"floor": 2.0}, "brw-no-points": {"floor": 1e9}}.get(layout, {})
+    fields = {"k": 3, "alpha": 0.6, "replicas": 5, **horizon, **_RUNS.get(layout, {})}
     out = tmp_path / "r.csv"
-    run_experiment(ExperimentSpec(
-        k=3, alpha=0.6, engine=engine, replicas=5, master_seed=8, out=str(out),
-        **horizon, **floor,
-    ))
+    with monkeypatch.context() as patched:
+        if layout in ("brw-slices", "brw-jobs-2"):  # blocks of two n=6 replicas
+            patched.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+            patched.setattr(experiment, "usable_cpus", lambda: 2)
+        run_experiment(ExperimentSpec(engine=engine, master_seed=8, out=str(out), **fields),
+                       jobs=2 if layout == "brw-jobs-2" else 1)
     meta = sidecar_path(out)
     text = meta.read_text()
     if layout == "indent-2":
@@ -694,17 +723,23 @@ def _sidecar_in_layout(tmp_path, layout):
     elif layout == "empty-extras":
         text = json.dumps({**json.loads(text), "extras": {}}, sort_keys=True)
     elif layout == "empty-points":
-        text = json.dumps({**json.loads(text), "extras": {"points_final_generation": {}}},
-                          sort_keys=True)
+        extras = {"points_final_generation": {}, "unit_bin_counts": {}}
+        text = json.dumps({**json.loads(text), "extras": extras}, sort_keys=True)
+    elif layout == "no-counts":
+        data = json.loads(text)
+        del data["extras"]["unit_bin_counts"]
+        text = _line_layout(data)
     elif layout == "two-per-line":
         text = text.replace('],\n"1": ', '], "1": ')
     elif layout == "split-replica":
         text = re.sub(r'\n("2": \[[^,\]]*), ', r'\n\1,\n', text, count=1)
     elif layout in _POINT_EDITS:
         data = json.loads(text)
-        _POINT_EDITS[layout](data["extras"]["points_final_generation"])
+        points = data["extras"]["points_final_generation"]
+        _POINT_EDITS[layout](points)
+        data["extras"]["unit_bin_counts"] = _counts_of(points)
         text = _line_layout(data)
-    unchanged = ("brw", "brw-high-floor", "brw-no-points", "gillespie", "spine")
+    unchanged = (*_RUNS, "gillespie", "spine")
     assert (text == meta.read_text()) == (layout in unchanged)
     meta.write_text(text)
     return out
@@ -727,75 +762,76 @@ def _loaded_intensity_table(out) -> str:
     return _joined_csv(("s_lo", "s_hi", "mean_count", "expected_count"), rows)
 
 
+def _without_points(meta):
+    """``meta`` as read_sidecar returns it: no points in its extras."""
+    if isinstance(meta.get("extras"), dict):
+        meta["extras"].pop("points_final_generation", None)
+    return meta
+
+
 class TestReadSidecar:
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
-    def test_reads_as_json_loads(self, tmp_path, layout):
-        # reprs, so that NaN points compare equal
-        out = _sidecar_in_layout(tmp_path, layout)
-        assert repr(read_sidecar(out)) == repr(json.loads(sidecar_path(out).read_text()))
+    def test_reads_as_json_loads(self, tmp_path, monkeypatch, layout):
+        # reprs, so that NaN values would compare equal
+        out = _sidecar_in_layout(tmp_path, monkeypatch, layout)
+        loaded = _without_points(json.loads(sidecar_path(out).read_text()))
+        assert repr(read_sidecar(out)) == repr(loaded)
 
     @pytest.mark.parametrize("layout", _SIDECAR_LAYOUTS)
-    def test_streamed_intensity_matches_loaded_points(self, tmp_path, layout):
-        out = _sidecar_in_layout(tmp_path, layout)
-        loaded = json.loads(sidecar_path(out).read_text())
-        bin_counts = partial(plotdata._unit_bin_counts, sidecar_path(out))
-        reduced = read_sidecar(out, points=bin_counts)
-        # the reduction replaces each replica's points and touches nothing else
-        points = loaded.get("extras", {}).pop("points_final_generation", {})
-        binned = reduced.get("extras", {}).pop("points_final_generation", {})
-        assert repr(reduced) == repr(loaded)
-        assert list(binned) == list(points)
-        for r, (first, counts) in binned.items():
-            want_first, want_counts = bin_counts(r, points[r])
-            assert first == want_first and counts.tolist() == want_counts.tolist()
-        if layout in ("gillespie", "spine", "floor-infinity"):
-            return  # plotdata refuses these for intensity
+    def test_streamed_intensity_matches_loaded_points(self, tmp_path, monkeypatch, layout):
+        # the table read from the counts is the one recounted from the
+        # points; a sidecar without counts, or refused for intensity, exits 2
+        out = _sidecar_in_layout(tmp_path, monkeypatch, layout)
         table = tmp_path / "i.csv"
+        refused = {"gillespie": "needs a 'brw' record", "spine": "needs a 'brw' record",
+                   "floor-infinity": "floor must be a finite number",
+                   "empty-extras": "no unit_bin_counts", "no-counts": "no unit_bin_counts"}
+        if layout in refused:
+            with pytest.raises(SpecError, match=refused[layout]):
+                plotdata.emit_plotdata(out, "intensity", table)
+            return
+        extras = json.loads(sidecar_path(out).read_text())["extras"]
+        points, counts = extras["points_final_generation"], extras["unit_bin_counts"]
+        assert list(counts) == list(points)
+        assert counts == _counts_of(points)
         plotdata.emit_plotdata(out, "intensity", table)
         assert table.read_text() == _loaded_intensity_table(out)
 
-    @pytest.mark.parametrize("reduce", [False, True], ids=["loaded", "reduced"])
+    @pytest.mark.parametrize("read", ["read_sidecar", "plotdata"])
     @pytest.mark.parametrize("edit", _LINE_EDITS)
     @pytest.mark.parametrize("line", range(7))
-    def test_each_line_edit_reads_as_json_loads(self, tmp_path, line, edit, reduce):
-        # the line layout of 5 replicas is the head, 5 entries and the close;
+    def test_each_line_edit_reads_as_json_loads(self, tmp_path, line, edit, read):
+        # the line layout of 5 replicas is the head, 5 entries and the tail;
         # each line cut short, dropped or joined to the next reads as
-        # json.loads reads it: the same value, or json's own error
+        # json.loads reads it: the same value, or json's own error; an edit
+        # that json.loads reads leaves the counts, and so the table, as run
         out = tmp_path / "e.csv"
         run_experiment(ExperimentSpec(
             k=3, alpha=0.6, engine="brw", n_max=4, replicas=5, master_seed=8, out=str(out),
         ))
+        whole, table = tmp_path / "whole.csv", tmp_path / "i.csv"
+        plotdata.emit_plotdata(out, "intensity", whole)
         lines = sidecar_path(out).read_text().splitlines(keepends=True)
         assert len(lines) == 7 and lines[0] == _HEAD
+        counts = json.loads("".join(lines))["extras"]["unit_bin_counts"]
         text = "".join(lines[:line]) + _LINE_EDITS[edit](lines[line], "".join(lines[line + 1:]))
         sidecar_path(out).write_text(text)
-        seen = []
-        reduced = (lambda r, value: seen.append(r) or ("reduced", value)) if reduce else None
+        if read == "read_sidecar":
+            call = partial(read_sidecar, out)
+        else:
+            call = partial(plotdata.emit_plotdata, out, "intensity", table)
         try:
             loaded = json.loads(text)
         except json.JSONDecodeError as exc:
             what = f"e.csv.meta.json: {exc.msg} at line {exc.lineno} column {exc.colno}"
             with pytest.raises(SpecError, match=re.escape(what)):
-                read_sidecar(out, points=reduced)
+                call()
             return
-        meta = read_sidecar(out, points=reduced)
-        points = loaded.get("extras", {}).get("points_final_generation")
-        if reduce and isinstance(points, dict):
-            assert seen == list(points)
-            loaded["extras"]["points_final_generation"] = {
-                r: ("reduced", value) for r, value in points.items()
-            }
-        assert repr(meta) == repr(loaded)
-
-    def test_each_replica_passed_once_in_order(self, tmp_path):
-        out = tmp_path / "r.csv"
-        run_experiment(ExperimentSpec(
-            k=2, alpha=1.0, engine="brw", n_max=3, replicas=12, master_seed=4, out=str(out),
-        ))
-        seen = []
-        meta = read_sidecar(out, points=lambda r, value: seen.append(r) or len(value))
-        assert seen == list(map(str, range(12)))
-        assert list(meta["extras"]["points_final_generation"]) == seen
+        if read == "read_sidecar":
+            assert repr(call()) == repr(_without_points(loaded))
+        else:
+            assert loaded["extras"]["unit_bin_counts"] == counts
+            assert call() == 10 and table.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("points", [
         '"0": [0.5],\n"1": [[1.0], [2.0]],\n"2": [1.5]',
@@ -806,7 +842,24 @@ class TestReadSidecar:
         out.write_text("")
         text = _HEAD + points + '\n}}, "spec": {"out": "x"}}\n'
         sidecar_path(out).write_text(text)
-        assert read_sidecar(out) == json.loads(text)
+        assert read_sidecar(out) == _without_points(json.loads(text)) == {
+            "extras": {}, "spec": {"out": "x"},
+        }
+
+    @pytest.mark.parametrize("entries", [
+        '"0": [0.5 x],\n"1": [1.5],\n"2": [2.5]',
+        '"0": [0.5],\n"0": [1.5],\n"2": [2.5],\n"3": [3.5]',
+        '"0": [0.5],\n"1": [1.5],\n"0": [2.5]',
+        '"0": [0.5], "0": [1.5],\n"1": [2.5],\n"2": [3.5]',
+    ], ids=["not-json", "two-lines", "line-and-rest", "one-line"])
+    def test_stepped_over_lines_are_checked_for_shape_only(self, tmp_path, entries):
+        # a replica's line followed by another is not decoded, so neither a
+        # value json.loads refuses nor a replica that comes twice is seen
+        # there; no points are returned either way
+        out = tmp_path / "s.csv"
+        out.write_text("")
+        sidecar_path(out).write_text(_HEAD + entries + '\n}}, "spec": {"out": "x"}}\n')
+        assert read_sidecar(out) == {"extras": {}, "spec": {"out": "x"}}
 
     @pytest.mark.parametrize("text, what", [
         ('{"spec": {"k": 2}', "Expecting ',' delimiter at line 1 column 18"),
@@ -852,13 +905,11 @@ class TestReadSidecar:
         # the rest of the file repeats extras after three replicas
         (_HEAD + '"0": [0.5],\n"1": [1.5],\n"2": [2.5]\n'
          '}}, "extras": {"points_final_generation": {"9": [9.5]}}}\n', "extras"),
-        # a replica on two lines read one at a time, or read so and again
-        # in the rest, or twice in one line
-        (_HEAD + '"0": [0.5],\n"0": [1.5],\n"2": [2.5],\n"3": [3.5]\n}}}\n', "0"),
-        (_HEAD + '"0": [0.5],\n"1": [1.5],\n"0": [2.5]\n}}}\n', "0"),
-        (_HEAD + '"0": [0.5], "0": [1.5],\n"1": [2.5],\n"2": [3.5]\n}}}\n', "0"),
+        # a replica's counts twice
+        (_HEAD + '"0": [0.5],\n"1": [1.5]\n'
+         '}, "unit_bin_counts": {"0":[0,[1]],"1":[1,[1]],"0":[0,[1]]}}}\n', "0"),
         ('{"spec": {"k": 2, "k": 3}}', "k"),
-    ], ids=["extras", "two-lines", "line-and-rest", "one-line", "whole-file"])
+    ], ids=["extras", "counts", "whole-file"])
     def test_duplicated_key_raises_spec_error(self, tmp_path, text, key):
         # json.loads would keep the last value of the key
         out = tmp_path / "d.csv"
@@ -1079,6 +1130,27 @@ class TestCliSurface:
         assert plotdata.emit_plotdata(out, "intensity", table) == expected > 0
         assert table.read_bytes() == body
 
+    def test_plotdata_intensity_decodes_no_point(self, tmp_path, monkeypatch):
+        # one json.loads call, of the head line, the last two replicas' lines
+        # (the held one and the one that stopped the stepping) and the tail
+        # with the counts; every other replica's line is stepped over
+        out = tmp_path / "b.csv"
+        run_experiment(ExperimentSpec(
+            k=2, alpha=1.0, engine="brw", n_max=5, replicas=30, master_seed=6, out=str(out),
+        ))
+        lines = sidecar_path(out).read_text().splitlines(keepends=True)
+        assert len(lines) == 32
+        decoded = []
+        loads = json.loads
+
+        def counted(text, **kwargs):
+            decoded.append(len(text))
+            return loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        assert plotdata.emit_plotdata(out, "intensity", tmp_path / "i.csv") == 10
+        assert decoded == [len(lines[0]) + len("".join(lines[-3:]))]
+
     def test_plotdata_intensity_in_bounded_memory(self, tmp_path):
         # loading the points whole held them as float64 arrays, and the
         # 1 MiB read chunk cost as much again
@@ -1086,10 +1158,9 @@ class TestCliSurface:
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=8, out=str(out))
         write_csv(out, experiment._COLUMNS["brw"], [])
         rng = np.random.default_rng(0)
+        points = {str(r): rng.standard_exponential(256).tolist() for r in range(2000)}
         sidecar_path(out).write_text(_line_layout({
-            "extras": {"points_final_generation": {
-                str(r): rng.standard_exponential(256).tolist() for r in range(2000)
-            }},
+            "extras": {"points_final_generation": points, "unit_bin_counts": _counts_of(points)},
             "git_describe": "v",
             "schema_version": SCHEMA_VERSION,
             "spec": spec.to_dict(),
@@ -1113,17 +1184,18 @@ class TestCliSurface:
         assert not table.exists()
         assert "intensity bins from floor -1e+18 x 2 replicas requires" in capsys.readouterr().err
 
-    def test_plotdata_intensity_stray_low_point_exits_2(self, tmp_path, capsys):
-        # one replica's bin counts run down to its lowest point: charged too
-        out = tmp_path / "b.csv"
+    def test_simulate_stray_low_point_exits_2(self, tmp_path, monkeypatch, capsys):
+        # one replica's bin counts run down to its lowest point: charged
+        # before the run writes them, and the run leaves no file
+        def stray(*args):
+            sweep = sweep_replicas(*args)
+            sweep.points[3][1] = np.append(sweep.points[3][1], -1e300)
+            return sweep
+
+        monkeypatch.setattr(experiment, "sweep_replicas", stray)
         assert main(["simulate", "brw", "--n-max", "3", "--replicas", "2", "--seed", "1",
-                     "--out", str(out)]) == 0
-        meta = sidecar_path(out)
-        meta.write_text(meta.read_text().replace('"1": [', '"1": [-1e300, ', 1))
-        table = tmp_path / "i.csv"
-        assert main(["plotdata", "--in", str(out), "--kind", "intensity",
-                     "--out", str(table)]) == 2
-        assert not table.exists()
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert not list(tmp_path.iterdir())
         assert "intensity bins from a point at -1e+300 requires" in capsys.readouterr().err
 
     def test_plotdata_intensity_bins_charged_to_budget(self, tmp_path, monkeypatch, capsys):
@@ -1210,26 +1282,35 @@ class TestCliSurface:
         assert f"malformed sidecar {meta}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("read", ["streamed", "whole"])
-    @pytest.mark.parametrize("points, what", [
-        ({"0": [0.5], "x": [1.5]}, "replica 'x' is not an integer"),
-        ({"0": [0.5], "1": "abc"}, "replica 1: not a list of numbers"),
-        ({"0": [0.5], "1": [[1.0]], "2": [1.5]}, "replica 1: not a list of numbers"),
-        ({"0": [0.5], "1": 5, "2": [1.5]}, "replica 1: not a list of numbers"),
-        ({"0": [0.5], "1": [True]}, "replica 1: not a list of numbers"),
-        ({"0": [0.5], "1": [10**400]}, "replica 1: a point is too large"),
-        ([0.5, 1.5], "its points are not a JSON object"),
-    ], ids=["key-x", "string", "nested-list", "number", "bool", "huge-int", "points-list"])
-    def test_plotdata_malformed_points_exit_2(self, tmp_path, capsys, read, points, what):
+    @pytest.mark.parametrize("counts, what", [
+        (None, "no unit_bin_counts object; re-run the simulation to write them"),
+        ([[-5, [1]]], "no unit_bin_counts object"),
+        ({"0": [-5, [1]], "x": [-5, [1]]}, "replica 'x' is not an integer"),
+        ({"0": [-5, [1]], "1": "abc"}, "replica 1: bin counts are not [first, [count, ...]]"),
+        ({"0": [-5, [1]], "1": [-5]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5.0, [1]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5, [1.0]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5, [True]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5, [[1]]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5, [-1]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [-5, [2**63]]}, "replica 1: bin counts are not"),
+        ({"0": [-5, [1]], "1": [4, [1, 1]]}, "replica 1: bin counts are not"),
+    ], ids=["no-counts", "counts-list", "key-x", "string", "short", "float-first",
+            "float-count", "bool", "nested-list", "negative", "past-int64", "past-top"])
+    def test_plotdata_malformed_counts_exit_2(self, tmp_path, capsys, read, counts, what):
+        # a sidecar written before the counts, as well as ill-formed ones
         out = tmp_path / "b.csv"
         assert main(["simulate", "brw", "--n-max", "3", "--replicas", "3", "--seed", "1",
                      "--out", str(out)]) == 0
         meta = sidecar_path(out)
         data = json.loads(meta.read_text())
-        data["extras"]["points_final_generation"] = points
-        if read == "streamed" and isinstance(points, dict):
+        data["extras"]["unit_bin_counts"] = counts
+        if counts is None:
+            del data["extras"]["unit_bin_counts"]
+        if read == "streamed":
             text = _line_layout(data)
         else:
-            text = json.dumps(data, sort_keys=True, indent=2 if read == "whole" else None)
+            text = json.dumps(data, sort_keys=True, indent=2)
         meta.write_text(text)
         table = tmp_path / "i.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
@@ -1243,9 +1324,9 @@ class TestCliSurface:
                      "--out", str(out)]) == 0
         meta = sidecar_path(out)
         text = meta.read_text()
-        assert text.count("\n}}, ") == 1
+        assert text.count('}}, "git_describe"') == 1
         extra = '"extras": {"points_final_generation": {"9": [9.5]}}, '
-        meta.write_text(text.replace("\n}}, ", "\n}}, " + extra))
+        meta.write_text(text.replace('}}, "git_describe"', '}}, ' + extra + '"git_describe"'))
         table = tmp_path / "i.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "intensity",
                      "--out", str(table)]) == 2
