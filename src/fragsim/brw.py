@@ -121,11 +121,12 @@ def _generations(
     rngs: Sequence[np.random.Generator],
     held: np.ndarray,
     scratch: np.ndarray,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (n, a, chunk) for generations n = 0..n_max in turn, chunk being
-    the (rows, w) view of leaves a..a+w-1 of generation n, one row per
-    stream in ``rngs`` and w at most _chunk_width(k, rows). The kernel
-    reuses a chunk's memory once the next one is asked for.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, chunk) for generations n = 0..n_max in turn, chunk being
+    the (rows, w) view of leaves a..a+w-1 of generation n, a chunk's leaves
+    following the last one's, one row per stream in ``rngs`` and w at most
+    _chunk_width(k, rows). The kernel reuses a chunk's memory once the next
+    one is asked for.
 
     Each row of a chunk is filled with standard exponentials from its own
     stream, in leaf order, so a row's generation-n frame takes k^n draws,
@@ -161,7 +162,7 @@ def _generations(
             if parents is not None:
                 for j in range(k):
                     chunk[:, j::k] += scaled
-            yield n, a, chunk
+            yield n, chunk
         parents = frame
 
 
@@ -175,16 +176,13 @@ def _sweep_block(
     floor: float,
     wanted: Sequence[int],
 ) -> dict[int, list[np.ndarray]]:
-    """Run one block, one replica per stream in ``rngs``: write its extremes
-    into the rows ``k_min`` and ``k_max`` and return its points."""
+    """Run one block, one replica per stream in ``rngs``: fold its extremes
+    into the rows ``k_min`` and ``k_max``, which start at +inf and -inf, and
+    return its points."""
     parts: dict[int, list[list[np.ndarray]]] = {n: [[] for _ in rngs] for n in wanted}
-    for n, a, chunk in _generations(params, n_max, rngs, *buffers):
-        if a == 0:
-            chunk.min(axis=1, out=k_min[:, n])
-            chunk.max(axis=1, out=k_max[:, n])
-        else:
-            np.minimum(k_min[:, n], chunk.min(axis=1), out=k_min[:, n])
-            np.maximum(k_max[:, n], chunk.max(axis=1), out=k_max[:, n])
+    for n, chunk in _generations(params, n_max, rngs, *buffers):
+        np.minimum(k_min[:, n], chunk.min(axis=1), out=k_min[:, n])
+        np.maximum(k_max[:, n], chunk.max(axis=1), out=k_max[:, n])
         if n in parts:
             shift = params.gamma * n
             threshold = floor + shift
@@ -244,8 +242,8 @@ def sweep_replicas(
     starts = range(0, count, rows)
     workers = min(len(starts), block_threads(k, n_max, rows))
     wanted = sorted(set(point_generations))
-    k_min = np.empty((count, n_max + 1))
-    k_max = np.empty((count, n_max + 1))
+    k_min = np.full((count, n_max + 1), np.inf)
+    k_max = np.full((count, n_max + 1), -np.inf)
     points: list = [None] * len(starts)
 
     def run(i: int, rngs: list, own: tuple[np.ndarray, np.ndarray]) -> None:

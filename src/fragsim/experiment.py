@@ -90,7 +90,6 @@ class ExperimentSpec:
         check_int("replicas", self.replicas, 1, error=SpecError)
         check_int("master_seed", self.master_seed, below=1 << 64, error=SpecError)
         check_real("floor", self.floor, error=SpecError)
-        check_real("alpha", self.alpha, positive=True, error=SpecError)
         if not (self.out is None or isinstance(self.out, str)):
             raise SpecError(f"out must be a path string, got {self.out!r}")
         # Surfaces DomainError on bad k/alpha at spec construction time.
@@ -294,8 +293,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     not depend on ``jobs``. Each slice's columns are kept for the record.
     With ``out`` set, each slice's points go to the sidecar as soon as the
     slice is taken and only their bin counts are kept, as text, so a brw
-    run holds its rows, 8 bytes a cell, its counts and one slice's points.
-    Without ``out``, no points are computed and nothing is written.
+    run in one worker holds its rows, 8 bytes a cell, its counts and one
+    slice's points. With more, this process can hold every range's slices,
+    points included, at once. Without ``out``, no points are computed and
+    nothing is written.
     wall_clock_s spans the replicas and the writing of their points, not
     the CSV. A run that raises leaves the files at ``out`` as they were.
     """
@@ -405,11 +406,12 @@ class _Sidecar:
             "git_describe": record.version_tag,
             "wall_clock_s": record.wall_clock_s,
         }
+        # sorted keys put "extras" first, so the rest follows its value
         if self.replicas:
-            counts = '\n}, "unit_bin_counts": {' + ",".join(self.counts) + "}}, "
-            self.file.write(counts + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
+            extras = '\n}, "unit_bin_counts": {' + ",".join(self.counts) + "}}, "
         else:
-            self.file.write(json.dumps({**sidecar, "extras": {}}, sort_keys=True) + "\n")
+            extras = '{"extras": {}, '
+        self.file.write(extras + json.dumps(sidecar, sort_keys=True)[1:] + "\n")
         self.file.close()
         os.replace(self.csv_temp, self.csv)
         os.replace(self.temp, self.path)
@@ -423,11 +425,11 @@ def write_record(record: ResultRecord, sidecar: _Sidecar) -> None:
     sidecar.close(record)
 
 
-def read_rows(csv_path: str | Path, columns: tuple[str, ...]) -> tuple[list[str], list[list[str]]]:
-    """Parse a written CSV into its header and raw rows, row i being line
-    i + 2. The header must be schema_version and then ``columns``, and every
-    row must hold this SCHEMA_VERSION and one cell per column; else
-    SpecError names the file and the line."""
+def read_rows(csv_path: str | Path, columns: tuple[str, ...]) -> list[list[str]]:
+    """Parse a written CSV into its raw rows, row i being line i + 2. The
+    header must be schema_version and then ``columns``, and every row must
+    hold this SCHEMA_VERSION and one cell per column; else SpecError names
+    the file and the line."""
     text = Path(csv_path).read_text()
     if not text:
         raise SpecError(f"record {csv_path} is empty: no header line")
@@ -441,7 +443,7 @@ def read_rows(csv_path: str | Path, columns: tuple[str, ...]) -> tuple[list[str]
                 f"record {csv_path} line {line}: expected {len(header)} cells with"
                 f" schema_version {SCHEMA_VERSION}, got {','.join(row)!r}"
             )
-    return header, rows
+    return rows
 
 
 def _distinct_keys(path: Path, pairs: list[tuple[str, Any]]) -> dict:

@@ -173,17 +173,7 @@ def gillespie_run(params: ModelParams, t_end: float, seed: SeedSpec) -> Gillespi
                 c_child = counts[child] + k
                 counts[child] = c_child
                 weights[child] = c_child * qpow[child]
-                total_rate += delta[d]
-                if total_rate < q_d:
-                    # k q^(d+1) << q^d (alpha > 1): the update cancelled, so
-                    # the rate may have lost all its digits; never taken at
-                    # alpha <= 1
-                    total_rate = fsum(weights[m_cur : max_cur + 1])
-                if d == m_cur and c == 0:
-                    m_cur += 1  # this split has just put k fragments at depth d + 1
-                    times.append(t)
-                    mins.append(m_cur)
-                    maxs.append(max_cur)
+                changed = False  # whether (m, M) changed and is recorded
             else:  # a new depth: the sentinel moves one slot deeper
                 q_child = q_d * q
                 counts.append(k)
@@ -192,11 +182,16 @@ def gillespie_run(params: ModelParams, t_end: float, seed: SeedSpec) -> Gillespi
                 weights.append(math.inf)
                 delta.append(k * q_child - q_d)
                 max_cur += 1
-                total_rate += delta[d]
-                if total_rate < q_d:
-                    total_rate = fsum(weights[m_cur : max_cur + 1])
-                if d == m_cur and c == 0:
-                    m_cur += 1
+                changed = True
+            total_rate += delta[d]
+            if total_rate < q_d:
+                # k q^(d+1) << q^d (alpha > 1): the update cancelled, so the
+                # rate may have lost all its digits; never taken at alpha <= 1
+                total_rate = fsum(weights[m_cur : max_cur + 1])
+            if d == m_cur and c == 0:
+                m_cur += 1  # this split has just put k fragments at depth d + 1
+                changed = True
+            if changed:
                 times.append(t)
                 mins.append(m_cur)
                 maxs.append(max_cur)

@@ -52,7 +52,7 @@ def _staircases(in_path: str | Path) -> list[tuple[int, list[tuple[float, int]]]
     by replica. As the engine writes them, a replica's rows must be
     contiguous, and its staircase must start at t = 0.0 and never go back
     in time; else SpecError names the file and the line."""
-    _, rows = read_rows(in_path, _COLUMNS["gillespie"])
+    rows = read_rows(in_path, _COLUMNS["gillespie"])
     out: dict[int, list[tuple[float, int]]] = {}
     last = None
     for line, (_, replica, t, m_t, _) in enumerate(rows, 2):

@@ -137,7 +137,7 @@ class TestConfig:
             "--seed", "3", "--out", str(out),
         ])
         assert code == 0
-        rows = read_rows(out, experiment._COLUMNS["brw"])[1]
+        rows = read_rows(out, experiment._COLUMNS["brw"])
         assert read_sidecar(out)["spec"]["n_max"] == 4
         assert {int(r[2]) for r in rows} == set(range(5))
 
@@ -189,7 +189,7 @@ class TestRunRecord:
         )
         record = run_experiment(spec)
         assert len(list(record.rows)) == 1
-        rows = read_rows(out, ("replica", "n", "k_min", "k_max", "tau"))[1]
+        rows = read_rows(out, ("replica", "n", "k_min", "k_max", "tau"))
         draw = SeedSpec(42, 0).rng().standard_exponential(1)[0]
         assert float(rows[0][3]) == draw == float(rows[0][4]) == float(rows[0][5])
 
@@ -200,7 +200,7 @@ class TestRunRecord:
             master_seed=7, out=str(out),
         )
         record = run_experiment(spec)
-        rows = read_rows(out, experiment._COLUMNS["brw"])[1]
+        rows = read_rows(out, experiment._COLUMNS["brw"])
         for row, original in zip(rows, list(record.rows), strict=True):
             assert float(row[3]) == original[2]
             assert float(row[5]) == original[4]
@@ -611,7 +611,7 @@ class TestRunRecord:
                 master_seed=1, out=str(out),
             )
         )
-        rows = read_rows(out, ("replica", "i", "split_time"))[1]
+        rows = read_rows(out, ("replica", "i", "split_time"))
         times = [float(r[3]) for r in rows]
         assert times == sorted(times)
         assert len(rows) == 5
@@ -928,7 +928,7 @@ class TestCliSurface:
             "--out", str(out),
         ])
         assert code == 0
-        rows = read_rows(out, ("q", "n", "t", "survival", "abs_error"))[1]
+        rows = read_rows(out, ("q", "n", "t", "survival", "abs_error"))
         expected = 2 * math.exp(-1) - math.exp(-2)
         assert float(rows[0][4]) == pytest.approx(expected, abs=1e-14)
 
@@ -939,7 +939,7 @@ class TestCliSurface:
             "--out", str(out),
         ])
         assert code == 0
-        rows = read_rows(out, experiment.TAILS_COLUMNS)[1]
+        rows = read_rows(out, experiment.TAILS_COLUMNS)
         assert len(rows) == 1001
         assert max(float(r[5]) for r in rows) <= TAILS_MAX_ABS_ERROR
 
@@ -1051,7 +1051,7 @@ class TestCliSurface:
         ])
         win = tmp_path / "w.csv"
         assert main(["plotdata", "--in", str(out), "--kind", "windows", "--out", str(win)]) == 0
-        rows = read_rows(win, ("replica", "t", "m_t", "lo_int", "hi_int"))[1]
+        rows = read_rows(win, ("replica", "t", "m_t", "lo_int", "hi_int"))
         assert rows, "expected probe rows"
         for r in rows:
             assert int(r[4]) <= int(r[5])
@@ -1170,7 +1170,7 @@ class TestCliSurface:
         peak = _traced_peak(lambda: plotdata.emit_plotdata(out, "intensity", table))
         float_bytes = 8 * 256 * 2000
         assert sidecar_path(out).stat().st_size > 9_000_000
-        assert len(read_rows(table, INTENSITY_COLUMNS)[1]) == 10
+        assert len(read_rows(table, INTENSITY_COLUMNS)) == 10
         assert peak < 0.35 * float_bytes
 
     def test_plotdata_intensity_at_huge_negative_floor_exits_2(self, tmp_path, capsys):
@@ -1211,7 +1211,7 @@ class TestCliSurface:
         assert "requires 33180 bytes, exceeding the budget of 33179 bytes" in capsys.readouterr().err
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "33180")
         assert main(argv) == 0
-        assert len(read_rows(table, INTENSITY_COLUMNS)[1]) == 105
+        assert len(read_rows(table, INTENSITY_COLUMNS)) == 105
 
     @pytest.mark.parametrize("kind", ["staircase", "windows"])
     def test_plotdata_empty_csv_exits_2(self, tmp_path, capsys, kind):
@@ -1364,7 +1364,7 @@ class TestCliSurface:
             assert main(["plotdata", "--in", str(record), "--kind", "intensity",
                          "--out", str(tables[-1])]) == 0
         assert "Traceback" not in capsys.readouterr().err
-        rows, default_rows = (read_rows(table, INTENSITY_COLUMNS)[1] for table in tables)
+        rows, default_rows = (read_rows(table, INTENSITY_COLUMNS) for table in tables)
         assert len(rows) == 1005
         for _, lo, _, _, expected in rows:
             # (e^-lo - e^-(lo + 1)) / phi_inf(1/2) is more than a float holds

@@ -76,7 +76,12 @@ def _trajectory_digest(traj) -> str:
     # per-depth rate steps and per-block log pass
     (ModelParams(2, 1.2), math.e**12, SeedSpec(42, 0),
      "e3f04bba9f7001ac9e99c35e92f60879e3896b61288a87803b3ebf01188895da"),
-], ids=["P21-e9", "P21-e11", "P32-50", "P32-1000", "P305-e4", "P212-e12"])
+    # 1,265 events at k q = 1/4: the cancellation re-sum fires once after
+    # a split into an existing depth and once after a split that opens one;
+    # recorded while the two kinds of split had separate code paths
+    (ModelParams(2, 3.0), math.e**20, SeedSpec(42, 0),
+     "f2334bb4c1b7415cc51cdb57e7a4c72aafa1b3ab65be10b1ae4bd525515ec888"),
+], ids=["P21-e9", "P21-e11", "P32-50", "P32-1000", "P305-e4", "P212-e12", "P230-e20"])
 def test_draws_pinned(params, t_end, seed, digest):
     assert _trajectory_digest(gillespie_run(params, t_end, seed)) == digest
 
