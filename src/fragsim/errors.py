@@ -27,10 +27,15 @@ class BudgetError(FragsimError):
     def __init__(self, required_bytes: int, budget_bytes: int, what: str):
         self.required_bytes = required_bytes
         self.budget_bytes = budget_bytes
+        self.what = what
         super().__init__(
             f"{what} requires {required_bytes} bytes, exceeding the budget of "
             f"{budget_bytes} bytes (set FRAGSIM_BUDGET_BYTES to raise it)"
         )
+
+    def __reduce__(self):
+        # unpickled from its arguments, not its message: a pool worker's refusal
+        return type(self), (self.required_bytes, self.budget_bytes, self.what)
 
 
 class ConvergenceError(FragsimError):

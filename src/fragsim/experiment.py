@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -215,86 +215,65 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _brw_slice(spec: ExperimentSpec, replicas: range) -> tuple[tuple, dict[str, Any]]:
-    """Columns of the brw replicas in ``replicas``, from one sweep_replicas
-    call, and their final-generation points if the run is persisted (else
-    none are computed)."""
-    n_max = spec.n_max
-    seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
-    wanted = () if spec.out is None else (n_max,)
-    sweep = sweep_replicas(spec.params(), n_max, seeds, spec.floor, wanted)
-    # the sweep's (replicas, n_max + 1) arrays in row-major order: each
-    # replica, then each n
-    columns = (
-        np.repeat(np.arange(replicas.start, replicas.stop), n_max + 1),
-        np.tile(np.arange(n_max + 1), len(replicas)),
-        sweep.k_min.ravel(),
-        sweep.k_max.ravel(),
-        sweep.tau.ravel(),
-    )
-    # float64 arrays, listed only as the sidecar is written
-    return columns, dict(zip(map(str, replicas), sweep.points.get(n_max, ())))
-
-
-def _block_payload(spec: ExperimentSpec, lo: int, hi: int) -> Iterator[tuple[tuple, dict]]:
-    """Columns and points of replicas lo..hi-1, one slice at a time in
-    replica order. A brw slice is one sweep_replicas call over a block on
-    each of its threads, block_rows * block_threads replicas; the other
-    engines have no points, and their replicas' columns are joined into one
-    slice for the range."""
+def _slices(spec: ExperimentSpec, jobs: int) -> tuple[list[range], int]:
+    """The run's replicas cut into slices, in replica order, and the number
+    of workers to take them. A brw slice is one sweep_replicas call over a
+    block on each of its threads, block_rows * block_threads replicas; a
+    brw sweep that threads its blocks has one worker, so its threads share
+    one memory budget, not one per process. Any other engine's replicas are
+    cut into min(jobs, replicas, CPUs) contiguous slices, one per worker."""
     if spec.engine == "brw":
-        per_block = block_rows(spec.k, spec.n_max)
-        size = per_block * block_threads(spec.k, spec.n_max, per_block)
-        for start in range(lo, hi, size):
-            # no local holds a slice while the next one is swept
-            yield _brw_slice(spec, range(start, min(start + size, hi)))
-        return
+        rows = block_rows(spec.k, spec.n_max)
+        size = rows * block_threads(spec.k, spec.n_max, rows)
+        slices = [range(lo, min(lo + size, spec.replicas)) for lo in range(0, spec.replicas, size)]
+        threaded = sweep_threads(spec.k, spec.n_max, rows)
+        return slices, 1 if threaded else min(jobs, len(slices), usable_cpus())
+    workers = min(jobs, spec.replicas, usable_cpus())
+    cuts = [i * spec.replicas // workers for i in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])], workers
+
+
+def _slice(spec: ExperimentSpec, replicas: range) -> tuple[tuple, dict[str, Any]]:
+    """Columns of the replicas in ``replicas``, and for a persisted brw run
+    their final-generation points (else none are computed); top-level, so
+    that a pool worker can take it."""
     params = spec.params()
-    seeds = (SeedSpec(spec.master_seed, r) for r in range(lo, hi))
+    index = np.arange(replicas.start, replicas.stop)
+    seeds = [SeedSpec(spec.master_seed, r) for r in replicas]
+    if spec.engine == "gillespie":
+        parts = []  # each replica's event times and extreme depths
+        for seed in seeds:
+            traj = gillespie_run(params, spec.t_end, seed)
+            parts.append((traj.times, traj.min_depths, traj.max_depths))
+        lengths = [times.size for times, _, _ in parts]
+        return (np.repeat(index, lengths), *map(np.concatenate, zip(*parts))), {}
     if spec.engine == "spine":  # split times S_0..S_n_max of each replica
-        width = spec.n_max + 1
-        times = np.concatenate([spine_sample(params, spec.n_max, seed) for seed in seeds])
-        yield (np.repeat(np.arange(lo, hi), width), np.tile(np.arange(width), hi - lo), times), {}
-        return
-    parts = []  # each replica's event times and extreme depths
-    for seed in seeds:
-        traj = gillespie_run(params, spec.t_end, seed)
-        parts.append((traj.times, traj.min_depths, traj.max_depths))
-    replicas = np.repeat(np.arange(lo, hi), [times.size for times, _, _ in parts])
-    yield (replicas, *map(np.concatenate, zip(*parts))), {}
-
-
-def _range_slices(spec: ExperimentSpec, lo: int, hi: int) -> list[tuple[tuple, dict]]:
-    """Every slice of replicas lo..hi-1, listed: what a pool worker returns
-    by value, its columns pickled as arrays; top-level for pickling."""
-    return list(_block_payload(spec, lo, hi))
-
-
-def _worker_ranges(spec: ExperimentSpec, jobs: int) -> list[tuple[int, int]]:
-    """Replica ranges [lo, hi), one per worker: min(jobs, blocks, CPUs)
-    contiguous runs of whole blocks, a block being a BRW kernel block or one
-    replica of another engine. A BRW sweep that threads its blocks is one
-    range, so its threads share one memory budget, not one per process."""
-    size = block_rows(spec.k, spec.n_max) if spec.engine == "brw" else 1
-    blocks = -(-spec.replicas // size)
-    workers = min(jobs, blocks, usable_cpus())
-    if spec.engine == "brw" and sweep_threads(spec.k, spec.n_max, size):
-        workers = 1
-    cuts = [min(i * blocks // workers * size, spec.replicas) for i in range(workers + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
+        values, points = [np.concatenate([spine_sample(params, spec.n_max, s) for s in seeds])], {}
+    else:
+        wanted = () if spec.out is None else (spec.n_max,)
+        sweep = sweep_replicas(params, spec.n_max, seeds, spec.floor, wanted)
+        values = [sweep.k_min.ravel(), sweep.k_max.ravel(), sweep.tau.ravel()]
+        # float64 arrays, listed only as the sidecar is written
+        points = dict(zip(map(str, replicas), sweep.points.get(spec.n_max, ())))
+    # values on a (replicas, n_max + 1) grid in row-major order: each
+    # replica, then each n
+    width = spec.n_max + 1
+    return (np.repeat(index, width), np.tile(np.arange(width), len(replicas)), *values), points
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     """Execute every replica, optionally in parallel, and persist if out set.
 
-    Each worker runs one range of replicas; one worker runs in this
-    process, more in a process pool, and each returns its range's slices by
-    value. Slices are taken in replica order, so the CSV and the sidecar do
-    not depend on ``jobs``. Each slice's columns are kept for the record.
-    With ``out`` set, each slice's points go to the sidecar as soon as the
-    slice is taken and only their bin counts are kept, as text, so a brw
-    run in one worker holds its rows, 8 bytes a cell, its counts and one
-    slice's points. With more, this process can hold every range's slices,
+    The replicas are cut into slices (_slices), and one function maps each
+    slice to its columns and points: lazily in this process with one
+    worker, one slice at a time, and with more on a process pool, each
+    task a contiguous run of whole slices whose results come back by
+    value. Slices are taken in replica order, so the CSV and the sidecar
+    do not depend on ``jobs``. Each slice's columns are kept for the
+    record. With ``out`` set, each slice's points go to the sidecar as soon
+    as the slice is taken and only their bin counts are kept, as text, so a
+    brw run in one worker holds its rows, 8 bytes a cell, its counts and
+    one slice's points. With more, this process can hold every slice,
     points included, at once. Without ``out``, no points are computed and
     nothing is written.
     wall_clock_s spans the replicas and the writing of their points, not
@@ -302,16 +281,18 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultRecord:
     """
     check_int("jobs", jobs, 1, error=SpecError)
     start = time.monotonic()
-    ranges = _worker_ranges(spec, jobs)
+    slices, workers = _slices(spec, jobs)
+    task = partial(_slice, spec)
     with ExitStack() as stack:
-        if len(ranges) == 1:
-            slices = _block_payload(spec, *ranges[0])
+        if workers == 1:
+            taken = map(task, slices)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(ranges)))
-            slices = chain.from_iterable(pool.map(_range_slices, repeat(spec), *zip(*ranges)))
+            chunk = -(-len(slices) // workers)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=-(-len(slices) // chunk)))
+            taken = pool.map(task, slices, chunksize=chunk)
         sidecar = None if spec.out is None else stack.enter_context(_Sidecar(spec.out))
         columns: list[tuple[np.ndarray, ...]] = []
-        for slice_columns, slice_points in slices:
+        for slice_columns, slice_points in taken:
             columns.append(slice_columns)
             if sidecar is not None:
                 sidecar.points(slice_points.items())

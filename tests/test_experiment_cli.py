@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import re
 import tracemalloc
 from functools import partial
@@ -288,7 +289,8 @@ class TestRunRecord:
     @pytest.fixture
     def recorder(self, monkeypatch):
         """Stand in for ProcessPoolExecutor: record each pool's worker count
-        and its mapped tasks, start no process and map in this one."""
+        and its tasks, each the list of slices it maps, start no process and
+        map in this one."""
         pools, tasks = [], []
 
         class Recorder:
@@ -301,10 +303,10 @@ class TestRunRecord:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                calls = list(zip(*iterables))
-                tasks.append(len(calls))
-                return (fn(*args) for args in calls)
+            def map(self, fn, slices, chunksize=1):
+                slices = list(slices)
+                tasks.append([slices[i : i + chunksize] for i in range(0, len(slices), chunksize)])
+                return map(fn, slices)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
         return pools, tasks
@@ -327,18 +329,25 @@ class TestRunRecord:
         ("brw", {"n_max": 6}, 7),
     ])
     @pytest.mark.parametrize("jobs", [2, 3, 5])
-    def test_one_task_per_worker(self, monkeypatch, recorder, engine, horizon, replicas, jobs):
-        if engine == "brw":  # blocks of two n=6 replicas: four blocks
+    def test_pool_tasks_are_runs_of_whole_slices(
+        self, monkeypatch, recorder, engine, horizon, replicas, jobs
+    ):
+        if engine == "brw":  # blocks of two n=6 replicas: four slices
             monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
         spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=replicas,
                               master_seed=5, **horizon)
+        slices, workers = experiment._slices(spec, jobs)
+        assert workers == min(jobs, len(slices), 3)
         rows = list(run_experiment(spec, jobs=jobs).rows)
-        pools, tasks = recorder
-        assert pools == tasks == [min(jobs, 3)]
+        pools, [tasks] = recorder
+        # contiguous runs of whole slices, one a process, at most one a worker
+        assert [s for task in tasks for s in task] == slices
+        assert [r for s in slices for r in s] == list(range(replicas))
+        assert pools == [len(tasks)] and len(tasks) <= workers
         assert rows == list(run_experiment(spec, jobs=1).rows)
         block = 2 if engine == "brw" else 1
-        assert max(hi - lo for lo, hi in experiment._worker_ranges(spec, jobs)) > block
+        assert max(sum(map(len, task)) for task in tasks) > block
 
     @pytest.mark.parametrize("engine, horizon", [
         ("spine", {"n_max": 8}), ("gillespie", {"t_end": 20.0}), ("brw", {"n_max": 6}),
@@ -385,7 +394,7 @@ class TestRunRecord:
         assert wanted == ([()] * 3 + [(6,)] * 3 if engine == "brw" else [])
         assert recorder[0] == ([2, 2] if jobs == 2 else [])
 
-    def test_one_worker_sweeps_its_range_a_slice_at_a_time(self, monkeypatch):
+    def test_one_worker_sweeps_a_slice_at_a_time(self, monkeypatch):
         calls = []
 
         def counted(params, n_max, seeds, *args):
@@ -395,7 +404,8 @@ class TestRunRecord:
         monkeypatch.setattr(experiment, "sweep_replicas", counted)
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=10, replicas=200)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
-        assert len(experiment._worker_ranges(spec, 64)) == 3  # three blocks
+        slices = [range(0, 85), range(85, 170), range(170, 200)]
+        assert experiment._slices(spec, 64) == (slices, 3)  # three blocks
         run_experiment(spec, jobs=1)
         # a slice is one block: the last generation fits one chunk
         size = brw.block_rows(2, 10)
@@ -419,7 +429,7 @@ class TestRunRecord:
         # one replica a block, 2**18 leaves spanning two chunks
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=18, replicas=3)
         assert brw.block_rows(2, 18) == 1 and brw.sweep_threads(2, 18, 1)
-        assert experiment._worker_ranges(spec, 3) == [(0, 3)]
+        assert experiment._slices(spec, 3) == ([range(3)], 1)  # one slice, one worker
         rows = run_experiment(spec, jobs=3).rows
         assert recorder[0] == [] and threads == [3]
         alone = list(run_experiment(dataclasses.replace(spec, replicas=1)).rows)
@@ -601,6 +611,41 @@ class TestRunRecord:
         assert raised.value is full
         assert calls == {"second-slice": [2, 2], "second-csv-batch": [32, 32],
                          "sidecar-tail": [2]}[where]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the failing engine reaches pool workers only through fork")
+    @pytest.mark.parametrize("engine, horizon", [
+        ("brw", {"n_max": 6}), ("gillespie", {"t_end": 20.0}),
+    ])
+    def test_pool_run_that_raises_leaves_out_as_it_was(
+        self, tmp_path, monkeypatch, engine, horizon
+    ):
+        out = tmp_path / "r.csv"
+        spec = ExperimentSpec(k=2, alpha=1.0, engine=engine, replicas=12, master_seed=3,
+                              out=str(out), **horizon)
+        run_experiment(dataclasses.replace(spec, master_seed=4))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        if engine == "brw":  # blocks of two n=6 replicas: six slices
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(2 * 8 * (2**6 + 2**5)))
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        name = "sweep_replicas" if engine == "brw" else "gillespie_run"
+        engine_run = getattr(experiment, name)
+
+        def failing(params, horizon, seeds, *args):
+            # a brw slice's engine call takes a seed list, gillespie's one seed
+            indices = [seed.replica_index for seed in (seeds if engine == "brw" else [seeds])]
+            if max(indices) >= 6:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return engine_run(params, horizon, seeds, *args)
+
+        monkeypatch.setattr(experiment, name, failing)
+        with pytest.raises(OSError) as raised:
+            run_experiment(spec, jobs=2)
+        # re-pickled from a pool worker, so compared by errno, not identity
+        assert raised.value.errno == errno.ENOSPC
+        assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+        assert not list(tmp_path.glob("*.tmp"))
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_spine_rows(self, tmp_path):
@@ -998,6 +1043,24 @@ class TestCliSurface:
         assert main(argv) == 2
         assert not out.exists()
         assert "spine sample n=100000 requires 3200032 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine, horizon, what", [
+        ("gillespie", ["--t-end", "100"], "gillespie run to t=100.0 requires"),
+        ("spine", ["--n-max", "100000"], "spine sample n=100000 requires 3200032 bytes"),
+    ])
+    def test_budget_refused_in_pool_worker_exits_2(
+        self, tmp_path, monkeypatch, capsys, engine, horizon, what
+    ):
+        # a BudgetError raised in a worker is pickled back to this process;
+        # one that cannot be rebuilt broke the pool, a traceback and exit 1
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", "1000")
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        out = tmp_path / "r.csv"
+        argv = ["simulate", engine, *horizon, "--replicas", "4", "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert what in err and "exceeding the budget of 1000 bytes" in err
 
     def test_spine_past_float_range_exits_2(self, tmp_path, capsys):
         # q^-n overflows a float from n = 1024 at q = 1/2; at the parent this

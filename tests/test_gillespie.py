@@ -14,6 +14,7 @@ from fragsim.gillespie import (
     _projected_depth,
     gillespie_run,
 )
+from fragsim.laws import tagged_depth_pmf
 from fragsim.params import ModelParams
 from fragsim.seeds import SeedSpec
 
@@ -190,6 +191,26 @@ def test_census_consistency():
     assert sorted(set(traj.max_depths.tolist())) == list(range(max_final + 1))
     assert sorted(set(traj.min_depths.tolist())) == list(range(m_final + 1))
     assert traj.times[-1] <= traj.t_end
+
+
+@pytest.mark.parametrize("params", [P32, ModelParams(2, 0.5)], ids=["k3-a0.6", "k2-a0.5"])
+def test_mean_census_mass_is_the_tagged_depth_law(params):
+    # counts[d] k^-d is the measure of the points whose fragment has depth
+    # d, so by Fubini its mean is tagged_depth_pmf(q, d, t) at any (k, alpha)
+    replicas, t = 2000, math.exp(3.0)
+    mass = np.zeros((replicas, 64))
+    for r in range(replicas):
+        for d, c in gillespie_run(params, t, SeedSpec(42, r)).census.counts.items():
+            mass[r, d] = c * float(params.k) ** -d
+    sd = mass.std(axis=0, ddof=1)
+    depths = np.flatnonzero(sd > 0)
+    laws = [tagged_depth_pmf(params, int(d), t) for d in depths]
+    assert max(law.abs_error for law in laws) <= 1e-9
+    se = sd[depths] / math.sqrt(replicas)
+    z = (mass.mean(axis=0)[depths] - [law.value for law in laws]) / se
+    # 4.5 sd over the 20 depths of both points: a false alarm near 1e-4
+    # under normality; a child rate 1% high reads 11 and 15 sd here
+    assert len(depths) >= 8 and np.abs(z).max() <= 4.5
 
 
 def test_depth_counts_positive_and_bounded():

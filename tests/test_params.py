@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fragsim.brw import sweep_replicas
-from fragsim.errors import DomainError, SpecError
+from fragsim.errors import BudgetError, DomainError, SpecError
 from fragsim.experiment import ExperimentSpec, run_experiment
 from fragsim.gillespie import gillespie_run
 from fragsim.laws import (
@@ -167,3 +168,13 @@ def test_numpy_integer_scalars_are_refused():
         perpetuity_survival(0.5, 3, np.int64(2))
     with pytest.raises(SpecError, match="alpha"):
         ExperimentSpec(k=2, alpha=np.int64(2), engine="brw", n_max=1)
+
+
+def test_budget_error_survives_pickling():
+    # as a pool worker returns it; Exception alone rebuilds from the message
+    error = BudgetError(3200032, 1000, "spine sample n=100000")
+    copied = pickle.loads(pickle.dumps(error))
+    assert type(copied) is BudgetError and str(copied) == str(error)
+    assert (copied.required_bytes, copied.budget_bytes, copied.what) == (
+        3200032, 1000, "spine sample n=100000"
+    )
