@@ -34,8 +34,9 @@ generation n_max-1 and one chunk, the least a breadth-first sweep can.
 Where the last generation spans more than one chunk, blocks run on a pool
 of threads (the draws and the ufuncs release the GIL), each thread with its
 own buffers and its own rows of the result; below that size threads cost
-more than they gain. Every stream makes the same draws in the same order
-whatever the chunk and thread count, so results are byte-identical.
+more than they gain. sweep_plan makes both cuts, blocks and threads. Every
+stream makes the same draws in the same order whatever the chunk and thread
+count, so results are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,28 +92,21 @@ def _block_doubles(k: int, n_max: int, rows: int) -> tuple[int, int]:
     return held, rows * min(k**n_max, _chunk_width(k, rows))
 
 
-def block_rows(k: int, n_max: int) -> int:
-    """Replicas per kernel block: as many as BLOCK_CAP_BYTES and the memory
-    budget admit the buffers of, and at least one."""
+def sweep_plan(k: int, n_max: int) -> tuple[int, int, bool]:
+    """How sweep_replicas cuts a sweep to generation n_max: (rows, threads,
+    threaded). A block is ``rows`` replicas, as many as BLOCK_CAP_BYTES and
+    the memory budget admit the buffers of, and at least one. The blocks
+    run on threads where the last generation spans more than one chunk,
+    which needs rows == 1: on as many as there are usable CPUs and as the
+    budget holds one block's buffers for, and at least one. Else they run on
+    this thread, and ``threads`` is 1."""
     check_int("n_max", n_max)
-    return max(1, min(BLOCK_CAP_BYTES, budget_bytes()) // (8 * sum(_block_doubles(k, n_max, 1))))
-
-
-def sweep_threads(k: int, n_max: int, rows: int) -> bool:
-    """Whether sweep_replicas runs blocks of ``rows`` replicas on threads: it
-    does where the last generation spans more than one chunk."""
-    return k**n_max > _chunk_width(k, rows)
-
-
-def block_threads(k: int, n_max: int, rows: int) -> int:
-    """Threads sweep_replicas runs blocks of ``rows`` replicas on, given that
-    many blocks: where sweep_threads holds, as many as there are usable CPUs
-    and as the memory budget holds one block's buffers for, else one; and
-    at least one."""
-    if not sweep_threads(k, n_max, rows):
-        return 1
-    per_thread = 8 * sum(_block_doubles(k, n_max, rows))
-    return max(1, min(usable_cpus(), budget_bytes() // per_thread))
+    per_replica = 8 * sum(_block_doubles(k, n_max, 1))
+    budget = budget_bytes()
+    rows = max(1, min(BLOCK_CAP_BYTES, budget) // per_replica)
+    if k**n_max <= _chunk_width(k, rows):
+        return rows, 1, False
+    return rows, max(1, min(usable_cpus(), budget // per_replica)), True
 
 
 def _generations(
@@ -191,29 +185,6 @@ def _sweep_block(
     return {n: [np.sort(np.concatenate(p)) for p in per_row] for n, per_row in parts.items()}
 
 
-def _on_threads(run: Callable, jobs: Iterator[tuple], workers: int, buffers: Callable) -> None:
-    """Call run(*job, own) for every job, on ``workers`` threads that each
-    own one set of buffers from buffers(). One worker runs on this thread;
-    more than one all run on a pool, and this thread only waits for them.
-    Threads take jobs one at a time, so ``jobs`` never runs on two at once."""
-    lock = threading.Lock()
-
-    def work() -> None:
-        own = buffers()
-        while True:
-            with lock:
-                job = next(jobs, None)
-            if job is None:
-                return
-            run(*job, own)
-
-    if workers == 1:
-        return work()
-    with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(work) for _ in range(workers)]:
-            future.result()
-
-
 def sweep_replicas(
     params: ModelParams,
     n_max: int,
@@ -224,37 +195,44 @@ def sweep_replicas(
     """Extremes of generations 0..n_max for every seed, and the centred points
     at or above ``floor`` for the generations in ``point_generations`` only.
 
-    Replicas run in blocks of block_rows(k, n_max), on min(blocks,
-    block_threads) threads. Each replica's values are those of a sweep of
-    its seed alone.
+    Replicas run in blocks of sweep_plan's rows, on min(blocks, threads)
+    threads. Each replica's values are those of a sweep of its seed alone.
     """
     k, gamma, count = params.k, params.gamma, len(seeds)
     if count < 1:
         raise DomainError("seeds must list at least one replica")
     if floor not in (-np.inf, np.inf):  # -inf keeps every point, +inf none
         check_real("floor", floor)
-    rows = min(count, block_rows(k, n_max))
+    rows, threads, _ = sweep_plan(k, n_max)
+    rows = min(count, rows)
     held, scratch = _block_doubles(k, n_max, rows)
     ensure_within_budget(
         8 * (held + scratch),
         f"brw sweep to generation {n_max} (k={k}, {rows} replica(s) per block)",
     )
     starts = range(0, count, rows)
-    workers = min(len(starts), block_threads(k, n_max, rows))
+    workers = min(len(starts), threads)
     wanted = sorted(set(point_generations))
     k_min = np.full((count, n_max + 1), np.inf)
     k_max = np.full((count, n_max + 1), -np.inf)
-    points: list = [None] * len(starts)
+    own = threading.local()
 
-    def run(i: int, rngs: list, own: tuple[np.ndarray, np.ndarray]) -> None:
-        lo, hi = starts[i], starts[i] + len(rngs)
-        points[i] = _sweep_block(
-            params, n_max, rngs, own, k_min[lo:hi], k_max[lo:hi], floor, wanted
+    def block(lo: int) -> dict[int, list[np.ndarray]]:
+        # each thread allocates its buffers once; a block's streams are
+        # made when it runs
+        if not hasattr(own, "buffers"):
+            own.buffers = np.empty(held), np.empty(scratch)
+        hi = min(lo + rows, count)
+        rngs = [s.rng() for s in seeds[lo:hi]]
+        return _sweep_block(
+            params, n_max, rngs, own.buffers, k_min[lo:hi], k_max[lo:hi], floor, wanted
         )
 
-    # a block's streams are made when a thread takes it
-    jobs = ((i, [s.rng() for s in seeds[lo : lo + rows]]) for i, lo in enumerate(starts))
-    _on_threads(run, jobs, workers, lambda: (np.empty(held), np.empty(scratch)))
+    if workers == 1:
+        points = list(map(block, starts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            points = list(pool.map(block, starts))
     tau = k_max - gamma * np.arange(n_max + 1)
     return ReplicaSweep(k_min, k_max, tau, {n: [p for b in points for p in b[n]] for n in wanted})
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetError
+from .errors import BudgetError, SpecError
 
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB
 
@@ -19,9 +19,9 @@ def budget_bytes() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise BudgetError(0, 0, f"{ENV_VAR}={raw!r} is not an integer; check")
+        value = 0  # refused below, with the counts under one byte
     if value <= 0:
-        raise BudgetError(0, value, f"{ENV_VAR} must be positive; check")
+        raise SpecError(f"{ENV_VAR} must be a positive integer number of bytes, got {raw!r}")
     return value
 
 

@@ -33,14 +33,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .brw import (
-    DEFAULT_POINT_FLOOR,
-    block_rows,
-    block_threads,
-    spine_sample,
-    sweep_replicas,
-    sweep_threads,
-)
+from .brw import DEFAULT_POINT_FLOOR, spine_sample, sweep_plan, sweep_replicas
 from .budget import ensure_within_budget, usable_cpus
 from .errors import SpecError, check_int, check_real
 from .gillespie import gillespie_run
@@ -198,15 +191,20 @@ def write_csv(path: str | Path, columns: tuple[str, ...], rows: Iterable[tuple])
 
 
 def _git_describe() -> str:
-    """The git-describe tag of the checkout fragsim is imported from, or
-    "unknown" outside one; the caller's working directory plays no part."""
+    """The git-describe tag of the checkout fragsim is imported from, whose
+    root holds src/fragsim, or "unknown" outside one; neither the caller's
+    working directory nor a repository that merely holds a copy of the
+    package plays a part."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return "unknown"
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
-            cwd=Path(__file__).resolve().parent,
+            cwd=root,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -218,15 +216,14 @@ def _git_describe() -> str:
 def _slices(spec: ExperimentSpec, jobs: int) -> tuple[list[range], int]:
     """The run's replicas cut into slices, in replica order, and the number
     of workers to take them. A brw slice is one sweep_replicas call over a
-    block on each of its threads, block_rows * block_threads replicas; a
+    block on each of its threads, rows * threads replicas of sweep_plan; a
     brw sweep that threads its blocks has one worker, so its threads share
     one memory budget, not one per process. Any other engine's replicas are
     cut into min(jobs, replicas, CPUs) contiguous slices, one per worker."""
     if spec.engine == "brw":
-        rows = block_rows(spec.k, spec.n_max)
-        size = rows * block_threads(spec.k, spec.n_max, rows)
+        rows, threads, threaded = sweep_plan(spec.k, spec.n_max)
+        size = rows * threads
         slices = [range(lo, min(lo + size, spec.replicas)) for lo in range(0, spec.replicas, size)]
-        threaded = sweep_threads(spec.k, spec.n_max, rows)
         return slices, 1 if threaded else min(jobs, len(slices), usable_cpus())
     workers = min(jobs, spec.replicas, usable_cpus())
     cuts = [i * spec.replicas // workers for i in range(workers + 1)]

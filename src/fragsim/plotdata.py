@@ -118,10 +118,11 @@ def emit_plotdata(in_path: str | Path, kind: str, out_path: str | Path) -> int:
 
 
 def _intensity_rows(spec: ExperimentSpec, binned: list) -> list[tuple]:
-    """Mean count per unit bin [i, i + 1), floor(spec.floor) <= i <
+    """Mean count per unit bin [i, i + 1), ceil(spec.floor) <= i <
     INTENSITY_TOP, over the replicas' [first, counts], against the limit
-    intensity; no rows without replicas."""
-    lo = math.floor(spec.floor)
+    intensity; no rows without replicas. A bin that spec.floor cuts holds
+    only some of its points, so the table starts at the first whole one."""
+    lo = math.ceil(spec.floor)
     bins = INTENSITY_TOP - lo
     if not binned or bins <= 0:
         return []

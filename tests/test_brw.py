@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fragsim import brw
-from fragsim.brw import block_rows, spine_sample, sweep_replicas
+from fragsim.brw import spine_sample, sweep_plan, sweep_replicas
 from fragsim.cli import main
 from fragsim.errors import BudgetError, DomainError
 from fragsim.experiment import read_sidecar, sidecar_path
@@ -134,7 +134,7 @@ class TestKernelParity:
             # the default block here holds tens of thousands of replicas; a
             # budget of 7 replicas puts its edges within cheap reach
             monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(7 * _replica_bytes(params.k, n_max)))
-        rows = block_rows(params.k, n_max)
+        rows = sweep_plan(params.k, n_max)[0]
         counts = [c for c in (rows - 1, rows, rows + 1) if c > 0]
         seeds = [SeedSpec(31, r) for r in range(max(counts))]
         frames = [brw_frames_oracle(params.k, params.q, n_max, s.rng()) for s in seeds]
@@ -161,7 +161,7 @@ class TestKernelParity:
         assert all(len(sweep.points[n]) == 3 for n in (4, 6))
 
     def test_single_seed_sweep_is_a_row_of_the_block(self):
-        seeds = [SeedSpec(8, r) for r in range(block_rows(2, 8) + 1)]
+        seeds = [SeedSpec(8, r) for r in range(sweep_plan(2, 8)[0] + 1)]
         block = sweep_replicas(P21, 8, seeds, point_generations=(8,))
         last = sweep_replicas(P21, 8, seeds[-1:], point_generations=(8,))
         assert last.tau[0].tolist() == block.tau[-1].tolist()
@@ -176,7 +176,7 @@ class TestKernelParity:
             assert np.array_equal(sweep.tau[row], alone.tau[0])
 
     def test_block_size(self):
-        assert [block_rows(2, n) for n in (8, 12, 13, 16, 17, 20)] == [341, 21, 10, 1, 1, 1]
+        assert [sweep_plan(2, n)[0] for n in (8, 12, 13, 16, 17, 20)] == [341, 21, 10, 1, 1, 1]
         # one replica's buffers: generation n-1 and the smaller of generation
         # n and one 1 MiB chunk
         assert [8 * sum(brw._block_doubles(2, n, 1)) for n in (8, 17, 18, 20)] == [
@@ -192,9 +192,26 @@ class TestKernelParity:
             if budget is not None:
                 monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(budget))
             for n_max in range(26):
-                rows = block_rows(k, n_max)
+                rows = sweep_plan(k, n_max)[0]
                 if rows > 1:
                     assert k**n_max <= brw._chunk_width(k, rows)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("budget", [None, 1 << 12, 1 << 16, 3 << 20, 1 << 24])
+    def test_sweep_plan_invariants(self, budget, cpus, monkeypatch):
+        if budget is not None:
+            monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(budget))
+        monkeypatch.setattr(brw, "usable_cpus", lambda: cpus)
+        limit = brw.budget_bytes()
+        for k in range(2, 8):
+            for n_max in range(23):
+                rows, threads, threaded = sweep_plan(k, n_max)
+                assert rows >= 1
+                assert rows == 1 or not threaded
+                assert threads == 1 or threaded
+                assert 1 <= threads <= max(1, cpus)
+                if threads > 1:
+                    assert threads * 8 * sum(brw._block_doubles(k, n_max, rows)) <= limit
 
     def test_deep_sweep_holds_one_generation_and_a_chunk(self, monkeypatch):
         monkeypatch.setattr(brw, "usable_cpus", lambda: 1)
@@ -212,7 +229,7 @@ class TestKernelParity:
         seeds = [SeedSpec(5, r) for r in range(7)]
         full = sweep_replicas(P21, 8, seeds, point_generations=(8,))
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(3 * _replica_bytes(2, 8)))
-        assert block_rows(2, 8) == 3
+        assert sweep_plan(2, 8)[0] == 3
         shrunk = sweep_replicas(P21, 8, seeds, point_generations=(8,))
         for a, b in ((shrunk.k_min, full.k_min), (shrunk.k_max, full.k_max), (shrunk.tau, full.tau)):
             assert a.tobytes() == b.tobytes()
@@ -277,6 +294,25 @@ class TestKernelParity:
         with pytest.raises(BudgetError) as err:
             sweep_replicas(P21, 8, seeds)
         assert err.value.required_bytes == per_worker
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_buffer_pair_per_thread(self, cpus, monkeypatch):
+        # 7 blocks of one replica on fewer threads: each thread allocates its
+        # buffers once and reuses them for every block it runs
+        given = []
+        sweep_block = brw._sweep_block
+
+        def recording(params, n_max, rngs, buffers, *args):
+            given.append(buffers)  # held, so that no id is reused
+            return sweep_block(params, n_max, rngs, buffers, *args)
+
+        monkeypatch.setattr(brw, "_sweep_block", recording)
+        monkeypatch.setattr(brw, "BLOCK_CAP_BYTES", 8 * 64)
+        monkeypatch.setattr(brw, "usable_cpus", lambda: cpus)
+        assert sweep_plan(2, 8) == (1, cpus, True)
+        sweep_replicas(P21, 8, [SeedSpec(4, r) for r in range(7)])
+        assert len(given) == 7
+        assert len({(id(held), id(scratch)) for held, scratch in given}) <= cpus
 
     def test_threads_stress(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter

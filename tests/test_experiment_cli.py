@@ -6,7 +6,9 @@ import json
 import math
 import multiprocessing
 import re
+import subprocess
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 
@@ -257,6 +259,24 @@ class TestRunRecord:
         monkeypatch.chdir(tmp_path)
         assert experiment._git_describe() == here
 
+    def test_git_describe_reads_only_the_package_checkout(self, tmp_path, monkeypatch):
+        # the checkout whose src/fragsim holds the package is described; a
+        # copy that merely lies inside another repository is "unknown"
+        repo = tmp_path / "repo"
+        package = repo / "src" / "fragsim"
+        copy = repo / "fake-site" / "lib" / "fragsim"
+        for path in (package, copy):
+            path.mkdir(parents=True)
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "one"], check=True)
+        head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        monkeypatch.setattr(experiment, "__file__", str(package / "experiment.py"))
+        assert experiment._git_describe() == head
+        monkeypatch.setattr(experiment, "__file__", str(copy / "experiment.py"))
+        assert experiment._git_describe() == "unknown"
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -408,8 +428,7 @@ class TestRunRecord:
         assert experiment._slices(spec, 64) == (slices, 3)  # three blocks
         run_experiment(spec, jobs=1)
         # a slice is one block: the last generation fits one chunk
-        size = brw.block_rows(2, 10)
-        assert size == 85 and not brw.sweep_threads(2, 10, size)
+        assert brw.sweep_plan(2, 10) == (85, 1, False)
         assert [len(c) for c in calls] == [85, 85, 30]
         assert [r for c in calls for r in c] == list(range(200))
 
@@ -418,17 +437,17 @@ class TestRunRecord:
         share one budget, in place of pool workers that would each hold one."""
         threads = []
 
-        def on_threads(run, jobs, workers, make):
-            threads.append(workers)
-            return brw_on_threads(run, jobs, workers, make)
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                threads.append(max_workers)
+                super().__init__(max_workers)
 
-        brw_on_threads = brw._on_threads
-        monkeypatch.setattr(brw, "_on_threads", on_threads)
+        monkeypatch.setattr(brw, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(brw, "usable_cpus", lambda: 64)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
         # one replica a block, 2**18 leaves spanning two chunks
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=18, replicas=3)
-        assert brw.block_rows(2, 18) == 1 and brw.sweep_threads(2, 18, 1)
+        assert brw.sweep_plan(2, 18) == (1, 64, True)
         assert experiment._slices(spec, 3) == ([range(3)], 1)  # one slice, one worker
         rows = run_experiment(spec, jobs=3).rows
         assert recorder[0] == [] and threads == [3]
@@ -484,7 +503,7 @@ class TestRunRecord:
     def test_sidecar_bytes_match_json_dumps(self, tmp_path, monkeypatch, fields, budget):
         if budget:
             monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(budget))
-            assert brw.block_rows(2, 6) == 2 and not brw.sweep_threads(2, 6, 2)
+            assert brw.sweep_plan(2, 6) == (2, 1, False)
         monkeypatch.setattr(experiment, "_git_describe", lambda: "v1.0-3-gabcdef")
         monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: 1.25))
         out = tmp_path / "r.csv"
@@ -520,7 +539,7 @@ class TestRunRecord:
         monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", str(8 * (2**10 + 2**9)))
         spec = ExperimentSpec(k=2, alpha=1.0, engine="brw", n_max=10, replicas=150,
                               master_seed=5, floor=-1e300, out=str(tmp_path / "m.csv"))
-        assert brw.block_rows(2, 10) == 1 and not brw.sweep_threads(2, 10, 1)
+        assert brw.sweep_plan(2, 10) == (1, 1, False)
         tracemalloc.start()
         try:
             record = run_experiment(spec)
@@ -1021,6 +1040,23 @@ class TestCliSurface:
         assert not out.exists()
         assert "exceeding the budget of 1000 bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "brw", "--n-max", "3"],
+        ["simulate", "gillespie", "--t-end", "20", "--replicas", "2", "--jobs", "2"],
+        ["tails", "--q", "0.5", "--n", "1", "--t-grid", "1:1:1"],
+    ], ids=["simulate", "simulate-pool-worker", "tails"])
+    def test_bad_budget_variable_exits_2(self, tmp_path, monkeypatch, capsys, argv, value):
+        # the variable is named with its value, not reported as a budget of
+        # 0 bytes overflowed, and comes back whole from a pool worker
+        monkeypatch.setenv("FRAGSIM_BUDGET_BYTES", value)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert f"FRAGSIM_BUDGET_BYTES must be a positive integer number of bytes, got {value!r}" in err
+        assert "exceeding" not in err
+
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "bogus"]) == 2
 
@@ -1260,6 +1296,23 @@ class TestCliSurface:
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert not list(tmp_path.iterdir())
         assert "intensity bins from a point at -1e+300 requires" in capsys.readouterr().err
+
+    def test_plotdata_intensity_starts_at_the_first_whole_bin(self, tmp_path):
+        # at floor -4.5 the bin [-5, -4) would hold only the points in
+        # [-4.5, -4) against the whole bin's expected count: the table
+        # starts at -4, and its rows are those of the table at floor -5
+        tables = {}
+        for floor in ("-5", "-4.5"):
+            out = tmp_path / f"b{floor}.csv"
+            table = tmp_path / f"i{floor}.csv"
+            assert main(["simulate", "brw", "--n-max", "8", "--replicas", "200", "--seed", "42",
+                         f"--floor={floor}", "--out", str(out)]) == 0
+            assert main(["plotdata", "--in", str(out), "--kind", "intensity",
+                         "--out", str(table)]) == 0
+            tables[floor] = table.read_text().splitlines()
+        whole, cut = tables["-5"], tables["-4.5"]
+        assert whole[1].startswith("1,-5.0,-4.0,") and cut[1].startswith("1,-4.0,-3.0,")
+        assert cut == whole[:1] + whole[2:]
 
     def test_plotdata_intensity_bins_charged_to_budget(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "b.csv"
