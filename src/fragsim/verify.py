@@ -3,9 +3,12 @@
 Each suite re-runs a battery of checks at operational scale (seconds, not
 the minutes the full acceptance tests take) and reports observed against
 expected per check. Deterministic suites compare against recorded golden
-constants; seeded suites default to master seed 42, under which golden
-rates were recorded, and fall back to looser absolute floors under any
-other seed.
+constants. Seeded suites default to master seed 42, under which the
+golden rates were recorded, and only seed 42 compares with them: under
+any other seed the coverage suite runs one check, its absolute floor on
+the largest-window coverage, where seed 42 runs three, and it skips the
+deep sweep (200 replicas to generation 20) behind the min-concentration
+golden. The other seeded suites keep the same bounds at every seed.
 """
 
 from __future__ import annotations
@@ -189,7 +192,13 @@ def run_suite(name: str, master_seed: int = 42) -> list[CheckResult]:
     # checked here, as SeedSpec checks it, so no suite runs on a bad seed
     check_int("master_seed", master_seed, below=1 << 64, error=SpecError)
     if name == "all":
-        return [res for suite in _SUITE_FUNCS.values() for res in suite(master_seed)]
+        # coverage runs first: its deep sweep's thread buffers (about 10 MiB)
+        # then come and go on the baseline heap, not on top of what the other
+        # suites leave behind, which keeps the peak RSS down; the report still
+        # lists every suite in _SUITE_FUNCS order
+        schedule = sorted(_SUITE_FUNCS, key=lambda suite: suite != "coverage")
+        checks = {suite: _SUITE_FUNCS[suite](master_seed) for suite in schedule}
+        return [res for suite in _SUITE_FUNCS for res in checks[suite]]
     if name not in _SUITE_FUNCS:
         raise SpecError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FUNCS[name](master_seed)

@@ -1132,6 +1132,24 @@ class TestCliSurface:
         assert "[FAIL] off bound: observed 2, expected <= 1" in out
         assert "0/1 checks passed" in out
 
+    def test_verify_all_runs_coverage_first_and_reports_in_suite_order(self, monkeypatch):
+        # coverage's deep sweep runs before the other suites grow the heap
+        calls = []
+
+        def stub(suite):
+            def run(seed):
+                calls.append(suite)
+                return [verify.CheckResult(f"{suite} {i}", float(seed)) for i in range(2)]
+            return run
+
+        order = list(verify._SUITE_FUNCS)
+        for suite in order:
+            monkeypatch.setitem(verify._SUITE_FUNCS, suite, stub(suite))
+        checks = verify.run_suite("all", 7)
+        assert calls == ["coverage", *(s for s in order if s != "coverage")]
+        assert [c.name for c in checks] == [f"{s} {i}" for s in order for i in range(2)]
+        assert {c.observed for c in checks} == {7.0}
+
 
     def test_plotdata_kind_engine_mismatch(self, tmp_path):
         out = tmp_path / "g.csv"

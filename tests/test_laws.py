@@ -1,8 +1,13 @@
 import copy
 import dataclasses
+import gzip
+import importlib.util
+import json
 import math
 import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +40,7 @@ from oracles import (
 )
 
 QS = (0.3, 0.5, 0.8)
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def crude_density_max(q: float) -> float:
@@ -338,6 +344,32 @@ class TestErrorContract:
             dataclasses.replace(ev, value=-0.1)
         with pytest.raises(DomainError, match="abs_error"):
             TailEval(0.5, -1.0)
+
+    def test_bounds_hold_on_the_benchmark_grid(self):
+        # the laws workload's grid and its mpmath references, read as they
+        # are: every TailEval brackets its reference, and no series leaves
+        # more evaluations unresolved (abs_error > 1e-9) than its baseline
+        spec = importlib.util.spec_from_file_location("lawgrid", BENCH_DIR / "lawgrid.py")
+        lawgrid = importlib.util.module_from_spec(spec)
+        with mock.patch.dict(sys.modules, {spec.name: lawgrid}):  # for its dataclass
+            spec.loader.exec_module(lawgrid)
+        with gzip.open(BENCH_DIR / "reference" / "laws_ref.json.gz", "rt") as fh:
+            refs = json.load(fh)["series"]
+        baseline = json.loads((BENCH_DIR / "reference" / "laws_baseline.json").read_text())
+        evaluated, outside, unresolved = 0, [], {}
+        for series in lawgrid.cases():
+            if series.fn not in lawgrid.TAIL_EVAL_FNS:
+                continue
+            key = lawgrid.series_key(series)
+            for args, ref in zip(series.args, refs[key], strict=True):
+                ev = getattr(laws, series.fn)(*args)
+                evaluated += 1
+                if abs(ev.value - ref) > ev.abs_error:
+                    outside.append((series.fn, args, ev, ref))
+                unresolved[key] = unresolved.get(key, 0) + (ev.abs_error > 1e-9)
+        assert evaluated == 30727
+        assert outside == []
+        assert {k: n for k, n in unresolved.items() if n > baseline[k]["failed"]} == {}
 
 
 class TestSurvivalLimit:
