@@ -28,6 +28,15 @@ term is +-0.0 as well. Adding +-0.0 leaves both the compensated sum and the
 sum of |terms| bit-for-bit unchanged, so neither stop changes a value or an
 error bound; they only skip work. At q = 0.5 and n = 200 it leaves 6 to 16
 of the 201 terms on t in [0.02, 20].
+
+Around that loop each law does its per-call work once. It checks q, n and
+t once: a float q in (0, 1), an int n >= 0 and a finite float t >= 0 pass on
+a type test, and anything else goes to the general checks, which accept and
+refuse it as they always have. It builds its TailEval once, in ``_tail``,
+which stores an in-range value and error without the constructor's
+re-validation. The compositions (the CDF, the split-time survival and the
+depth pmf) work on the series' (value, abs_error) pair, not on a TailEval
+they would unpack and rebuild.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, check_int, check_real
+from .errors import _FLOAT_MAX, DomainError, check_int, check_real
 from .lefttail import left_tail_sandwich, log_simplex_upper
 from .params import as_q
 from .qseries import qpochhammer_limit, qpochhammer_prefix
@@ -65,7 +74,22 @@ class TailEval:
             raise DomainError(f"abs_error must be >= 0, got {self.abs_error!r}")
 
 
+# The slot setters under TailEval's frozen __setattr__, for ``_tail``.
+_new = object.__new__
+_set_value = TailEval.value.__set__
+_set_abs_error = TailEval.abs_error.__set__
+
+
 def _tail(value: float, abs_error: float) -> TailEval:
+    """TailEval(min(max(value, 0), 1), max(abs_error, 0)): the value clamped
+    to [0, 1] and the error to >= 0, NaN refused. A value and error that
+    already lie in range are stored as they are, without the constructor's
+    checks; anything else, NaN included, goes through the constructor."""
+    if 0.0 <= value <= 1.0 and abs_error >= 0.0:
+        ev = _new(TailEval)
+        _set_value(ev, value)
+        _set_abs_error(ev, abs_error)
+        return ev
     return TailEval(min(max(value, 0.0), 1.0), max(abs_error, 0.0))
 
 
@@ -142,9 +166,17 @@ def _sum_terms(table: tuple, t: float) -> tuple[float, float]:
     return total + comp, absum
 
 
-def _check_nt(n: int, t: float) -> None:
-    check_int("n", n)
-    check_real("t", t, least=0.0)
+def _checked_q(q_or_params, n: int, t: float) -> float:
+    """Check q, n and t, in that order, and return q. An int n >= 0 and a
+    finite float t >= 0 pass at once, as ``as_q`` passes a float q in (0, 1);
+    anything else goes to ``check_int`` and ``check_real``, which accept or
+    refuse it."""
+    q = as_q(q_or_params)
+    if type(n) is not int or n < 0:
+        check_int("n", n)
+    if type(t) is not float or not 0.0 <= t <= _FLOAT_MAX:
+        check_real("t", t, least=0.0)
+    return q
 
 
 def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
@@ -152,30 +184,33 @@ def perpetuity_survival(q_or_params, n: int, t: float) -> TailEval:
 
     Equals 1 at t = 0 and exp(-t) for n = 0; non-decreasing in n at fixed t.
     """
-    q = as_q(q_or_params)
-    _check_nt(n, t)
+    q = _checked_q(q_or_params, n, t)
     if t == 0.0:
         return _tail(1.0, 0.0)
-    return _series(q, n, 0, t)
+    return _tail(*_series(q, n, 0, t))
 
 
-def _series(q: float, n: int, exponent_shift: int, t: float) -> TailEval:
-    """The finite-n survival (shift=0, t > 0) or density (shift=1) for
-    arguments already checked. Past q ~ 0.996 a denominator phi_j phi_{n-j}
-    underflows to 0.0 at large n; reaching its term raises DomainError."""
+def _series(q: float, n: int, exponent_shift: int, t: float) -> tuple[float, float]:
+    """(value, abs_error) of the finite-n survival (shift=0, t > 0) or
+    density (shift=1) for arguments already checked, the value clamped to
+    [0, 1] as a TailEval holds it. Past q ~ 0.996 a denominator
+    phi_j phi_{n-j} underflows to 0.0 at large n; reaching its term raises
+    DomainError, as does a NaN value."""
     table = _series_coeffs(q, n, exponent_shift)
     try:
         value, absum = _sum_terms(table, t)
     except ZeroDivisionError:
         raise DomainError(f"(q;q)_j (q;q)_(n-j) underflows at q={q!r}, n={n}") from None
-    return _tail(value, _TERM_ULPS * _EPS * absum + _EPS)
+    abs_error = _TERM_ULPS * _EPS * absum + _EPS
+    if not 0.0 <= value <= 1.0:
+        value = _tail(value, abs_error).value
+    return value, abs_error
 
 
 def perpetuity_density(q_or_params, n: int, t: float) -> TailEval:
     """Density of sum_{i=0..n} q^i W_i; equals -d/dt of the survival."""
-    q = as_q(q_or_params)
-    _check_nt(n, t)
-    return _series(q, n, 1, t)
+    q = _checked_q(q_or_params, n, t)
+    return _tail(*_series(q, n, 1, t))
 
 
 def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
@@ -186,8 +221,7 @@ def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
     super-geometrically and is folded into abs_error. Dominates the finite-n
     survival for every n, and equals 1 at t = 0.
     """
-    q = as_q(q_or_params)
-    check_real("t", t, least=0.0)
+    q = _checked_q(q_or_params, 0, t)  # the limit has no n; 0 passes
     if t == 0.0:
         return _tail(1.0, 0.0)
     phi_inf = qpochhammer_limit(q)
@@ -201,14 +235,13 @@ def perpetuity_survival_limit(q_or_params, t: float) -> TailEval:
 def perpetuity_cdf(q_or_params, n: int, t: float) -> TailEval:
     """P(sum_{i=0..n} q^i W_i <= t), switching to the simplex sandwich when
     the alternating series cannot resolve the complement to REL_ERR_SWITCH."""
-    q = as_q(q_or_params)
-    _check_nt(n, t)
+    q = _checked_q(q_or_params, n, t)
     if t == 0.0:
         return _tail(0.0, 0.0)
-    surv = _series(q, n, 0, t)
-    raw = 1.0 - surv.value
-    if raw > 0.0 and surv.abs_error <= REL_ERR_SWITCH * raw:
-        return _tail(raw, surv.abs_error)
+    survival, abs_error = _series(q, n, 0, t)
+    raw = 1.0 - survival
+    if raw > 0.0 and abs_error <= REL_ERR_SWITCH * raw:
+        return _tail(raw, abs_error)
     lower, upper = left_tail_sandwich(q, n + 1, t)
     if upper == 0.0:
         return _tail(0.0, 0.0)
@@ -219,24 +252,34 @@ def perpetuity_cdf(q_or_params, n: int, t: float) -> TailEval:
     return _tail(mid, 0.5 * (upper - lower))
 
 
+def _split_time(q: float, n: int, t: float) -> tuple[float, float]:
+    """(value, abs_error) of ``split_time_survival`` for arguments already
+    checked."""
+    if t == 0.0:
+        return 1.0, 0.0
+    x = (q**n) * t
+    if x == 0.0:
+        log_x = n * math.log(q) + math.log(t)
+        x = math.exp(log_x)
+        if x == 0.0:
+            log_up = log_simplex_upper(q, n + 1, log_x)
+            return 1.0, math.exp(log_up) if log_up < 0.0 else 1.0
+    return _series(q, n, 0, x)
+
+
 def split_time_survival(q_or_params, n: int, t: float) -> TailEval:
     """Survival of the tagged fragment's n-th split time.
 
     The n-th split time rescales to the perpetuity partial sum by q^n, so
-    this is the finite-n survival evaluated at q^n * t. The rescaled argument
-    is formed in log space; if it underflows, the value is 1 and abs_error is
-    the log-space simplex upper bound on the complement (which may itself be
-    below the smallest subnormal, in which case 0.0 is reported).
+    this is the finite-n survival evaluated at x = q^n * t. Only when that
+    product underflows to 0.0 is x formed in log space, as
+    exp(n log q + log t). If x underflows there too, the value is 1 and
+    abs_error is the log-space simplex upper bound on the complement (which
+    may itself be below the smallest subnormal, in which case 0.0 is
+    reported).
     """
-    q = as_q(q_or_params)
-    _check_nt(n, t)
-    if t == 0.0:
-        return _tail(1.0, 0.0)
-    x = (q**n) * t
-    if x > 0.0:
-        return _series(q, n, 0, x)
-    log_up = log_simplex_upper(q, n + 1, n * math.log(q) + math.log(t))
-    return _tail(1.0, math.exp(log_up) if log_up < 0.0 else 1.0)
+    q = _checked_q(q_or_params, n, t)
+    return _tail(*_split_time(q, n, t))
 
 
 def tagged_depth_pmf(q_or_params, n: int, t: float) -> TailEval:
@@ -245,13 +288,12 @@ def tagged_depth_pmf(q_or_params, n: int, t: float) -> TailEval:
     Difference of consecutive split-time survivals; the depth-(-1) survival
     is identically zero. Values over n = 0, 1, ... sum to 1.
     """
-    q = as_q(q_or_params)
-    _check_nt(n, t)
-    upper = split_time_survival(q, n, t)
+    q = _checked_q(q_or_params, n, t)
+    upper, upper_error = _split_time(q, n, t)
     if n == 0:
-        return upper
-    lower = split_time_survival(q, n - 1, t)
-    return _tail(upper.value - lower.value, upper.abs_error + lower.abs_error)
+        return _tail(upper, upper_error)
+    lower, lower_error = _split_time(q, n - 1, t)
+    return _tail(upper - lower, upper_error + lower_error)
 
 
 def gumbel_limit_cdf(q_or_params, s: float) -> float:

@@ -40,6 +40,8 @@ class ModelParams:
 
 def as_q(q_or_params: "ModelParams | float") -> float:
     """Accept either a ModelParams or a raw ``q`` and return ``q`` in (0, 1)."""
+    if type(q_or_params) is float and 0.0 < q_or_params < 1.0:
+        return q_or_params
     if isinstance(q_or_params, ModelParams):
         return q_or_params.q
     check_real("q", q_or_params)

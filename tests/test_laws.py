@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gzip
+import hashlib
 import importlib.util
 import json
 import math
@@ -16,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fragsim import laws
+from fragsim import laws, lefttail
+from fragsim.cli import main
 from fragsim.errors import DomainError
 from fragsim.laws import (
     TailEval,
@@ -41,6 +43,15 @@ from oracles import (
 
 QS = (0.3, 0.5, 0.8)
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_lawgrid():
+    """The laws workload's evaluation grid, read from bench/ as it is."""
+    spec = importlib.util.spec_from_file_location("lawgrid", BENCH_DIR / "lawgrid.py")
+    lawgrid = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: lawgrid}):  # for its dataclass
+        spec.loader.exec_module(lawgrid)
+    return lawgrid
 
 
 def crude_density_max(q: float) -> float:
@@ -198,10 +209,8 @@ class TestSeriesStop:
 PARITY_TS = (0.0, 5e-324, 745.0, 746.0, 1e300)
 
 
-def _reference_survival(q, n, t):
-    if t == 0.0:
-        return TailEval(1.0, 0.0)
-    return TailEval(*series_reference(q, n, t, 0))
+def _reference_series(q, n, exponent_shift, t):
+    return series_reference(q, n, t, exponent_shift)
 
 
 class TestTermTables:
@@ -224,11 +233,24 @@ class TestTermTables:
         _same(perpetuity_density(q, n, t), series_reference(q, n, t, 1))
         ref = limit_reference(q, t) if t > 0.0 else (1.0, 0.0)
         _same(perpetuity_survival_limit(q, t), ref)
-        # the compositions, with the reference survival in place of the tables
+        # the compositions, with the reference series in place of the tables
         fns = (perpetuity_cdf, split_time_survival, tagged_depth_pmf)
         got = [_reprs(fn(q, n, t)) for fn in fns]
-        with mock.patch.object(laws, "perpetuity_survival", _reference_survival):
+        with mock.patch.object(laws, "_series", _reference_series):
             assert got == [_reprs(fn(q, n, t)) for fn in fns]
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-310, 5e-324])
+    def test_parity_where_rates_are_infinite(self, q):
+        # below q ~ 1e-154 a density table holds rows whose rate q^-j is inf;
+        # at t = 0 their exponential is 1.0, not exp(-inf * 0.0) = nan
+        assert any(math.isinf(rate) for _, rate, _ in laws._series_coeffs(q, 3, 1))
+        for t in (0.0, 5e-324, 1.0):
+            for n in (0, 1, 3, 40):
+                ref = series_reference(q, n, t, 0) if t > 0.0 else (1.0, 0.0)
+                _same(perpetuity_survival(q, n, t), ref)
+                _same(perpetuity_density(q, n, t), series_reference(q, n, t, 1))
+            _same(perpetuity_survival_limit(q, t), limit_reference(q, t) if t > 0.0 else (1.0, 0.0))
+        assert perpetuity_density(1e-300, 3, 0.0).value == 1e-300
 
     def test_tables_are_immutable_tuples(self):
         for table in (laws._series_coeffs(0.5, 40, 0), laws._limit_coeffs(0.5)):
@@ -300,6 +322,32 @@ class TestTermTables:
                 laws._series_coeffs(0.5, True, shift)
 
 
+_TAIL_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from((math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0,
+                     math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0))),
+)
+
+
+class TestTailBuilder:
+    """``_tail`` stores an in-range value and error as they are and hands
+    anything else to the validating constructor."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TAIL_FLOATS, _TAIL_FLOATS)
+    def test_same_as_the_clamped_constructor(self, value, abs_error):
+        try:
+            expected = TailEval(min(max(value, 0.0), 1.0), max(abs_error, 0.0))
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as info:
+                laws._tail(value, abs_error)
+            assert str(info.value) == str(refusal)
+            return
+        got = laws._tail(value, abs_error)
+        assert type(got) is TailEval
+        assert repr(got) == repr(expected) and got == expected
+
+
 class TestErrorContract:
     """Every finite-n law returns a TailEval or raises DomainError, up to q
     near 1 where a denominator (q;q)_j (q;q)_(n-j) underflows to 0.0."""
@@ -349,10 +397,7 @@ class TestErrorContract:
         # the laws workload's grid and its mpmath references, read as they
         # are: every TailEval brackets its reference, and no series leaves
         # more evaluations unresolved (abs_error > 1e-9) than its baseline
-        spec = importlib.util.spec_from_file_location("lawgrid", BENCH_DIR / "lawgrid.py")
-        lawgrid = importlib.util.module_from_spec(spec)
-        with mock.patch.dict(sys.modules, {spec.name: lawgrid}):  # for its dataclass
-            spec.loader.exec_module(lawgrid)
+        lawgrid = _load_lawgrid()
         with gzip.open(BENCH_DIR / "reference" / "laws_ref.json.gz", "rt") as fh:
             refs = json.load(fh)["series"]
         baseline = json.loads((BENCH_DIR / "reference" / "laws_baseline.json").read_text())
@@ -370,6 +415,35 @@ class TestErrorContract:
         assert evaluated == 30727
         assert outside == []
         assert {k: n for k, n in unresolved.items() if n > baseline[k]["failed"]} == {}
+
+    def test_benchmark_grid_is_pinned_bit_for_bit(self, tmp_path):
+        # the repr of every evaluation of the laws workload, an exception's
+        # included, and the bytes of its `fragsim tails` table
+        lawgrid = _load_lawgrid()
+        digest = hashlib.sha256()
+        evaluated = 0
+        for series in lawgrid.cases():
+            fn = getattr(laws if series.fn in lawgrid.TAIL_EVAL_FNS else lefttail, series.fn)
+            digest.update(f"{lawgrid.series_key(series)}\n".encode())
+            for args in series.args:
+                try:
+                    got = repr(fn(*args))
+                except Exception as exc:  # a refusal is pinned by its repr too
+                    got = repr(exc)
+                digest.update(f"{got}\n".encode())
+                evaluated += 1
+        assert evaluated == 31195
+        assert digest.hexdigest() == (
+            "5d4dcc0621b6c7c3f436f30827f73d899637d7ce7d718fd3f2451287321ce799"
+        )
+        q, n, (lo, hi, step) = lawgrid.TAILS
+        out = tmp_path / "tails.csv"
+        argv = ["tails", "--q", str(q), "--n", str(n), "--t-grid", f"{lo}:{hi}:{step}",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "08651af74b5998af54bdbf68779c54f5a6a2a009e21bfc3641a946d4318768f6"
+        )
 
 
 class TestSurvivalLimit:
@@ -443,6 +517,17 @@ class TestSplitTime:
         ev = split_time_survival(0.5, 1200, 10.0)
         assert ev.value == 1.0
         assert ev.abs_error < 1e-300
+
+    def test_resolved_where_only_q_to_the_n_underflows(self):
+        # 0.5^1100 is 0.0 in floating point, but x = 0.5^1100 * 1e300 is
+        # 7.4e-32, which the series resolves
+        x = math.exp(1100 * math.log(0.5) + math.log(1e300))
+        assert 0.5**1100 == 0.0 and 7e-32 < x < 8e-32
+        ev = split_time_survival(0.5, 1100, 1e300)
+        assert repr(ev) == repr(perpetuity_survival(0.5, 1100, x))
+        assert ev.value == 1.0 and ev.abs_error < 1e-13
+        pmf = tagged_depth_pmf(0.5, 1100, 1e300)
+        assert pmf.value == 0.0 and pmf.abs_error < 1e-13
 
 
 class TestDepthPmf:

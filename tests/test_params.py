@@ -12,9 +12,12 @@ from fragsim.experiment import ExperimentSpec, run_experiment
 from fragsim.gillespie import gillespie_run
 from fragsim.laws import (
     gumbel_limit_cdf,
+    perpetuity_cdf,
+    perpetuity_density,
     perpetuity_survival,
     perpetuity_survival_limit,
     split_time_survival,
+    tagged_depth_pmf,
 )
 from fragsim.lefttail import (
     left_tail_exponent,
@@ -168,6 +171,72 @@ def test_numpy_integer_scalars_are_refused():
         perpetuity_survival(0.5, 3, np.int64(2))
     with pytest.raises(SpecError, match="alpha"):
         ExperimentSpec(k=2, alpha=np.int64(2), engine="brw", n_max=1)
+
+
+_QNT_LAWS = (perpetuity_survival, perpetuity_density, perpetuity_cdf, split_time_survival,
+             tagged_depth_pmf)
+_Q_REFUSED = [
+    (True, "q must be a finite number, got True"),
+    (0.0, "q must lie in (0, 1), got 0.0"),
+    (1.0, "q must lie in (0, 1), got 1.0"),
+    (math.nan, "q must be a finite number, got nan"),
+]
+_N_REFUSED = [
+    (True, "n must be an integer >= 0, got True"),
+    (np.int64(3), "n must be an integer >= 0, got np.int64(3)"),
+    (-1, "n must be an integer >= 0, got -1"),
+]
+_T_REFUSED = [
+    (math.nan, "t must be a finite number >= 0, got nan"),
+    (math.inf, "t must be a finite number >= 0, got inf"),
+    (-0.5, "t must be a finite number >= 0, got -0.5"),
+    (True, "t must be a finite number >= 0, got True"),
+    (np.int64(2), "t must be a finite number >= 0, got np.int64(2)"),
+]
+
+
+def _refused_with(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+@pytest.mark.parametrize("law", _QNT_LAWS, ids=lambda law: law.__name__)
+def test_exact_laws_check_q_n_t_as_the_general_checks_do(law):
+    # the exact-type fast paths refuse what as_q, check_int and check_real
+    # refuse, with their messages, and in the order q, n, t; at t = 0 no
+    # later check would catch what they let through
+    for t in (1.0, 0.0):
+        for q, message in _Q_REFUSED:
+            _refused_with(lambda: law(q, 3, t), message)
+        for n, message in _N_REFUSED:
+            _refused_with(lambda: law(0.5, n, t), message)
+    for t, message in _T_REFUSED:
+        _refused_with(lambda: law(0.5, 3, t), message)
+    _refused_with(lambda: law(True, -1, -0.5), "q must be a finite number, got True")
+    _refused_with(lambda: law(0.5, -1, -0.5), "n must be an integer >= 0, got -1")
+    # and accept what they accept, with the value of the plain float and int
+    expected = repr(law(0.5, 3, 1.5))
+    assert repr(law(np.float64(0.5), 3, np.float64(1.5))) == expected
+    assert repr(law(_P, 3, 1.5)) == expected
+    assert repr(law(0.5, 3, 0)) == repr(law(0.5, 3, 0.0))
+
+
+def test_q_only_laws_check_q_as_as_q_does():
+    for q, message in _Q_REFUSED:
+        _refused_with(lambda: as_q(q), message)
+        _refused_with(lambda: perpetuity_survival_limit(q, 1.0), message)
+        _refused_with(lambda: perpetuity_survival_limit(q, 0.0), message)
+        _refused_with(lambda: gumbel_limit_cdf(q, 1.0), message)
+    for t, message in _T_REFUSED:
+        _refused_with(lambda: perpetuity_survival_limit(0.5, t), message)
+    _refused_with(lambda: perpetuity_survival_limit(True, math.nan),
+                  "q must be a finite number, got True")
+    assert type(as_q(np.float64(0.25))) is float
+    expected = repr(perpetuity_survival_limit(0.5, 1.5))
+    assert repr(perpetuity_survival_limit(np.float64(0.5), np.float64(1.5))) == expected
+    assert repr(perpetuity_survival_limit(_P, 1.5)) == expected
+    assert gumbel_limit_cdf(np.float64(0.5), 1.0) == gumbel_limit_cdf(_P, 1.0)
 
 
 def test_budget_error_survives_pickling():
